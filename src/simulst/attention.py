@@ -19,10 +19,15 @@ ROW_SUM_TOL = 1e-5
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    """Numerically stable softmax over the last axis.
+
+    The ufunc reductions are what ``ndarray.max`` / ``ndarray.sum`` call,
+    without the method overhead that dominates on the small per-token
+    arrays of incremental decoding.
+    """
+    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
 
 def validate_attention_matrix(weights: np.ndarray) -> np.ndarray:

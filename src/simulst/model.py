@@ -19,6 +19,7 @@ from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from .attention import softmax
 from .vocab import Vocabulary, build_default_vocabulary
 
 DEFAULT_MAX_NEW = 128
@@ -34,6 +35,8 @@ _REPEAT_WINDOW = 2
 _EOS_SLOPE = 0.75
 _EOS_LENGTH_RATIO = 0.2
 _CROSS_GAIN = 1.5
+# Rows past the forced prefix that a decode's buffers start with.
+_INITIAL_NEW_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,13 @@ class ModelAdapter(Protocol):
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
-    return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + _RMS_EPS)
+    # add.reduce / d is what ndarray.mean computes, minus its call overhead
+    return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + _RMS_EPS)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _causal_mask(m: int, s: int) -> np.ndarray:
+    """Additive mask letting query i of the last m of s positions see keys 0..s-m+i."""
+    return np.triu(np.full((m, s), -np.inf), k=s - m + 1)
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,7 @@ class ToyModel:
         self.num_decoder_layers = config.num_decoder_layers
         self.num_heads = config.num_heads
         self._head_dim = config.d_model // config.num_heads
+        self._scale = np.sqrt(self._head_dim)
 
         rng = np.random.default_rng(config.seed)
         d, v = config.d_model, self.vocab.size
@@ -168,9 +172,13 @@ class ToyModel:
         return enc
 
     def _pos(self, length: int) -> np.ndarray:
-        if length > self._pos_cache.shape[0]:
-            self._pos_cache = self._positions(2 * length)
-        return self._pos_cache[:length]
+        # Slice the table read here, not the attribute, which a concurrent
+        # call may replace with a table of a different length.
+        table = self._pos_cache
+        if length > table.shape[0]:
+            table = self._positions(2 * length)
+            self._pos_cache = table
+        return table[:length]
 
     # ------------------------------------------------------------------ encoder
 
@@ -188,29 +196,38 @@ class ToyModel:
                 f"expected {self.config.feature_dim} feature dims, got {feats.shape[1]}"
             )
         r = self.config.reduction
-        t = feats.shape[0]
-        n = -(-t // r)
-        pooled = np.stack([feats[i * r: (i + 1) * r].mean(axis=0) for i in range(n)])
+        t, f = feats.shape
+        n, full = -(-t // r), t // r
+        pooled = np.empty((n, f))
+        pooled[:full] = np.add.reduce(feats[: full * r].reshape(full, r, f), axis=1) / r
+        if full < n:
+            pooled[full] = np.add.reduce(feats[full * r:], axis=0) / (t - full * r)
         x = pooled @ self._w_in + self._b_in + self._pos(n)
         states = np.tanh(x) @ self._w_mix + self._b_mix
         return EncoderStates(states=states, version=t)
 
     # ------------------------------------------------------------------ decoder
 
+    def _heads(self, x: np.ndarray) -> np.ndarray:
+        """Split (s, d) into per-head (H, s, head_dim) views."""
+        return x.reshape(x.shape[0], self.num_heads, self._head_dim).transpose(1, 0, 2)
+
+    def _attend_heads(self, q: np.ndarray, keys_t: np.ndarray, values: np.ndarray, mask=None):
+        """Attention of q (m, d) over head-split keys (H, hd, s) and values (H, s, hd).
+
+        Returns (out (m, d), weights (H, m, s)).
+        """
+        scores = self._heads(q) @ keys_t / self._scale
+        if mask is not None:
+            scores = scores + mask
+        weights = softmax(scores)
+        out = (weights @ values).transpose(1, 0, 2).reshape(q.shape[0], self.config.d_model)
+        return out, weights
+
     def _attend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool):
         """Multi-head attention; q is (m, d), k/v are (s, d). Returns (out, weights(H, m, s))."""
-        h, hd = self.num_heads, self._head_dim
-        m, s = q.shape[0], k.shape[0]
-        qh = q.reshape(m, h, hd).transpose(1, 0, 2)
-        kh = k.reshape(s, h, hd).transpose(1, 0, 2)
-        vh = v.reshape(s, h, hd).transpose(1, 0, 2)
-        scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(hd)
-        if causal:
-            mask = np.triu(np.full((m, s), -np.inf), k=s - m + 1)
-            scores = scores + mask
-        weights = _softmax(scores)
-        out = (weights @ vh).transpose(1, 0, 2).reshape(m, h * hd)
-        return out, weights
+        mask = _causal_mask(q.shape[0], k.shape[0]) if causal else None
+        return self._attend_heads(q, self._heads(k).transpose(0, 2, 1), self._heads(v), mask)
 
     def _logits(self, x: np.ndarray, prev_ids, positions, n_frames: int) -> np.ndarray:
         """Next-token logits per query row.
@@ -219,10 +236,13 @@ class ToyModel:
         row i's prediction; ``positions[i]`` is its 0-based output position.
         """
         logits = _rms_norm(x) @ self._embed.T + self._logit_mask
-        for row, recent in enumerate(prev_ids):
-            logits[row, list(recent)] -= _REPEAT_PENALTY
-        drive = _EOS_SLOPE * (np.asarray(positions, dtype=float) - _EOS_LENGTH_RATIO * n_frames)
-        logits[:, self.vocab.eos_id] += drive
+        eos_offset = _EOS_LENGTH_RATIO * n_frames
+        # Scalar updates: a single decode row makes array indexing cost more
+        # than the arithmetic. A repeated id is penalised once.
+        for row, (recent, position) in enumerate(zip(prev_ids, positions)):
+            for token in set(recent):
+                logits[row, token] -= _REPEAT_PENALTY
+            logits[row, self.vocab.eos_id] += _EOS_SLOPE * (position - eos_offset)
         return logits
 
     @staticmethod
@@ -231,7 +251,11 @@ class ToyModel:
         return tuple(ids[max(0, end - _REPEAT_WINDOW): end])
 
     def _forward(self, ids: Sequence[int], enc: np.ndarray):
-        """Full teacher-forced pass. Returns (logits (m, V), cross (L, H, m, n))."""
+        """Full teacher-forced pass. Returns (logits (m, V), cross (L, H, m, n)).
+
+        Not used for decoding: it is the reference that tests hold the
+        incremental pass of ``decode_greedy`` to.
+        """
         x = self._embed[np.asarray(ids, dtype=np.int64)] + self._pos(len(ids))
         cross_layers = []
         for layer in self._layers:
@@ -258,8 +282,9 @@ class ToyModel:
 
         Generation stops at end-of-sequence (never included in the output).
         The returned attention covers every output position: row i is the
-        cross-attention of the pass that generated token i, which
-        teacher-forcing reproduces exactly for forced positions.
+        cross-attention of the pass that generated token i, captured by the
+        incremental pass itself (teacher-forcing reproduces it for forced
+        positions).
         """
         if max_new < 1:
             raise ValueError("max_new must be at least 1")
@@ -271,69 +296,53 @@ class ToyModel:
                 raise ValueError(f"forced prefix contains unknown token id {t}")
 
         ids = [self.vocab.bos_id] + prefix
+        limit = len(ids) + max_new
+        state = _DecodeState(self, enc.states, len(ids) + min(max_new, _INITIAL_NEW_ROWS))
+        self._advance(state, ids)
         eos_reached = False
-        new_count = 0
-        state = self._start_incremental(ids, enc.states)
-        while new_count < max_new:
-            next_id = int(np.argmax(state["logits"]))
+        while True:
+            next_id = int(state.logits.argmax())
             if next_id == self.vocab.eos_id:
                 eos_reached = True
                 break
             ids.append(next_id)
-            new_count += 1
-            self._step_incremental(state, next_id, enc.states)
+            if len(ids) == limit:
+                break
+            self._advance(state, [next_id])
         tokens = tuple(ids[1:])
-        _, cross = self._forward(ids, enc.states)
-        return DecodeResult(tokens=tokens, attention=cross[:, :, : len(tokens), :], eos_reached=eos_reached)
+        return DecodeResult(
+            tokens=tokens, attention=state.attention[:, :, : len(tokens)], eos_reached=eos_reached
+        )
 
-    # Incremental stepping keeps per-layer self-attention K/V and the
-    # encoder-side projections cached inside one decode call; the math is
-    # identical to _forward (verified in tests).
+    def _advance(self, state: _DecodeState, new_ids: list[int]) -> None:
+        """Run the next ``len(new_ids)`` positions through the decoder.
 
-    def _start_incremental(self, ids: list[int], enc: np.ndarray) -> dict:
-        state: dict = {
-            "self_kv": [],
-            "cross_kv": [(enc @ l["ck"], enc @ l["cv"]) for l in self._layers],
-            "length": 0,
-        }
-        x = self._embed[np.asarray(ids, dtype=np.int64)] + self._pos(len(ids))
+        Their self-attention keys/values are appended to the cache, their
+        cross-attention rows are captured, and the next-token logits of the
+        last one replace ``state.logits``. The math is that of ``_forward``.
+        """
+        start = state.length
+        end = start + len(new_ids)
+        state.reserve(end)
+        x = self._embed[new_ids] + self._pos(end)[start:]
+        mask = _causal_mask(len(new_ids), end) if len(new_ids) > 1 else None
         for li, layer in enumerate(self._layers):
             y = _rms_norm(x)
-            k, v = y @ layer["sk"], y @ layer["sv"]
-            state["self_kv"].append([k, v])
-            attn, _ = self._attend(y @ layer["sq"], k, v, causal=True)
+            keys, values = state.keys[li], state.values[li]
+            keys[start:end] = y @ layer["sk"]
+            values[start:end] = y @ layer["sv"]
+            keys_t = self._heads(keys[:end]).transpose(0, 2, 1)
+            attn, _ = self._attend_heads(y @ layer["sq"], keys_t, self._heads(values[:end]), mask)
             x = x + attn @ layer["so"]
             y = _rms_norm(x)
-            ck, cv = state["cross_kv"][li]
-            attn, _ = self._attend(y @ layer["cq"], ck, cv, causal=False)
+            attn, weights = self._attend_heads(y @ layer["cq"], *state.cross[li])
+            state.attention[li, :, start:end] = weights
             x = x + _CROSS_GAIN * (attn @ layer["co"])
             y = _rms_norm(x)
             x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
-        state["length"] = len(ids)
-        state["recent"] = self._recent_window(ids, len(ids))
-        state["logits"] = self._logits(x[-1:], [state["recent"]], [len(ids) - 1], enc.shape[0])
-        return state
-
-    def _step_incremental(self, state: dict, token_id: int, enc: np.ndarray) -> None:
-        pos = state["length"]
-        x = self._embed[token_id][None, :] + self._pos(pos + 1)[pos:]
-        for li, layer in enumerate(self._layers):
-            y = _rms_norm(x)
-            k_new, v_new = y @ layer["sk"], y @ layer["sv"]
-            kv = state["self_kv"][li]
-            kv[0] = np.vstack([kv[0], k_new])
-            kv[1] = np.vstack([kv[1], v_new])
-            attn, _ = self._attend(y @ layer["sq"], kv[0], kv[1], causal=False)
-            x = x + attn @ layer["so"]
-            y = _rms_norm(x)
-            ck, cv = state["cross_kv"][li]
-            attn, _ = self._attend(y @ layer["cq"], ck, cv, causal=False)
-            x = x + _CROSS_GAIN * (attn @ layer["co"])
-            y = _rms_norm(x)
-            x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
-        state["length"] = pos + 1
-        state["recent"] = (state["recent"] + (token_id,))[-_REPEAT_WINDOW:]
-        state["logits"] = self._logits(x, [state["recent"]], [pos], enc.shape[0])
+        state.length = end
+        state.recent = (state.recent + tuple(new_ids))[-_REPEAT_WINDOW:]
+        state.logits = self._logits(x[-1:], [state.recent], [end - 1], state.n)
 
     # ------------------------------------------------------------------ CTC head
 
@@ -345,6 +354,41 @@ class ToyModel:
     def count_source_words(self, raw_features: np.ndarray) -> int:
         """Collapse repeats, drop blanks, count word-boundary labels."""
         return count_words_in_labels(self.frame_labels(raw_features))
+
+
+class _DecodeState:
+    """Scratch state of one incremental decode; row i of each buffer is output position i.
+
+    The self-attention keys/values (L, rows, d) and the captured
+    cross-attention (L, H, rows, n) share one row capacity, which doubles
+    when full. The encoder-side head views are built once per decode.
+    """
+
+    def __init__(self, model: ToyModel, enc: np.ndarray, capacity: int):
+        layers, d = model.num_decoder_layers, model.config.d_model
+        self.n = enc.shape[0]
+        self.cross = [
+            (model._heads(enc @ l["ck"]).transpose(0, 2, 1), model._heads(enc @ l["cv"]))
+            for l in model._layers
+        ]
+        self.keys = np.empty((layers, capacity, d))
+        self.values = np.empty((layers, capacity, d))
+        self.attention = np.empty((layers, model.num_heads, capacity, self.n))
+        self.length = 0
+        self.recent: tuple[int, ...] = ()
+        self.logits: np.ndarray | None = None
+
+    def reserve(self, rows: int) -> None:
+        capacity = self.keys.shape[1]
+        if rows <= capacity:
+            return
+        capacity = max(rows, 2 * capacity)
+        grown = []
+        for buf in (self.keys, self.values, self.attention):
+            new = np.empty(buf.shape[:-2] + (capacity, buf.shape[-1]))
+            new[..., : self.length, :] = buf[..., : self.length, :]
+            grown.append(new)
+        self.keys, self.values, self.attention = grown
 
 
 def count_words_in_labels(labels: Sequence[int], blank: int = 0, boundary: int = 1) -> int:

@@ -1,11 +1,13 @@
 """Batch evaluation: run sessions over a manifest, aggregate, sweep grids.
 
-Each utterance runs as an independent session with its own adapter instance
-and clock, so utterances may execute on a thread pool; aggregation reduces
-results in manifest order regardless of completion order. Per-utterance
-failures (missing source file, adapter fault) are recorded and skipped;
-corpus BLEU pools n-gram counts over the successful sessions and latency is
-macro-averaged over them (sessions with empty output contribute no latency).
+Each utterance runs as an independent session with its own clock. One
+adapter, immutable by the ``ModelAdapter`` contract, is built per run and
+shared by every session, so utterances may execute on a thread pool;
+aggregation reduces results in manifest order regardless of completion
+order. Per-utterance failures (missing source file, adapter fault) are
+recorded and skipped; corpus BLEU pools n-gram counts over the successful
+sessions and latency is macro-averaged over them (sessions with empty output
+contribute no latency).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def default_workers() -> int:
 
 
 def make_adapter(config: SessionConfig) -> ModelAdapter:
-    """Build a fresh adapter owned by one session."""
+    """Build the adapter that every session of one run shares."""
     if config.adapter == "toy":
         return ToyModel(ToyModelConfig(seed=config.seed), build_default_vocabulary())
     raise ConfigError(f"unknown adapter {config.adapter!r}; available: 'toy'")
@@ -135,12 +137,11 @@ def _json_number(value: float | None) -> float | None:
     return value
 
 
-def _run_one(entry: ManifestEntry, config: SessionConfig) -> UtteranceResult:
+def _run_one(entry: ManifestEntry, config: SessionConfig, adapter: ModelAdapter) -> UtteranceResult:
     try:
         source = load_source_features(entry.source)
     except (OSError, ValueError) as exc:
         return UtteranceResult(id=entry.id, error=f"source unreadable: {exc}")
-    adapter = make_adapter(config)
     clock = RealClock() if config.clock == "real" else SimulatedClock()
     try:
         log = run_session(
@@ -185,11 +186,12 @@ def run_eval(
     if workers is None:
         workers = default_workers()
 
+    adapter = make_adapter(config)
     if workers == 1:
-        results = [_run_one(entry, config) for entry in entries]
+        results = [_run_one(entry, config, adapter) for entry in entries]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda e: _run_one(e, config), entries))
+            results = list(pool.map(lambda e: _run_one(e, config, adapter), entries))
 
     by_id = {entry.id: entry for entry in entries}
     succeeded = [r for r in results if not r.failed]

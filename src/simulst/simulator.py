@@ -241,9 +241,15 @@ def run_session(
             break
 
         if policy.uses_word_counts:
+            try:
+                words = adapter.count_source_words(prefix)
+            except Exception as exc:
+                raise SessionError(
+                    f"adapter failed counting words at {ideal_s:.3f}s: {exc}", partial()
+                ) from exc
             # Word detections only ratchet upward so the schedule never
             # retracts budget already granted.
-            detected_words = max(detected_words, adapter.count_source_words(prefix))
+            detected_words = max(detected_words, words)
 
         if candidates:
             weights = aggregate_attention(result.attention, layer)[len(committed):, :]

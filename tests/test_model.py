@@ -1,6 +1,8 @@
 """Toy encoder-decoder and scripted adapter: shapes, determinism, caching."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -79,6 +81,17 @@ class TestEncoder:
         short = toy_model.encode(feats[:120])
         full = toy_model.encode(feats)
         assert np.array_equal(short.states, full.states[:30])
+
+    @pytest.mark.parametrize("t", range(1, 3 * 4 + 2))
+    def test_pooling_equals_per_group_mean(self, toy_model, t):
+        # includes t < reduction, where there is no full group at all
+        r = toy_model.config.reduction
+        feats = np.random.default_rng(t).normal(size=(t, 80)).astype(np.float32).astype(float)
+        n = -(-t // r)
+        pooled = np.stack([feats[i * r: (i + 1) * r].mean(axis=0) for i in range(n)])
+        x = pooled @ toy_model._w_in + toy_model._b_in + toy_model._positions(n)
+        expected = np.tanh(x) @ toy_model._w_mix + toy_model._b_mix
+        assert np.array_equal(toy_model.encode(feats).states, expected)
 
     def test_rejects_bad_shapes(self, toy_model):
         with pytest.raises(ValueError, match="non-empty"):
@@ -165,6 +178,95 @@ class TestDecode:
             toy_model.decode_greedy(enc, [default_vocab.size + 4])
         with pytest.raises(ValueError, match="max_new"):
             toy_model.decode_greedy(enc, [], max_new=0)
+
+
+def reference_decode(model, enc, prefix, max_new):
+    """Greedy decoding that re-runs the full teacher-forced pass for every token."""
+    ids = [model.vocab.bos_id, *prefix]
+    for _ in range(max_new):
+        logits, _ = model._forward(ids, enc.states)
+        next_id = int(np.argmax(logits[-1]))
+        if next_id == model.vocab.eos_id:
+            return tuple(ids[1:]), True
+        ids.append(next_id)
+    return tuple(ids[1:]), False
+
+
+class TestIncrementalFastPath:
+    """The incremental pass captures the attention that ``_forward`` computes."""
+
+    # (rng seed, frames, share of the free decode forced, max_new)
+    CASES = [
+        (0, 200, 0.0, 128),
+        (1, 37, 0.5, 128),
+        (2, 310, 0.3, 5),
+        (3, 90, 1.0, 128),
+        (4, 6, 0.0, 1),
+        (5, 450, 0.8, 3),
+        (6, 150, 0.2, 60),
+    ]
+
+    @pytest.fixture(scope="class")
+    def decodes(self, toy_model):
+        out = []
+        for seed, frames, share, max_new in self.CASES:
+            rng = np.random.default_rng(seed)
+            enc = toy_model.encode(rng.normal(size=(frames, 80)))
+            free = toy_model.decode_greedy(enc, [])
+            prefix = free.tokens[: round(share * len(free.tokens))]
+            out.append((enc, prefix, max_new, toy_model.decode_greedy(enc, prefix, max_new)))
+        return out
+
+    def test_cases_cover_eos_and_truncation(self, decodes):
+        assert {result.eos_reached for *_, result in decodes} == {True, False}
+
+    def test_tokens_match_reference_loop(self, toy_model, decodes):
+        for enc, prefix, max_new, result in decodes:
+            tokens, eos = reference_decode(toy_model, enc, prefix, max_new)
+            assert result.tokens == tokens
+            assert result.eos_reached == eos
+
+    def test_attention_matches_teacher_forced_pass(self, toy_model, decodes):
+        for enc, prefix, max_new, result in decodes:
+            m = len(result.tokens)
+            _, cross = toy_model._forward([toy_model.vocab.bos_id, *result.tokens], enc.states)
+            assert result.attention.shape == (2, 4, m, enc.n)
+            assert np.allclose(result.attention, cross[:, :, :m], rtol=0.0, atol=1e-12)
+            assert np.array_equal(result.attention.argmax(axis=-1), cross[:, :, :m].argmax(axis=-1))
+
+
+class TestSharedAcrossThreads:
+    def test_position_table_growth_race(self):
+        # Every round restarts from a one-row table, so the threads grow it
+        # at once and a slower one can install a table shorter than another
+        # asked for; each call must still return the length it asked for.
+        model = ToyModel(ToyModelConfig(seed=0), build_default_vocabulary())
+        lengths = (60, 200, 70, 150)
+
+        def reset():
+            model._pos_cache = model._positions(1)
+
+        barrier = threading.Barrier(len(lengths), action=reset, timeout=10)
+        wrong = []
+
+        def worker(length):
+            for _ in range(100):
+                barrier.wait()
+                if model._pos(length).shape[0] != length:
+                    wrong.append(length)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in lengths]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestWordCounting:

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from simulst import (
@@ -10,7 +11,9 @@ from simulst import (
     SessionConfig,
     ToyModel,
     load_manifest,
+    read_features,
     run_eval,
+    runner,
     sweep,
 )
 from simulst.runner import (
@@ -141,6 +144,40 @@ class TestRunEval:
         threaded = run_eval(small_suite, ALIGNATT4, workers=3)
         assert serial.results == threaded.results
         assert serial.corpus_bleu == threaded.corpus_bleu
+
+    def test_one_adapter_per_run_shared_across_workers(self, small_suite, tmp_path, monkeypatch):
+        built = []
+
+        def counting_make_adapter(config):
+            built.append(config.run_id)
+            return make_adapter(config)
+
+        monkeypatch.setattr(runner, "make_adapter", counting_make_adapter)
+        for workers in (1, 2):
+            run_eval(small_suite, ALIGNATT4, out_dir=tmp_path / str(workers), workers=workers)
+        assert built == [ALIGNATT4.run_id, ALIGNATT4.run_id]
+        for name in [f"{e.id}.jsonl" for e in small_suite] + ["aggregate.json"]:
+            serial = (tmp_path / "1" / ALIGNATT4.run_id / name).read_bytes()
+            threaded = (tmp_path / "2" / ALIGNATT4.run_id / name).read_bytes()
+            assert serial == threaded, name
+
+    def test_word_count_failure_fails_only_its_utterance(self, small_suite, monkeypatch):
+        doomed = read_features(small_suite[1].source).frames[0]
+
+        class WordCountFails(ToyModel):
+            """Like a scripted adapter without a step for one source's prefixes."""
+
+            def count_source_words(self, raw_features):
+                if np.array_equal(raw_features[0], doomed):
+                    raise KeyError("no scripted step")
+                return super().count_source_words(raw_features)
+
+        monkeypatch.setattr(runner, "make_adapter", lambda config: WordCountFails())
+        config = SessionConfig(policy="waitk", k=2, chunk_ms=500.0)
+        evaluation = run_eval(small_suite, config, workers=1)
+        assert [r.failed for r in evaluation.results] == [False, True, False]
+        assert "counting words" in evaluation.results[1].error
+        assert not math.isnan(evaluation.corpus_bleu)
 
     def test_deterministic_outputs(self, small_suite, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
