@@ -1,4 +1,4 @@
-"""Cross-attention math and argmax alignment extraction.
+"""Attention softmax, validation, head aggregation and argmax alignment.
 
 All functions here are pure and operate on plain numpy arrays:
 
@@ -49,43 +49,6 @@ def validate_attention_matrix(weights: np.ndarray) -> np.ndarray:
         if worst > ROW_SUM_TOL:
             raise ValueError(f"attention rows must sum to 1 (worst deviation {worst:.2e})")
     return a
-
-
-def cross_attention(
-    queries: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    d_k: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dot-product cross attention ``softmax(Q Kᵀ / √d_k) V``.
-
-    Args:
-        queries: (m, d_k) query matrix.
-        keys: (n, d_k) key matrix.
-        values: (n, d_v) value matrix.
-        d_k: scaling dimension; defaults to the query width and must match it.
-
-    Returns:
-        (context, weights): context is (m, d_v) = weights @ values, weights is
-        the row-stochastic (m, n) attention matrix.
-    """
-    q = np.asarray(queries, dtype=float)
-    k = np.asarray(keys, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ValueError("queries, keys and values must all be 2-D matrices")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"query width {q.shape[1]} does not match key width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"key count {k.shape[0]} does not match value count {v.shape[0]}")
-    if d_k is None:
-        d_k = q.shape[1]
-    if d_k <= 0:
-        raise ValueError("d_k must be a positive integer")
-    if d_k != q.shape[1]:
-        raise ValueError(f"d_k={d_k} does not match query/key width {q.shape[1]}")
-    weights = softmax(q @ k.T / np.sqrt(float(d_k)))
-    return weights @ v, weights
 
 
 def aggregate_attention(tensor: np.ndarray, layer: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,8 +28,8 @@ from .features import (
     write_features,
 )
 from .manifest import ManifestError, load_manifest
-from .metrics import bleu, corpus_bleu, latency_report
 from .runner import (
+    aggregate,
     default_workers,
     run_eval,
     sweep,
@@ -161,49 +160,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     entries = load_manifest(args.manifest)
-    logs_dir = Path(args.logs)
-    hyps: list[str] = []
-    refs: list[str] = []
-    utterances = []
-    failed = 0
+    outcomes = []
     for entry in entries:
-        log_path = logs_dir / f"{entry.id}.jsonl"
         try:
-            log = read_emission_log(log_path)
+            outcomes.append(read_emission_log(Path(args.logs) / f"{entry.id}.jsonl"))
         except (OSError, ValueError) as exc:
-            utterances.append({"id": entry.id, "error": str(exc)})
-            failed += 1
-            continue
-        report = latency_report(log, entry.reference)
-        quality = bleu(log.final_text, entry.reference)
-        hyps.append(log.final_text)
-        refs.append(entry.reference)
-        utterances.append(
-            {
-                "id": entry.id,
-                "error": None,
-                "bleu": quality.bleu,
-                "al_s": _nan_to_none(report.al_s),
-                "laal_s": _nan_to_none(report.laal_s),
-                "al_ca_s": _nan_to_none(report.al_ca_s),
-                "laal_ca_s": _nan_to_none(report.laal_ca_s),
-            }
-        )
-    record = {
-        "num_utterances": len(entries),
-        "num_failed": failed,
-        "corpus_bleu": corpus_bleu(hyps, refs).bleu if hyps else None,
-        "utterances": utterances,
-    }
-    text = json.dumps(record, indent=2, sort_keys=True)
+            outcomes.append(str(exc))
+    evaluation = aggregate(entries, outcomes)
+    text = json.dumps(evaluation.to_record(), indent=2, sort_keys=True)
     if args.out is not None:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
-    return 1 if failed else 0
-
-
-def _nan_to_none(value: float) -> float | None:
-    return None if math.isnan(value) else value
+    return 1 if evaluation.num_failed else 0
 
 
 def _cmd_extract_features(args: argparse.Namespace) -> int:

@@ -120,12 +120,6 @@ class SessionConfig:
             return self.t_s_ms
         return self.chunk_ms
 
-    @property
-    def sweep_value(self) -> float:
-        value = getattr(self, SWEEP_FIELD[self.policy])
-        assert value is not None
-        return value
-
     def make_policy(self) -> Policy:
         if self.policy == "alignatt":
             return AlignAttPolicy(f=self.f)

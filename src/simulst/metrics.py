@@ -69,6 +69,14 @@ def word_delays(log: EmissionLog) -> tuple[list[float], list[float]]:
     return ideal, wall
 
 
+def _cutoff(delays_s, source_duration_s: float) -> int:
+    """tau: 1-based index of the first delay reaching the source end, else all."""
+    for i, d in enumerate(delays_s, start=1):
+        if d >= source_duration_s:
+            return i
+    return len(delays_s)
+
+
 def _lagging(delays_s, source_duration_s: float, denominator_len: int) -> float:
     if not len(delays_s):
         return math.nan
@@ -76,19 +84,13 @@ def _lagging(delays_s, source_duration_s: float, denominator_len: int) -> float:
         raise ValueError(f"source duration must be positive, got {source_duration_s}")
     if denominator_len < 1:
         raise ValueError(f"length denominator must be >= 1, got {denominator_len}")
-    tau = len(delays_s)
-    for i, d in enumerate(delays_s, start=1):
-        if d >= source_duration_s:
-            tau = i
-            break
+    tau = _cutoff(delays_s, source_duration_s)
     rate = source_duration_s / denominator_len
     total = sum(delays_s[i] - i * rate for i in range(tau))
     return total / tau
 
 
-def average_lagging(
-    delays_s, source_duration_s: float, ref_len: int, hyp_len: int | None = None
-) -> float:
+def average_lagging(delays_s, source_duration_s: float, ref_len: int) -> float:
     """AL in seconds; NaN for an empty hypothesis. May be negative."""
     return _lagging(delays_s, source_duration_s, ref_len)
 
@@ -120,19 +122,13 @@ def latency_report(log: EmissionLog, reference: str) -> LatencyReport:
     ref_len = max(len(reference.split()), 1)
     hyp_len = len(ideal)
     duration = log.source_duration_s
-
-    tau = hyp_len
-    for i, d in enumerate(ideal, start=1):
-        if d >= duration:
-            tau = i
-            break
     return LatencyReport(
         al_s=average_lagging(ideal, duration, ref_len),
         laal_s=length_adaptive_average_lagging(ideal, duration, ref_len, hyp_len),
         al_ca_s=average_lagging(wall, duration, ref_len),
         laal_ca_s=length_adaptive_average_lagging(wall, duration, ref_len, hyp_len),
         delays_s=tuple(ideal),
-        tau=tau,
+        tau=_cutoff(ideal, duration),
     )
 
 

@@ -245,30 +245,18 @@ class WaitKPolicy(Policy):
 
 
 class LocalAgreementPolicy(Policy):
-    """Commit what the last ``window`` consecutive hypotheses agree on."""
+    """Commit what the previous and the current hypothesis agree on."""
 
     name = "local_agreement"
 
-    def __init__(self, window: int = 2):
-        if window < 2:
-            raise ValueError("agreement window must be at least 2")
-        self.window = window
-        self._history: list[tuple[int, ...]] = []
+    def __init__(self):
+        self._previous: tuple[int, ...] | None = None
 
     def reset(self) -> None:
-        self._history = []
+        self._previous = None
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
-        current = ctx.hypothesis
-        if len(self._history) < self.window - 1:
-            decision = PolicyDecision(0, StopReason.DISAGREEMENT)
-        elif self.window == 2:
-            decision = local_agreement_prefix(self._history[-1], current, len(ctx.committed))
-        else:
-            lcp = min(longest_common_prefix(h, current) for h in self._history)
-            commit = max(0, lcp - len(ctx.committed))
-            reason = StopReason.DISAGREEMENT if lcp < len(current) else StopReason.EXHAUSTED
-            decision = PolicyDecision(commit, reason)
-        self._history.append(tuple(current))
-        self._history = self._history[-(self.window - 1):]
+        current = tuple(ctx.hypothesis)
+        decision = local_agreement_prefix(self._previous, current, len(ctx.committed))
+        self._previous = current
         return decision

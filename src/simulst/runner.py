@@ -12,7 +12,6 @@ contribute no latency).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -41,6 +40,7 @@ __all__ = [
     "CurveRow",
     "CURVE_HEADER",
     "WORKERS_ENV_VAR",
+    "aggregate",
     "default_workers",
     "make_adapter",
     "run_eval",
@@ -87,9 +87,12 @@ class UtteranceResult:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """One run over a manifest: per-utterance outcomes plus corpus aggregates."""
+    """One run over a manifest: per-utterance outcomes plus corpus aggregates.
 
-    config: SessionConfig
+    ``config`` is None when the outcomes were read back from logs.
+    """
+
+    config: SessionConfig | None
     results: tuple[UtteranceResult, ...]
     corpus_bleu: float
     mean_al_s: float
@@ -102,10 +105,11 @@ class EvalResult:
         return sum(1 for r in self.results if r.failed)
 
     def to_record(self) -> dict:
-        """JSON-able aggregate record written next to the per-session logs."""
-        return {
-            "run_id": self.config.run_id,
-            "config": self.config.to_dict(),
+        """JSON-able aggregate record written next to the per-session logs.
+
+        ``run_id`` and ``config`` are present only when the config is known.
+        """
+        record = {
             "num_utterances": len(self.results),
             "num_failed": self.num_failed,
             "failed_ids": [r.id for r in self.results if r.failed],
@@ -128,6 +132,10 @@ class EvalResult:
                 for r in self.results
             ],
         }
+        if self.config is not None:
+            record["run_id"] = self.config.run_id
+            record["config"] = self.config.to_dict()
+        return record
 
 
 def _json_number(value: float | None) -> float | None:
@@ -137,14 +145,15 @@ def _json_number(value: float | None) -> float | None:
     return value
 
 
-def _run_one(entry: ManifestEntry, config: SessionConfig, adapter: ModelAdapter) -> UtteranceResult:
+def _run_one(entry: ManifestEntry, config: SessionConfig, adapter: ModelAdapter) -> EmissionLog | str:
+    """One session's emission log, or the message of the error that stopped it."""
     try:
         source = load_source_features(entry.source)
     except (OSError, ValueError) as exc:
-        return UtteranceResult(id=entry.id, error=f"source unreadable: {exc}")
+        return f"source unreadable: {exc}"
     clock = RealClock() if config.clock == "real" else SimulatedClock()
     try:
-        log = run_session(
+        return run_session(
             source,
             adapter,
             config.make_policy(),
@@ -155,18 +164,53 @@ def _run_one(entry: ManifestEntry, config: SessionConfig, adapter: ModelAdapter)
             max_new=config.max_new,
         )
     except (SessionError, ValueError) as exc:
-        return UtteranceResult(id=entry.id, error=str(exc))
-    return UtteranceResult(
-        id=entry.id,
-        log=log,
-        latency=latency_report(log, entry.reference),
-        bleu=None,  # filled during aggregation, against this entry's reference
-    )
+        return str(exc)
 
 
 def _mean(values: list[float]) -> float:
     finite = [v for v in values if not math.isnan(v)]
     return sum(finite) / len(finite) if finite else math.nan
+
+
+def aggregate(
+    entries: list[ManifestEntry],
+    outcomes: list[EmissionLog | str],
+    config: SessionConfig | None = None,
+) -> EvalResult:
+    """Score per-utterance outcomes against their manifest entries.
+
+    ``outcomes[i]`` is the emission log of ``entries[i]``, or the message of
+    the error that left it without one. Both ``run`` and ``score`` build
+    their reports here, so a run's logs re-score to the same record.
+    """
+    results = [
+        UtteranceResult(id=entry.id, error=outcome)
+        if isinstance(outcome, str)
+        else UtteranceResult(
+            id=entry.id,
+            log=outcome,
+            latency=latency_report(outcome, entry.reference),
+            bleu=bleu(outcome.final_text, entry.reference).bleu,
+        )
+        for entry, outcome in zip(entries, outcomes, strict=True)
+    ]
+    succeeded = [(r, entry) for r, entry in zip(results, entries) if not r.failed]
+    if succeeded:
+        pooled = corpus_bleu(
+            [r.log.final_text for r, _ in succeeded],
+            [entry.reference for _, entry in succeeded],
+        ).bleu
+    else:
+        pooled = math.nan
+    return EvalResult(
+        config=config,
+        results=tuple(results),
+        corpus_bleu=pooled,
+        mean_al_s=_mean([r.latency.al_s for r in results if r.latency]),
+        mean_laal_s=_mean([r.latency.laal_s for r in results if r.latency]),
+        mean_al_ca_s=_mean([r.latency.al_ca_s for r in results if r.latency]),
+        mean_laal_ca_s=_mean([r.latency.laal_ca_s for r in results if r.latency]),
+    )
 
 
 def run_eval(
@@ -188,34 +232,11 @@ def run_eval(
 
     adapter = make_adapter(config)
     if workers == 1:
-        results = [_run_one(entry, config, adapter) for entry in entries]
+        outcomes = [_run_one(entry, config, adapter) for entry in entries]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda e: _run_one(e, config, adapter), entries))
-
-    by_id = {entry.id: entry for entry in entries}
-    succeeded = [r for r in results if not r.failed]
-    if succeeded:
-        pooled = corpus_bleu(
-            [r.log.final_text for r in succeeded],
-            [by_id[r.id].reference for r in succeeded],
-        ).bleu
-    else:
-        pooled = math.nan
-    results = [
-        r if r.failed else dataclasses.replace(r, bleu=bleu(r.log.final_text, by_id[r.id].reference).bleu)
-        for r in results
-    ]
-
-    evaluation = EvalResult(
-        config=config,
-        results=tuple(results),
-        corpus_bleu=pooled,
-        mean_al_s=_mean([r.latency.al_s for r in results if r.latency]),
-        mean_laal_s=_mean([r.latency.laal_s for r in results if r.latency]),
-        mean_al_ca_s=_mean([r.latency.al_ca_s for r in results if r.latency]),
-        mean_laal_ca_s=_mean([r.latency.laal_ca_s for r in results if r.latency]),
-    )
+            outcomes = list(pool.map(lambda e: _run_one(e, config, adapter), entries))
+    evaluation = aggregate(entries, outcomes, config)
 
     if out_dir is not None:
         run_dir = Path(out_dir) / config.run_id

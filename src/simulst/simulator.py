@@ -299,26 +299,54 @@ def write_emission_log(path, log: EmissionLog) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_JSON_KINDS = {int: (int,), float: (int, float), str: (str,)}
+
+
 def read_emission_log(path) -> EmissionLog:
+    """Parse a log written by ``write_emission_log``.
+
+    Raises ValueError naming ``path`` when the file is empty, a line is not
+    a JSON object, a key is missing or of the wrong type, or the source
+    duration is not positive.
+    """
     lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty emission log")
-    summary = json.loads(lines[-1])
+
+    def record(line: str) -> dict:
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: record is not a JSON object: {line!r}")
+        return value
+
+    def field(rec: dict, key: str, kind: type):
+        value = rec.get(key)
+        if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+            raise ValueError(f"{path}: key {key!r} is missing or not {kind.__name__}")
+        return kind(value)
+
+    summary = record(lines[-1])
     if "source_duration_s" not in summary or "final_text" not in summary:
         raise ValueError(f"{path}: missing trailing summary record")
+    duration = field(summary, "source_duration_s", float)
+    if not duration > 0:
+        raise ValueError(f"{path}: source duration must be positive, got {duration}")
     events = []
     for line in lines[:-1]:
-        record = json.loads(line)
+        event = record(line)
         events.append(
             Emission(
-                token=int(record["token"]),
-                text=record["text"],
-                ideal_s=float(record["ideal_s"]),
-                wall_s=float(record["wall_s"]),
+                token=field(event, "token", int),
+                text=field(event, "text", str),
+                ideal_s=field(event, "ideal_s", float),
+                wall_s=field(event, "wall_s", float),
             )
         )
     return EmissionLog(
         events=tuple(events),
-        source_duration_s=float(summary["source_duration_s"]),
-        final_text=summary["final_text"],
+        source_duration_s=duration,
+        final_text=field(summary, "final_text", str),
     )

@@ -1,7 +1,5 @@
 """Attention math: softmax, validation, aggregation, argmax alignment."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from simulst import (
     aggregate_attention,
     compute_alignment,
-    cross_attention,
     softmax,
     validate_attention_matrix,
 )
@@ -55,74 +52,6 @@ class TestValidateAttentionMatrix:
     def test_rejects_rows_without_columns(self):
         with pytest.raises(ValueError, match="source column"):
             validate_attention_matrix(np.zeros((2, 0)))
-
-
-class TestCrossAttention:
-    def test_single_key(self):
-        context, weights = cross_attention([[1.0]], [[1.0]], [[5.0]], d_k=1)
-        assert np.allclose(context, [[5.0]])
-        assert np.allclose(weights, [[1.0]])
-
-    def test_zero_queries_give_uniform_weights(self):
-        rng = np.random.default_rng(1)
-        keys = rng.normal(size=(3, 2))
-        values = rng.normal(size=(3, 1))
-        context, weights = cross_attention(np.zeros((1, 2)), keys, values)
-        assert np.allclose(weights, [[1 / 3, 1 / 3, 1 / 3]])
-        assert np.allclose(context, values.mean(axis=0, keepdims=True))
-
-    def test_matches_scalar_oracle(self):
-        # independent scalar-by-scalar computation of softmax(QK^T/sqrt(2))V
-        q = np.array([[0.3, -1.2], [2.0, 0.5]])
-        k = np.array([[1.0, 0.0], [-0.5, 0.8]])
-        v = np.array([[2.0, 1.0], [0.0, -1.0]])
-        scores = [[0.0] * 2 for _ in range(2)]
-        for i in range(2):
-            for j in range(2):
-                s = sum(q[i][c] * k[j][c] for c in range(2)) / math.sqrt(2.0)
-                scores[i][j] = s
-        expected_w = []
-        for row in scores:
-            exps = [math.exp(s) for s in row]
-            total = sum(exps)
-            expected_w.append([e / total for e in exps])
-        expected_ctx = [
-            [sum(expected_w[i][j] * v[j][c] for j in range(2)) for c in range(2)]
-            for i in range(2)
-        ]
-        context, weights = cross_attention(q, k, v, d_k=2)
-        assert np.allclose(weights, expected_w, atol=1e-12)
-        assert np.allclose(context, expected_ctx, atol=1e-12)
-
-    def test_context_is_weights_times_values(self):
-        rng = np.random.default_rng(2)
-        q, k, v = rng.normal(size=(4, 3)), rng.normal(size=(6, 3)), rng.normal(size=(6, 5))
-        context, weights = cross_attention(q, k, v)
-        validate_attention_matrix(weights)
-        assert np.allclose(context, weights @ v)
-
-    def test_weights_ignore_constant_value_shift(self):
-        rng = np.random.default_rng(3)
-        q, k, v = rng.normal(size=(2, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
-        _, w1 = cross_attention(q, k, v)
-        _, w2 = cross_attention(q, k, v + np.array([10.0, -3.0, 0.5]))
-        assert np.allclose(w1, w2)
-
-    def test_rejects_width_mismatch(self):
-        with pytest.raises(ValueError, match="width"):
-            cross_attention(np.zeros((1, 2)), np.zeros((3, 4)), np.zeros((3, 1)))
-
-    def test_rejects_key_value_count_mismatch(self):
-        with pytest.raises(ValueError, match="count"):
-            cross_attention(np.zeros((1, 2)), np.zeros((3, 2)), np.zeros((4, 1)))
-
-    def test_rejects_nonpositive_dk(self):
-        with pytest.raises(ValueError, match="positive"):
-            cross_attention(np.zeros((1, 0)), np.zeros((3, 0)), np.zeros((3, 1)))
-
-    def test_rejects_wrong_dk(self):
-        with pytest.raises(ValueError, match="does not match"):
-            cross_attention(np.zeros((1, 2)), np.zeros((3, 2)), np.zeros((3, 1)), d_k=3)
 
 
 class TestAggregateAttention:

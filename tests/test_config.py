@@ -135,7 +135,6 @@ class TestDerived:
 
     def test_sweep_value_and_replacement(self):
         config = SessionConfig(policy="alignatt", f=4)
-        assert config.sweep_value == 4
         swept = config.with_sweep_value(9)
         assert swept.f == 9 and swept.policy == "alignatt"
         assert config.f == 4  # original untouched

@@ -353,20 +353,9 @@ class TestLocalAgreement:
         # hypothesis [5,6,9,8] vs previous [5,6,9]: lcp 3, minus 2 committed
         assert decision.commit_count == 1
 
-    def test_window_three_needs_two_previous(self, default_vocab):
-        policy = LocalAgreementPolicy(window=3)
-        assert policy.decide(_waitk_context(default_vocab, [], [5, 6], source_words=0)).commit_count == 0
-        assert policy.decide(_waitk_context(default_vocab, [], [5, 6], source_words=0)).commit_count == 0
-        decision = policy.decide(_waitk_context(default_vocab, [], [5, 7], source_words=0))
-        # lcp across both stored hypotheses [5,6],[5,6] with current [5,7] is 1
-        assert decision.commit_count == 1
-
     def test_reset_clears_history(self, default_vocab):
         policy = LocalAgreementPolicy()
         policy.decide(_waitk_context(default_vocab, [], [5, 6], source_words=0))
         policy.reset()
         assert policy.decide(_waitk_context(default_vocab, [], [5, 6], source_words=0)).commit_count == 0
 
-    def test_rejects_window_below_two(self):
-        with pytest.raises(ValueError, match="window"):
-            LocalAgreementPolicy(window=1)

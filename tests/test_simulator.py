@@ -377,3 +377,23 @@ class TestEmissionLogIO:
         path.write_text('{"token": 3, "text": "a", "ideal_s": 1.0, "wall_s": 1.0}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="missing trailing summary"):
             read_emission_log(path)
+
+    EVENT = '{"token": 3, "text": "a", "ideal_s": 1.0, "wall_s": 1.0}'
+    SUMMARY = '{"source_duration_s": 1.0, "final_text": "a"}'
+
+    @pytest.mark.parametrize(
+        "event, summary",
+        [
+            ("[3]", SUMMARY),
+            (EVENT.replace("3", '"3"'), SUMMARY),
+            (EVENT.replace('"ideal_s": 1.0', '"ideal_s": true'), SUMMARY),
+            (EVENT.replace(', "wall_s": 1.0', ""), SUMMARY),
+            (EVENT, SUMMARY.replace("1.0", "-1.0")),
+            (EVENT, SUMMARY.replace('"a"', "7")),
+        ],
+    )
+    def test_malformed_record_rejected_with_path(self, tmp_path, event, summary):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{event}\n{summary}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.jsonl"):
+            read_emission_log(path)
