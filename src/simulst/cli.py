@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import SWEEP_FIELD, ConfigError, SessionConfig
+from .config import CONFIG_TYPES, SWEEP_FIELD, ConfigError, SessionConfig
 from .features import (
     global_cmvn,
     load_cmvn_stats,
@@ -28,54 +28,23 @@ from .features import (
     write_features,
 )
 from .manifest import ManifestError, load_manifest
-from .runner import (
-    aggregate,
-    default_workers,
-    run_eval,
-    sweep,
-    write_curve_csv,
-)
+from .runner import aggregate, run_eval, sweep, write_curve_csv
 from .simulator import read_emission_log
 
 __all__ = ["main"]
 
-_CONFIG_FLAGS = (
-    # (flag, config key, type)
-    ("--policy", "policy", str),
-    ("--f", "f", int),
-    ("--alpha", "alpha", float),
-    ("--lambda", "lambda", int),
-    ("--k", "k", int),
-    ("--t-s-ms", "t_s_ms", float),
-    ("--chunk-ms", "chunk_ms", float),
-    ("--adapter", "adapter", str),
-    ("--seed", "seed", int),
-    ("--attention-layer", "attention_layer", int),
-    ("--max-new", "max_new", int),
-    ("--clock", "clock", str),
-    ("--step-cost-s", "step_cost_s", float),
-)
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file; flags override its keys")
-    for flag, key, value_type in _CONFIG_FLAGS:
+    for key, value_type in CONFIG_TYPES.items():
         kwargs = {"type": value_type, "dest": f"cfg_{key}", "default": None}
-        if key == "policy":
-            kwargs["choices"] = ("alignatt", "edatt", "waitk", "local_agreement")
-        if key == "clock":
-            kwargs["choices"] = ("simulated", "real")
-        parser.add_argument(flag, **kwargs)
-    parser.add_argument(
-        "--laal-cap-s",
-        dest="cfg_laal_cap_s",
-        type=float,
-        nargs="?",
-        const=3.5,
-        default=None,
-        help="drop sweep rows whose mean computational-aware LAAL exceeds this (default 3.5 when given bare)",
-    )
-    parser.add_argument("--workers", type=int, default=None, help="thread count (env SIMULST_WORKERS)")
+        if key == "laal_cap_s":
+            kwargs.update(
+                nargs="?",
+                const=3.5,
+                help="drop sweep rows whose mean computational-aware LAAL exceeds this (default 3.5 when given bare)",
+            )
+        parser.add_argument("--" + key.replace("_", "-"), **kwargs)
+    parser.add_argument("--workers", type=int, default=1, help="thread count")
 
 
 def _build_config(args: argparse.Namespace, sweep_seed: float | None = None) -> SessionConfig:
@@ -88,12 +57,10 @@ def _build_config(args: argparse.Namespace, sweep_seed: float | None = None) -> 
         data = json.loads(text) if text.strip() else {}
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    for _, key, _ in _CONFIG_FLAGS:
+    for key in CONFIG_TYPES:
         value = getattr(args, f"cfg_{key}")
         if value is not None:
             data[key] = value
-    if args.cfg_laal_cap_s is not None:
-        data["laal_cap_s"] = args.cfg_laal_cap_s
     if sweep_seed is not None:
         # a sweep supplies the policy's knob from the grid, so the base
         # config may omit it
@@ -102,14 +69,6 @@ def _build_config(args: argparse.Namespace, sweep_seed: float | None = None) -> 
             data[field] = sweep_seed
             return SessionConfig.from_dict(data).with_sweep_value(sweep_seed)
     return SessionConfig.from_dict(data)
-
-
-def _workers(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        return args.workers
-    return default_workers()
 
 
 def _print_aggregate(record: dict) -> None:
@@ -128,7 +87,7 @@ def _print_aggregate(record: dict) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
     entries = load_manifest(args.manifest)
-    evaluation = run_eval(entries, config, out_dir=args.out, workers=_workers(args))
+    evaluation = run_eval(entries, config, out_dir=args.out, workers=args.workers)
     _print_aggregate(evaluation.to_record())
     print(f"run_id={config.run_id} -> {Path(args.out) / config.run_id}")
     return 1 if evaluation.num_failed else 0
@@ -148,7 +107,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     config = _build_config(args, sweep_seed=min(grid))
     entries = load_manifest(args.manifest)
-    rows, evaluations = sweep(entries, config, grid, out_dir=args.out, workers=_workers(args))
+    rows, evaluations = sweep(entries, config, grid, out_dir=args.out, workers=args.workers)
     digest = hashlib.sha256((config.run_id + args.grid).encode("utf-8")).hexdigest()[:12]
     curve_path = Path(args.out) / f"curve_{digest}.csv"
     write_curve_csv(curve_path, rows)

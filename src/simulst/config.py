@@ -12,9 +12,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 
 from .policies import (
+    DEFAULT_EDATT_LAM,
     AlignAttPolicy,
     EDAttPolicy,
     LocalAgreementPolicy,
@@ -22,31 +24,23 @@ from .policies import (
     WaitKPolicy,
 )
 
-__all__ = ["ConfigError", "SessionConfig", "POLICY_NAMES", "SWEEP_FIELD"]
+__all__ = ["ConfigError", "SessionConfig", "CLOCKS", "CONFIG_TYPES", "POLICY_NAMES", "SWEEP_FIELD"]
 
-POLICY_NAMES = ("alignatt", "edatt", "waitk", "local_agreement")
-
-# The knob a sweep varies, per policy.
-SWEEP_FIELD = {
-    "alignatt": "f",
-    "edatt": "alpha",
-    "waitk": "k",
-    "local_agreement": "t_s_ms",
-}
-
+# The hyperparameters of each policy; the first is the knob a sweep varies.
 _POLICY_FIELDS = {
     "alignatt": ("f",),
     "edatt": ("alpha", "lam"),
     "waitk": ("k",),
     "local_agreement": ("t_s_ms",),
 }
-_ALL_POLICY_FIELDS = ("f", "alpha", "lam", "k", "t_s_ms")
+POLICY_NAMES = tuple(_POLICY_FIELDS)
+SWEEP_FIELD = {policy: fields[0] for policy, fields in _POLICY_FIELDS.items()}
+_ALL_POLICY_FIELDS = tuple(name for fields in _POLICY_FIELDS.values() for name in fields)
 
-# JSON key <-> dataclass field (lambda is a Python keyword).
+CLOCKS = ("simulated", "real")
+
+# JSON key of a dataclass field, where they differ (lambda is a Python keyword).
 _JSON_KEYS = {"lam": "lambda"}
-_FIELD_NAMES = {v: k for k, v in _JSON_KEYS.items()}
-
-DEFAULT_EDATT_LAM = 2
 
 
 class ConfigError(ValueError):
@@ -87,14 +81,10 @@ class SessionConfig:
                 raise ConfigError(f"policy {self.policy!r} requires {name!r}")
             if name not in required and value is not None:
                 raise ConfigError(f"{name!r} is not a hyperparameter of policy {self.policy!r}")
-        if self.f is not None and self.f < 1:
-            raise ConfigError(f"f must be >= 1, got {self.f}")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.lam is not None and self.lam < 1:
-            raise ConfigError(f"lambda must be >= 1, got {self.lam}")
-        if self.k is not None and self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        try:
+            self.make_policy()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.t_s_ms is not None and self.t_s_ms <= 0:
             raise ConfigError(f"t_s_ms must be positive, got {self.t_s_ms}")
         if self.chunk_ms <= 0:
@@ -105,8 +95,8 @@ class SessionConfig:
             raise ConfigError(f"attention_layer must be >= 0, got {self.attention_layer}")
         if self.max_new < 1:
             raise ConfigError(f"max_new must be >= 1, got {self.max_new}")
-        if self.clock not in ("simulated", "real"):
-            raise ConfigError(f"clock must be 'simulated' or 'real', got {self.clock!r}")
+        if self.clock not in CLOCKS:
+            raise ConfigError(f"clock must be one of {CLOCKS}, got {self.clock!r}")
         if self.step_cost_s < 0:
             raise ConfigError(f"step_cost_s must be >= 0, got {self.step_cost_s}")
         if self.laal_cap_s is not None and self.laal_cap_s <= 0:
@@ -130,9 +120,17 @@ class SessionConfig:
         return LocalAgreementPolicy()
 
     def with_sweep_value(self, value) -> "SessionConfig":
+        """This config with the policy's sweep knob set to ``value``.
+
+        Raises ConfigError for a non-integral value of an integer knob.
+        """
         field = SWEEP_FIELD[self.policy]
-        caster = float if field in ("alpha", "t_s_ms") else int
-        return dataclasses.replace(self, **{field: caster(value)})
+        number = float(value)
+        if CONFIG_TYPES[field] is int:
+            if not number.is_integer():
+                raise ConfigError(f"{field} takes whole numbers, got {value}")
+            number = int(number)
+        return dataclasses.replace(self, **{field: number})
 
     # -------------------------------------------------------------- JSON
 
@@ -173,3 +171,15 @@ class SessionConfig:
     def run_id(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
+def _value_type(hint) -> type:
+    """``int`` for ``int | None``: the type a set value has."""
+    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+
+
+# JSON key -> value type, in field order; the CLI has one flag per key.
+CONFIG_TYPES = {
+    _JSON_KEYS.get(name, name): _value_type(hint)
+    for name, hint in typing.get_type_hints(SessionConfig).items()
+}

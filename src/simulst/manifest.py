@@ -36,7 +36,7 @@ def load_manifest(path) -> list[ManifestEntry]:
     """Parse a JSON-lines manifest into entries, in file order.
 
     Blank lines are skipped. Raises ManifestError on unparseable lines,
-    missing or non-string required fields, or duplicate ids.
+    missing, non-string or blank required fields, or duplicate ids.
     """
     manifest_path = Path(path)
     base = manifest_path.parent
@@ -55,7 +55,7 @@ def load_manifest(path) -> list[ManifestEntry]:
             for key in _REQUIRED:
                 if key not in record:
                     raise ManifestError(f"{manifest_path}:{lineno}: missing required field {key!r}")
-                if not isinstance(record[key], str) or not record[key]:
+                if not isinstance(record[key], str) or not record[key].strip():
                     raise ManifestError(
                         f"{manifest_path}:{lineno}: field {key!r} must be a non-empty string"
                     )

@@ -26,6 +26,8 @@ import numpy as np
 
 from .vocab import Vocabulary
 
+DEFAULT_EDATT_LAM = 2
+
 
 class StopReason(str, Enum):
     """Why a decision committed fewer tokens than were offered."""
@@ -173,7 +175,7 @@ class AlignAttPolicy(Policy):
 
     def __init__(self, f: int):
         if f < 1:
-            raise ValueError("f must be at least 1")
+            raise ValueError(f"f must be >= 1, got {f}")
         self.f = f
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
@@ -183,11 +185,11 @@ class AlignAttPolicy(Policy):
 class EDAttPolicy(Policy):
     name = "edatt"
 
-    def __init__(self, alpha: float, lam: int = 2):
+    def __init__(self, alpha: float, lam: int = DEFAULT_EDATT_LAM):
         if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if lam < 1:
-            raise ValueError("lam must be at least 1")
+            raise ValueError(f"lambda must be >= 1, got {lam}")
         self.alpha = alpha
         self.lam = lam
 
@@ -209,7 +211,7 @@ class WaitKPolicy(Policy):
 
     def __init__(self, k: int):
         if k < 1:
-            raise ValueError("k must be at least 1")
+            raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
 
     def decide(self, ctx: StepContext) -> PolicyDecision:

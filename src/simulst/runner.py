@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,28 +38,14 @@ __all__ = [
     "EvalResult",
     "CurveRow",
     "CURVE_HEADER",
-    "WORKERS_ENV_VAR",
     "aggregate",
-    "default_workers",
     "make_adapter",
     "run_eval",
     "sweep",
     "write_curve_csv",
 ]
 
-WORKERS_ENV_VAR = "SIMULST_WORKERS"
 CURVE_HEADER = "param,bleu,laal_s,laal_ca_s,al_s"
-
-
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
-    return workers
 
 
 def make_adapter(config: SessionConfig) -> ModelAdapter:
@@ -217,7 +202,7 @@ def run_eval(
     entries: list[ManifestEntry],
     config: SessionConfig,
     out_dir: Path | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> EvalResult:
     """Evaluate every manifest entry under one config.
 
@@ -227,8 +212,8 @@ def run_eval(
     """
     if not entries:
         raise ConfigError("manifest is empty")
-    if workers is None:
-        workers = default_workers()
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
     adapter = make_adapter(config)
     if workers == 1:
@@ -267,21 +252,22 @@ def sweep(
     base_config: SessionConfig,
     grid,
     out_dir: Path | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> tuple[list[CurveRow], list[EvalResult]]:
     """Run one evaluation per grid value of the policy's sweep knob.
 
-    Rows come back sorted by parameter. When the config sets ``laal_cap_s``,
-    rows whose mean computational-aware LAAL exceeds the cap are dropped from
-    the curve (the underlying EvalResults are all returned).
+    Every grid value is checked before the first run. Rows come back sorted
+    by parameter. When the config sets ``laal_cap_s``, rows whose mean
+    computational-aware LAAL exceeds the cap are dropped from the curve (the
+    underlying EvalResults are all returned).
     """
     values = sorted(set(grid))
     if not values:
         raise ConfigError("sweep grid is empty")
+    configs = [base_config.with_sweep_value(value) for value in values]
     rows: list[CurveRow] = []
     evaluations: list[EvalResult] = []
-    for value in values:
-        config = base_config.with_sweep_value(value)
+    for value, config in zip(values, configs):
         evaluation = run_eval(entries, config, out_dir=out_dir, workers=workers)
         evaluations.append(evaluation)
         row = CurveRow(

@@ -140,21 +140,15 @@ class TestRun:
         b = (tmp_path / "pooled" / config.run_id / "aggregate.json").read_bytes()
         assert a == b
 
-    def test_workers_env_variable(self, suite_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SIMULST_WORKERS", "2")
+    def test_workers_below_one_is_usage_error(self, suite_dir, tmp_path, capsys):
         code = run_cli(
             "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out",
-            "--policy", "alignatt", "--f", "4",
+            "--policy", "alignatt", "--f", "4", "--workers", "0",
         )
-        capsys.readouterr()
-        assert code == 0
-        monkeypatch.setenv("SIMULST_WORKERS", "bogus")
-        code = run_cli(
-            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out2",
-            "--policy", "alignatt", "--f", "4",
-        )
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 2
+        assert "workers must be >= 1" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
@@ -184,6 +178,17 @@ class TestSweep:
         )
         capsys.readouterr()
         assert code == 0
+
+    def test_fractional_grid_value_of_integer_knob_is_usage_error(self, suite_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(
+            "sweep", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--policy", "alignatt", "--chunk-ms", "500", "--grid", "2,2.5",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "f takes whole numbers, got 2.5" in err
+        assert not out.exists()
 
     def test_empty_grid_is_usage_error(self, suite_dir, tmp_path, capsys):
         code = run_cli(
@@ -246,6 +251,35 @@ class TestScore:
         record = json.loads(captured)
         assert record["num_failed"] == 0
         del run_record["run_id"], run_record["config"]
+        assert record == run_record
+
+    def test_failed_run_utterance_differs_only_in_its_error(self, suite_dir, tmp_path, capsys):
+        # run writes no log for a failed session, so score reports the
+        # missing log instead of the run's error; every other key agrees
+        manifest = tmp_path / "mixed.jsonl"
+        records = [
+            {**record, "source": str(suite_dir / record["source"])}
+            for record in map(json.loads, (suite_dir / "manifest.jsonl").read_text("utf-8").splitlines())
+        ]
+        records[1]["source"] = str(tmp_path / "missing.sgfb")
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "out"
+        config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
+        assert run_cli(
+            "run", "--manifest", manifest, "--out", out,
+            "--policy", "alignatt", "--f", "4", "--chunk-ms", "500",
+        ) == 1
+        run_record = json.loads((out / config.run_id / "aggregate.json").read_text("utf-8"))
+        capsys.readouterr()
+
+        assert run_cli("score", "--manifest", manifest, "--logs", out / config.run_id) == 1
+        record = json.loads(capsys.readouterr().out)
+        del run_record["run_id"], run_record["config"]
+        run_error = run_record["utterances"][1]["error"]
+        score_error = record["utterances"][1]["error"]
+        assert run_error.startswith("source unreadable:")
+        assert "utt001.jsonl" in score_error
+        run_record["utterances"][1]["error"] = record["utterances"][1]["error"] = None
         assert record == run_record
 
     def test_out_file_written(self, suite_dir, tmp_path, capsys):

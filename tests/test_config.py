@@ -145,6 +145,15 @@ class TestDerived:
         walk = SessionConfig(policy="waitk", k=2).with_sweep_value("7")
         assert walk.k == 7 and isinstance(walk.k, int)
 
+    def test_with_sweep_value_rejects_fraction_of_integer_knob(self):
+        config = SessionConfig(policy="alignatt", f=4)
+        with pytest.raises(ConfigError, match="f takes whole numbers, got 2.5"):
+            config.with_sweep_value(2.5)
+        with pytest.raises(ConfigError, match="k takes whole numbers"):
+            SessionConfig(policy="waitk", k=2).with_sweep_value("3.5")
+        assert config.with_sweep_value(3.0).f == 3
+        assert SessionConfig(policy="edatt", alpha=0.5).with_sweep_value(0.25).alpha == 0.25
+
     def test_make_policy_types_and_parameters(self):
         assert isinstance(SessionConfig(policy="alignatt", f=6).make_policy(), AlignAttPolicy)
         edatt = SessionConfig(policy="edatt", alpha=0.3, lam=4).make_policy()

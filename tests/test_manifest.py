@@ -96,6 +96,18 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="must be a non-empty string"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("key", ["id", "source", "reference"])
+    def test_blank_required_field_names_the_line(self, tmp_path, key):
+        record = {"id": "u2", "source": "b", "reference": "r"}
+        record[key] = "   "
+        path = write_lines(
+            tmp_path / "eval.jsonl",
+            json.dumps({"id": "u1", "source": "a", "reference": "r"}),
+            json.dumps(record),
+        )
+        with pytest.raises(ManifestError, match=f":2: field '{key}' must be a non-empty string"):
+            load_manifest(path)
+
     def test_non_string_required_field(self, tmp_path):
         path = write_lines(
             tmp_path / "eval.jsonl",

@@ -19,7 +19,6 @@ from simulst import (
 from simulst.runner import (
     CURVE_HEADER,
     CurveRow,
-    default_workers,
     make_adapter,
     write_curve_csv,
 )
@@ -36,24 +35,6 @@ def small_suite(tmp_path_factory):
 
 
 ALIGNATT4 = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
-
-
-class TestWorkers:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("SIMULST_WORKERS", raising=False)
-        assert default_workers() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SIMULST_WORKERS", "4")
-        assert default_workers() == 4
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("SIMULST_WORKERS", "zero")
-        with pytest.raises(ConfigError, match="must be an integer"):
-            default_workers()
-        monkeypatch.setenv("SIMULST_WORKERS", "0")
-        with pytest.raises(ConfigError, match=">= 1"):
-            default_workers()
 
 
 class TestMakeAdapter:
@@ -86,6 +67,10 @@ class TestRunEval:
             small_suite, SessionConfig(policy="alignatt", f=30, chunk_ms=500.0), workers=1
         )
         assert evaluation.corpus_bleu > 50.0
+
+    def test_workers_below_one_rejected(self, small_suite):
+        with pytest.raises(ConfigError, match=">= 1"):
+            run_eval(small_suite, ALIGNATT4, workers=0)
 
     def test_writes_logs_and_aggregate(self, small_suite, tmp_path):
         evaluation = run_eval(small_suite, ALIGNATT4, out_dir=tmp_path, workers=1)
@@ -216,6 +201,11 @@ class TestSweep:
         rows, evaluations = sweep(small_suite, capped, [2, 30], workers=1)
         assert len(evaluations) == 2  # every grid point still evaluated
         assert [row.param for row in rows] == [2.0]
+
+    def test_fractional_value_of_integer_knob_rejected_before_any_run(self, small_suite, tmp_path):
+        with pytest.raises(ConfigError, match="f takes whole numbers, got 2.5"):
+            sweep(small_suite, ALIGNATT4, [2, 2.5], out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_varies_the_policy_knob(self, small_suite):
         base = SessionConfig(policy="edatt", alpha=0.5, chunk_ms=500.0)
