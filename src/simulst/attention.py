@@ -18,16 +18,15 @@ import numpy as np
 ROW_SUM_TOL = 1e-5
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis.
+def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax over the last axis, written to ``out`` if given.
 
     The ufunc reductions are what ``ndarray.max`` / ``ndarray.sum`` call,
     without the method overhead that dominates on the small per-token
     arrays of incremental decoding.
     """
-    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.add.reduce(exp, axis=-1, keepdims=True)
+    exp = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    return np.divide(exp, np.add.reduce(exp, axis=-1, keepdims=True), out=out)
 
 
 def validate_attention_matrix(weights: np.ndarray) -> np.ndarray:

@@ -63,10 +63,10 @@ def _build_config(args: argparse.Namespace, sweep_seed: float | None = None) -> 
             data[key] = value
     if sweep_seed is not None:
         # a sweep supplies the policy's knob from the grid, so the base
-        # config may omit it
+        # config may omit it; with_sweep_value checks and types the value
         field = SWEEP_FIELD.get(data.get("policy"))
         if field is not None and data.get(field) is None:
-            data[field] = sweep_seed
+            data[field] = CONFIG_TYPES[field](sweep_seed)
             return SessionConfig.from_dict(data).with_sweep_value(sweep_seed)
     return SessionConfig.from_dict(data)
 

@@ -23,6 +23,7 @@ from .policies import (
     Policy,
     WaitKPolicy,
 )
+from .simulator import has_json_type
 
 __all__ = ["ConfigError", "SessionConfig", "CLOCKS", "CONFIG_TYPES", "POLICY_NAMES", "SWEEP_FIELD"]
 
@@ -72,6 +73,11 @@ class SessionConfig:
         self._validate()
 
     def _validate(self) -> None:
+        # Values are checked, never coerced: run_id hashes them as given.
+        for key, value in self.to_dict().items():
+            kind = CONFIG_TYPES[key]
+            if not (value is None and key in _NULLABLE or has_json_type(value, kind)):
+                raise ConfigError(f"{key} takes {_KIND_NAMES[kind]}, got {value!r}")
         if self.policy not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}")
         required = _POLICY_FIELDS[self.policy]
@@ -178,8 +184,11 @@ def _value_type(hint) -> type:
     return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
 
 
-# JSON key -> value type, in field order; the CLI has one flag per key.
-CONFIG_TYPES = {
-    _JSON_KEYS.get(name, name): _value_type(hint)
-    for name, hint in typing.get_type_hints(SessionConfig).items()
+_HINTS = {
+    _JSON_KEYS.get(name, name): hint for name, hint in typing.get_type_hints(SessionConfig).items()
 }
+# JSON key -> value type, in field order; the CLI has one flag per key.
+CONFIG_TYPES = {key: _value_type(hint) for key, hint in _HINTS.items()}
+# Keys that may be null (unset).
+_NULLABLE = frozenset(key for key, hint in _HINTS.items() if type(None) in typing.get_args(hint))
+_KIND_NAMES = {int: "whole numbers", float: "numbers", str: "strings"}

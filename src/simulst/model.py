@@ -14,6 +14,7 @@ It exists to exercise every interface at negligible cost, not to translate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
@@ -98,6 +99,11 @@ def _rms_norm(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + _RMS_EPS)
 
 
+def _rms_norm_row(x: np.ndarray) -> np.ndarray:
+    """``_rms_norm`` of one (d,) row, with the denominator as a Python float."""
+    return x / math.sqrt(float(np.add.reduce(x * x)) / x.shape[0] + _RMS_EPS)
+
+
 def _causal_mask(m: int, s: int) -> np.ndarray:
     """Additive mask letting query i of the last m of s positions see keys 0..s-m+i."""
     return np.triu(np.full((m, s), -np.inf), k=s - m + 1)
@@ -156,6 +162,9 @@ class ToyModel:
             }
             for _ in range(config.num_decoder_layers)
         ]
+        # q|k|v of one generated row in a single matmul (``_step``)
+        for layer in self._layers:
+            layer["sqkv"] = np.concatenate((layer["sq"], layer["sk"], layer["sv"]), axis=1)
         self._w_ctc = mat(d, config.num_ctc_labels)
         self._b_ctc = rng.normal(0.0, 0.5, size=config.num_ctc_labels)
         self._pos_cache = self._positions(512)
@@ -308,7 +317,7 @@ class ToyModel:
             ids.append(next_id)
             if len(ids) == limit:
                 break
-            self._advance(state, [next_id])
+            self._step(state, next_id)
         tokens = tuple(ids[1:])
         return DecodeResult(
             tokens=tokens, attention=state.attention[:, :, : len(tokens)], eos_reached=eos_reached
@@ -342,7 +351,46 @@ class ToyModel:
             x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
         state.length = end
         state.recent = (state.recent + tuple(new_ids))[-_REPEAT_WINDOW:]
-        state.logits = self._logits(x[-1:], [state.recent], [end - 1], state.n)
+        state.logits = self._logits(x[-1:], [state.recent], [end - 1], state.n)[0]
+
+    def _step(self, state: _DecodeState, token: int) -> None:
+        """``_advance(state, [token])`` for one generated row, in fewer NumPy calls.
+
+        Every IEEE-754 operation is the one ``_advance`` performs, so tokens,
+        attention and logits are bit-identical; only the dispatch differs: the
+        row is a 1-D vector, q|k|v come from one matmul, the RMS-norm
+        denominator is a Python float and the logit updates are scalar.
+        """
+        start = state.length
+        end = start + 1
+        state.reserve(end)
+        d, heads, head_dim = self.config.d_model, self.num_heads, self._head_dim
+        x = self._embed[token] + self._pos(end)[start]
+        for li, layer in enumerate(self._layers):
+            y = _rms_norm_row(x)
+            qkv = y @ layer["sqkv"]
+            keys, values = state.keys[li, :end], state.values[li, :end]
+            keys[start] = qkv[d : 2 * d]
+            values[start] = qkv[2 * d :]
+            keys_t = keys.reshape(end, heads, head_dim).transpose(1, 2, 0)
+            scores = qkv[:d].reshape(heads, 1, head_dim) @ keys_t / self._scale
+            weights = softmax(scores)
+            attn = weights @ values.reshape(end, heads, head_dim).transpose(1, 0, 2)
+            x = x + attn.reshape(d) @ layer["so"]
+            y = _rms_norm_row(x)
+            cross_keys_t, cross_values = state.cross[li]
+            scores = (y @ layer["cq"]).reshape(heads, 1, head_dim) @ cross_keys_t / self._scale
+            weights = softmax(scores, out=state.attention[li, :, start:end])
+            x = x + _CROSS_GAIN * ((weights @ cross_values).reshape(d) @ layer["co"])
+            y = _rms_norm_row(x)
+            x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
+        state.length = end
+        state.recent = recent = (state.recent + (token,))[-_REPEAT_WINDOW:]
+        logits = _rms_norm_row(x) @ self._embed.T + self._logit_mask
+        for prev in set(recent):
+            logits[prev] -= _REPEAT_PENALTY
+        logits[self.vocab.eos_id] += _EOS_SLOPE * (start - _EOS_LENGTH_RATIO * state.n)
+        state.logits = logits
 
     # ------------------------------------------------------------------ CTC head
 

@@ -30,6 +30,7 @@ from .simulator import (
     SimulatedClock,
     run_session,
     write_emission_log,
+    write_text_atomic,
 )
 from .vocab import build_default_vocabulary
 
@@ -229,9 +230,9 @@ def run_eval(
         for result in evaluation.results:
             if result.log is not None:
                 write_emission_log(run_dir / f"{result.id}.jsonl", result.log)
-        (run_dir / "aggregate.json").write_text(
+        write_text_atomic(
+            run_dir / "aggregate.json",
             json.dumps(evaluation.to_record(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
         )
     return evaluation
 
@@ -287,4 +288,4 @@ def write_curve_csv(path, rows: list[CurveRow]) -> None:
     lines = [CURVE_HEADER]
     for row in rows:
         lines.append(f"{row.param:g},{row.bleu:.4f},{row.laal_s:.4f},{row.laal_ca_s:.4f},{row.al_s:.4f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -16,6 +16,7 @@ runs are deterministic. The real clock reads elapsed monotonic time instead.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,7 +116,7 @@ class EmissionLog:
 
 
 class SessionError(RuntimeError):
-    """Adapter failure mid-session; carries the log of commits made so far."""
+    """Adapter or policy failure mid-session; carries the log of commits made so far."""
 
     def __init__(self, message: str, partial_log: EmissionLog):
         super().__init__(message)
@@ -192,8 +193,8 @@ def run_session(
         max_new: candidate-length cap per decode step.
 
     Raises:
-        SessionError: the adapter failed mid-run; the exception carries the
-            partial log of everything committed before the failure.
+        SessionError: the adapter or the policy failed mid-run; the exception
+            carries the partial log of everything committed before the failure.
     """
     if clock is None:
         clock = SimulatedClock()
@@ -268,7 +269,10 @@ def run_session(
             eos_reached=result.eos_reached,
             vocab=vocab,
         )
-        decision: PolicyDecision = policy.decide(context)
+        try:
+            decision: PolicyDecision = policy.decide(context)
+        except Exception as exc:
+            raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc
         if decision.commit_count > len(candidates):
             raise SessionError(
                 f"policy committed {decision.commit_count} of {len(candidates)} candidates",
@@ -296,10 +300,32 @@ def write_emission_log(path, log: EmissionLog) -> None:
             ensure_ascii=False,
         )
     )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) all at once.
+
+    The text goes to a temporary file in the same directory, which is then
+    renamed over ``path``; a write that fails midway leaves any earlier file
+    intact and removes its temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _JSON_KINDS = {int: (int,), float: (int, float), str: (str,)}
+
+
+def has_json_type(value, kind: type) -> bool:
+    """Whether a decoded JSON value is a ``kind``: an int is also a float, a bool is neither."""
+    return not isinstance(value, bool) and isinstance(value, _JSON_KINDS[kind])
 
 
 def read_emission_log(path) -> EmissionLog:
@@ -324,7 +350,7 @@ def read_emission_log(path) -> EmissionLog:
 
     def field(rec: dict, key: str, kind: type):
         value = rec.get(key)
-        if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        if not has_json_type(value, kind):
             raise ValueError(f"{path}: key {key!r} is missing or not {kind.__name__}")
         return kind(value)
 

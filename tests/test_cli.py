@@ -113,6 +113,18 @@ class TestRun:
         assert "ghost\tFAILED" in captured
         assert "failed=1/4" in captured
 
+    def test_config_file_value_of_wrong_type_is_usage_error(self, suite_dir, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"policy": "alignatt", "f": 2.5}), encoding="utf-8")
+        code = run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out",
+            "--config", config_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "f takes whole numbers, got 2.5" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_flag_override(self, suite_dir, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(

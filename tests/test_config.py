@@ -95,6 +95,27 @@ class TestJson:
         config = SessionConfig.from_dict({"policy": "alignatt", "f": 2, "alpha": None})
         assert config.alpha is None
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"policy": "alignatt", "f": 2.5}, "f takes whole numbers, got 2.5"),
+            ({"policy": "alignatt", "f": True}, "f takes whole numbers, got True"),
+            ({"policy": "alignatt", "f": 2, "attention_layer": 1.5}, "attention_layer takes whole"),
+            ({"policy": "alignatt", "f": 2, "max_new": 3.7}, "max_new takes whole numbers"),
+            ({"policy": "edatt", "alpha": False}, "alpha takes numbers, got False"),
+            ({"policy": "alignatt", "f": 2, "chunk_ms": "500"}, "chunk_ms takes numbers"),
+            ({"policy": "alignatt", "f": 2, "adapter": 7}, "adapter takes strings, got 7"),
+            ({"policy": 3}, "policy takes strings, got 3"),
+        ],
+    )
+    def test_value_types_checked(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            SessionConfig.from_dict(data)
+
+    def test_whole_number_accepted_for_float_key_uncoerced(self):
+        config = SessionConfig.from_dict({"policy": "edatt", "alpha": 1, "chunk_ms": 250})
+        assert config.alpha == 1 and type(config.chunk_ms) is int
+
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             SessionConfig.from_json("{nope")
@@ -109,6 +130,13 @@ class TestRunId:
         assert config.run_id == SessionConfig(policy="alignatt", f=4).run_id
         assert len(config.run_id) == 12
         int(config.run_id, 16)
+
+    def test_int_valued_float_key_keeps_its_run_id(self):
+        # frozen: run directories written before value types were checked
+        as_int = SessionConfig.from_dict({"policy": "alignatt", "f": 2, "chunk_ms": 250})
+        as_float = SessionConfig.from_dict({"policy": "alignatt", "f": 2, "chunk_ms": 250.0})
+        assert as_int.run_id == "1710d132346c"
+        assert as_float.run_id == "052a12800b01"
 
     def test_differs_with_any_field(self):
         base = SessionConfig(policy="alignatt", f=4)

@@ -21,6 +21,8 @@ from simulst import (
     validate_attention_matrix,
 )
 
+from simulst import model as model_module
+
 from conftest import make_source
 
 
@@ -192,6 +194,27 @@ def reference_decode(model, enc, prefix, max_new):
     return tuple(ids[1:]), False
 
 
+def advance_decode(model, enc, prefix, max_new):
+    """``decode_greedy`` with every generated row run through ``_advance``.
+
+    Returns (tokens, eos_reached, attention, last logits row).
+    """
+    ids = [model.vocab.bos_id, *prefix]
+    state = model_module._DecodeState(model, enc.states, len(ids) + 1)
+    model._advance(state, ids)
+    eos = False
+    while True:
+        next_id = int(state.logits.argmax())
+        if next_id == model.vocab.eos_id:
+            eos = True
+            break
+        ids.append(next_id)
+        if len(ids) == len(prefix) + 1 + max_new:
+            break
+        model._advance(state, [next_id])
+    return tuple(ids[1:]), eos, state.attention[:, :, : len(ids) - 1], state.logits
+
+
 class TestIncrementalFastPath:
     """The incremental pass captures the attention that ``_forward`` computes."""
 
@@ -225,6 +248,28 @@ class TestIncrementalFastPath:
             tokens, eos = reference_decode(toy_model, enc, prefix, max_new)
             assert result.tokens == tokens
             assert result.eos_reached == eos
+
+    def test_step_is_bit_exact_to_single_row_advance(self, toy_model, decodes, monkeypatch):
+        states = []
+
+        class RecordedState(model_module._DecodeState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.append(self)
+
+        reference = [advance_decode(toy_model, enc, prefix, max_new) for enc, prefix, max_new, _ in decodes]
+        monkeypatch.setattr(model_module, "_DecodeState", RecordedState)
+        grown = 0
+        for (enc, prefix, max_new, _), (tokens, eos, attention, logits) in zip(decodes, reference):
+            result = toy_model.decode_greedy(enc, prefix, max_new)
+            state = states[-1]
+            assert result.tokens == tokens
+            assert result.eos_reached == eos
+            assert np.array_equal(result.attention, attention)
+            assert np.array_equal(state.logits, logits)
+            # buffers start at prefix + 1 + _INITIAL_NEW_ROWS rows and double when full
+            grown += state.keys.shape[1] > len(prefix) + 1 + model_module._INITIAL_NEW_ROWS
+        assert grown >= 2
 
     def test_attention_matches_teacher_forced_pass(self, toy_model, decodes):
         for enc, prefix, max_new, result in decodes:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from simulst import (
+    AlignAttPolicy,
     ConfigError,
     SessionConfig,
     ToyModel,
@@ -163,6 +166,44 @@ class TestRunEval:
         assert [r.failed for r in evaluation.results] == [False, True, False]
         assert "counting words" in evaluation.results[1].error
         assert not math.isnan(evaluation.corpus_bleu)
+
+    def test_policy_failure_fails_only_its_utterance(self, small_suite, monkeypatch):
+        made = []
+
+        def make_policy(config):
+            policy = AlignAttPolicy(f=config.f)
+            made.append(policy)
+            if len(made) == 2:
+                def decide(context):
+                    raise IndexError("alignment index out of range")
+
+                policy.decide = decide
+            return policy
+
+        monkeypatch.setattr(SessionConfig, "make_policy", make_policy)
+        evaluation = run_eval(small_suite[:2], ALIGNATT4, workers=1)
+        assert [r.failed for r in evaluation.results] == [False, True]
+        assert "policy failed" in evaluation.results[1].error
+        assert "IndexError" in evaluation.results[1].error
+        assert not math.isnan(evaluation.corpus_bleu)
+
+    def test_interrupted_aggregate_write_keeps_earlier_file(self, small_suite, tmp_path, monkeypatch):
+        run_eval(small_suite, ALIGNATT4, out_dir=tmp_path, workers=1)
+        run_dir = tmp_path / ALIGNATT4.run_id
+        before = (run_dir / "aggregate.json").read_bytes()
+        names = sorted(p.name for p in run_dir.iterdir())
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "aggregate.json":
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            run_eval(small_suite[:2], ALIGNATT4, out_dir=tmp_path, workers=1)
+        assert (run_dir / "aggregate.json").read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == names
 
     def test_deterministic_outputs(self, small_suite, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -5,6 +5,7 @@ import pytest
 
 from simulst import (
     AlignAttPolicy,
+    Emission,
     EmissionLog,
     FeatureMatrix,
     LocalAgreementPolicy,
@@ -365,6 +366,21 @@ class TestEmissionLogIO:
         write_emission_log(path, log)
         assert "darüber" in path.read_text(encoding="utf-8")
         assert read_emission_log(path).final_text == "darüber"
+
+    def test_failed_write_keeps_earlier_log(self, tmp_path):
+        path = tmp_path / "session.jsonl"
+        write_emission_log(path, EmissionLog(events=(), source_duration_s=1.0, final_text="ok"))
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails partway
+        unencodable = EmissionLog(
+            events=(Emission(token=3, text="a", ideal_s=1.0, wall_s=1.0),),
+            source_duration_s=2.0,
+            final_text="a\ud800",
+        )
+        with pytest.raises(UnicodeEncodeError):
+            write_emission_log(path, unencodable)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["session.jsonl"]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
