@@ -15,6 +15,7 @@ import json
 import typing
 from dataclasses import dataclass
 
+from .model import DEFAULT_MAX_NEW
 from .policies import (
     DEFAULT_EDATT_LAM,
     AlignAttPolicy,
@@ -62,7 +63,7 @@ class SessionConfig:
     adapter: str = "toy"
     seed: int = 0
     attention_layer: int | None = None
-    max_new: int = 128
+    max_new: int = DEFAULT_MAX_NEW
     clock: str = "simulated"
     step_cost_s: float = 0.0
     laal_cap_s: float | None = None
@@ -191,4 +192,4 @@ _HINTS = {
 CONFIG_TYPES = {key: _value_type(hint) for key, hint in _HINTS.items()}
 # Keys that may be null (unset).
 _NULLABLE = frozenset(key for key, hint in _HINTS.items() if type(None) in typing.get_args(hint))
-_KIND_NAMES = {int: "whole numbers", float: "numbers", str: "strings"}
+_KIND_NAMES = {int: "whole numbers", float: "finite numbers", str: "strings"}

@@ -39,7 +39,6 @@ class FeatureMatrix:
 
     frames: np.ndarray
     frame_shift_ms: float = FRAME_SHIFT_MS
-    frame_window_ms: float = FRAME_WINDOW_MS
 
     def __post_init__(self) -> None:
         frames = np.asarray(self.frames, dtype=np.float32)
@@ -185,11 +184,7 @@ def global_cmvn(features: FeatureMatrix, stats: CmvnStats) -> FeatureMatrix:
             f"stats dimension {stats.mean.shape[0]} does not match features ({features.feature_dim})"
         )
     normalized = (features.frames.astype(float) - stats.mean) / np.sqrt(stats.var)
-    return FeatureMatrix(
-        frames=normalized,
-        frame_shift_ms=features.frame_shift_ms,
-        frame_window_ms=features.frame_window_ms,
-    )
+    return FeatureMatrix(frames=normalized, frame_shift_ms=features.frame_shift_ms)
 
 
 def save_cmvn_stats(path, stats: CmvnStats) -> None:

@@ -47,20 +47,23 @@ class PolicyDecision:
 
 @dataclass(frozen=True)
 class StepContext:
-    """Everything a policy may inspect at one timestep.
+    """Everything a policy may inspect at one timestep: seven fields.
 
-    ``attention`` and ``alignment`` cover the candidate rows only (the
-    committed prefix is not re-gated); ``hypothesis`` is the full current
-    decode (committed + candidates) for agreement-style policies.
+    ``candidates`` are the tokens decoded past the ``committed`` prefix, so
+    the full hypothesis is ``committed + candidates``. ``attention`` is their
+    head-mean cross-attention, ``(len(candidates), n)`` over the ``n`` encoder
+    frames (the committed prefix is not re-gated), and ``alignment`` is each
+    candidate's most-attended frame. ``source_words`` is the number of source
+    words detected so far (0 unless the policy ``uses_word_counts``).
+    ``eos_reached`` tells whether the decode ended at end-of-sequence, and
+    ``vocab`` is the adapter's vocabulary.
     """
 
     candidates: tuple[int, ...]
     attention: np.ndarray
     alignment: np.ndarray
-    n_frames: int
     source_words: int
     committed: tuple[int, ...]
-    hypothesis: tuple[int, ...]
     eos_reached: bool
     vocab: Vocabulary
 
@@ -179,7 +182,7 @@ class AlignAttPolicy(Policy):
         self.f = f
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
-        return alignatt_decide(ctx.alignment, ctx.n_frames, self.f, len(ctx.candidates))
+        return alignatt_decide(ctx.alignment, ctx.attention.shape[1], self.f, len(ctx.candidates))
 
 
 class EDAttPolicy(Policy):
@@ -215,32 +218,13 @@ class WaitKPolicy(Policy):
         self.k = k
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
-        emitted = ctx.vocab.count_words(ctx.committed)
-        allowed = waitk_allowed(self.k, ctx.source_words, emitted)
-        if not ctx.candidates:
-            return PolicyDecision(0, StopReason.EXHAUSTED)
-
-        # segment candidates into words; segment 0 may be a continuation of
-        # the previously committed word and consumes no word budget
-        starts = [i for i, t in enumerate(ctx.candidates) if ctx.vocab.is_word_start(t)]
-        boundaries = ([0] if not starts or starts[0] != 0 else []) + starts
-        segments = [
-            ctx.candidates[b:e]
-            for b, e in zip(boundaries, boundaries[1:] + [len(ctx.candidates)])
-        ]
-        glue = 0 if (starts and starts[0] == 0) else 1  # segments costing no budget
-
-        commit = 0
-        words_taken = 0
-        for idx, seg in enumerate(segments):
-            complete = idx < len(segments) - 1 or ctx.eos_reached
-            if not complete:
-                break
-            if idx >= glue:
-                if words_taken >= allowed:
-                    break
-                words_taken += 1
-            commit += len(seg)
+        allowed = waitk_allowed(self.k, ctx.source_words, ctx.vocab.count_words(ctx.committed))
+        # Cut i commits the leading continuation plus i complete words: each
+        # word start ends the word before it, and EOS ends the last one.
+        cuts = [i for i, t in enumerate(ctx.candidates) if ctx.vocab.is_word_start(t)]
+        if ctx.eos_reached:
+            cuts.append(len(ctx.candidates))
+        commit = cuts[min(allowed, len(cuts) - 1)] if cuts else 0
         if commit < len(ctx.candidates):
             return PolicyDecision(commit, StopReason.SCHEDULE)
         return PolicyDecision(commit, StopReason.EXHAUSTED)
@@ -258,7 +242,7 @@ class LocalAgreementPolicy(Policy):
         self._previous = None
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
-        current = tuple(ctx.hypothesis)
+        current = ctx.committed + ctx.candidates
         decision = local_agreement_prefix(self._previous, current, len(ctx.committed))
         self._previous = current
         return decision

@@ -16,6 +16,7 @@ runs are deterministic. The real clock reads elapsed monotonic time instead.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ import numpy as np
 from .attention import aggregate_attention, compute_alignment
 from .features import FeatureMatrix
 from .model import DEFAULT_MAX_NEW, ModelAdapter
-from .policies import Policy, PolicyDecision, StepContext, StopReason
+from .policies import Policy, PolicyDecision, StepContext
 
 __all__ = [
     "Clock",
@@ -252,20 +253,13 @@ def run_session(
             # retracts budget already granted.
             detected_words = max(detected_words, words)
 
-        if candidates:
-            weights = aggregate_attention(result.attention, layer)[len(committed):, :]
-            alignment = compute_alignment(weights)
-        else:
-            weights = np.zeros((0, states.n))
-            alignment = np.zeros(0, dtype=int)
+        weights = aggregate_attention(result.attention, layer)[len(committed):, :]
         context = StepContext(
             candidates=tuple(candidates),
             attention=weights,
-            alignment=alignment,
-            n_frames=states.n,
+            alignment=compute_alignment(weights),
             source_words=detected_words,
             committed=tuple(committed),
-            hypothesis=tuple(result.tokens),
             eos_reached=result.eos_reached,
             vocab=vocab,
         )
@@ -324,8 +318,13 @@ _JSON_KINDS = {int: (int,), float: (int, float), str: (str,)}
 
 
 def has_json_type(value, kind: type) -> bool:
-    """Whether a decoded JSON value is a ``kind``: an int is also a float, a bool is neither."""
-    return not isinstance(value, bool) and isinstance(value, _JSON_KINDS[kind])
+    """Whether a decoded JSON value is a ``kind``: an int is also a float, a bool is neither.
+
+    NaN and +-inf, which Python's ``json`` parses but JSON does not define, are not floats.
+    """
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def read_emission_log(path) -> EmissionLog:

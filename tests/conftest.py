@@ -10,6 +10,7 @@ import pytest
 
 from simulst import (
     FeatureMatrix,
+    StopReason,
     ToyModel,
     ToyModelConfig,
     Vocabulary,
@@ -59,6 +60,43 @@ def alignatt_bruteforce(alignment, n_frames: int, f: int, num_candidates: int) -
             break
         commit += 1
     return commit
+
+
+def waitk_walk(candidates, allowed: int, eos_reached: bool, vocab: Vocabulary):
+    """Segment-walk form of the wait-k commit rule, used as an oracle.
+
+    Split the candidates into words and commit complete words in order while
+    the budget of ``allowed`` words lasts. A leading continuation extends the
+    last committed word and costs no budget; the last word is complete only
+    at end-of-sequence. Returns (commit count, stop reason).
+    """
+    if not candidates:
+        return 0, StopReason.EXHAUSTED
+
+    # segment candidates into words; segment 0 may be a continuation of
+    # the previously committed word and consumes no word budget
+    starts = [i for i, t in enumerate(candidates) if vocab.is_word_start(t)]
+    boundaries = ([0] if not starts or starts[0] != 0 else []) + starts
+    segments = [
+        candidates[b:e]
+        for b, e in zip(boundaries, boundaries[1:] + [len(candidates)])
+    ]
+    glue = 0 if (starts and starts[0] == 0) else 1  # segments costing no budget
+
+    commit = 0
+    words_taken = 0
+    for idx, seg in enumerate(segments):
+        complete = idx < len(segments) - 1 or eos_reached
+        if not complete:
+            break
+        if idx >= glue:
+            if words_taken >= allowed:
+                break
+            words_taken += 1
+        commit += len(seg)
+    if commit < len(candidates):
+        return commit, StopReason.SCHEDULE
+    return commit, StopReason.EXHAUSTED
 
 
 def make_source(rng: np.random.Generator, num_frames: int) -> FeatureMatrix:

@@ -125,6 +125,16 @@ class TestRun:
         assert "f takes whole numbers, got 2.5" in err
         assert not (tmp_path / "out").exists()
 
+    def test_infinite_chunk_is_usage_error(self, suite_dir, tmp_path, capsys):
+        code = run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out",
+            "--policy", "alignatt", "--f", "2", "--chunk-ms", "inf",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "chunk_ms takes finite numbers, got inf" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_flag_override(self, suite_dir, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(

@@ -1,11 +1,12 @@
 """Run configuration: validation, JSON round trips, run ids, sweeps."""
 
 import json
+import math
 
 import pytest
 
 from simulst import ConfigError, SessionConfig
-from simulst.config import POLICY_NAMES, SWEEP_FIELD
+from simulst.config import CONFIG_TYPES, POLICY_NAMES, SWEEP_FIELD
 from simulst.policies import (
     AlignAttPolicy,
     EDAttPolicy,
@@ -102,14 +103,25 @@ class TestJson:
             ({"policy": "alignatt", "f": True}, "f takes whole numbers, got True"),
             ({"policy": "alignatt", "f": 2, "attention_layer": 1.5}, "attention_layer takes whole"),
             ({"policy": "alignatt", "f": 2, "max_new": 3.7}, "max_new takes whole numbers"),
-            ({"policy": "edatt", "alpha": False}, "alpha takes numbers, got False"),
-            ({"policy": "alignatt", "f": 2, "chunk_ms": "500"}, "chunk_ms takes numbers"),
+            ({"policy": "edatt", "alpha": False}, "alpha takes finite numbers, got False"),
+            ({"policy": "alignatt", "f": 2, "chunk_ms": "500"}, "chunk_ms takes finite numbers"),
             ({"policy": "alignatt", "f": 2, "adapter": 7}, "adapter takes strings, got 7"),
             ({"policy": 3}, "policy takes strings, got 3"),
         ],
     )
     def test_value_types_checked(self, data, message):
         with pytest.raises(ConfigError, match=message):
+            SessionConfig.from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", [key for key, kind in CONFIG_TYPES.items() if kind is float])
+    def test_non_finite_numbers_rejected(self, key, value):
+        owners = {
+            "alpha": {"policy": "edatt", "alpha": 0.5},
+            "t_s_ms": {"policy": "local_agreement", "t_s_ms": 500.0},
+        }
+        data = {**owners.get(key, {"policy": "alignatt", "f": 2}), key: value}
+        with pytest.raises(ConfigError, match=f"{key} takes finite numbers"):
             SessionConfig.from_dict(data)
 
     def test_whole_number_accepted_for_float_key_uncoerced(self):

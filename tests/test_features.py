@@ -1,5 +1,6 @@
 """Audio front end: framing, log-Mel, CMVN, WAV and feature-file round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -171,13 +172,20 @@ class TestCmvn:
 class TestFeatureFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        feats = FeatureMatrix(frames=rng.normal(size=(37, 80)).astype(np.float32), frame_shift_ms=10.0)
+        # every metadata field away from its default, so one the file drops shows
+        metadata = {
+            field.name: 2 * field.default
+            for field in dataclasses.fields(FeatureMatrix)
+            if field.name != "frames"
+        }
+        feats = FeatureMatrix(frames=rng.normal(size=(37, 80)).astype(np.float32), **metadata)
         path = tmp_path / "utt.sgfb"
         write_features(path, feats)
         loaded = read_features(path)
         assert np.array_equal(loaded.frames, feats.frames)
         assert loaded.frames.dtype == np.float32
-        assert loaded.frame_shift_ms == 10.0
+        for name, value in metadata.items():
+            assert getattr(loaded, name) == value, name
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sgfb"

@@ -20,7 +20,7 @@ from simulst import (
     waitk_allowed,
 )
 
-from conftest import alignatt_bruteforce, random_attention
+from conftest import alignatt_bruteforce, random_attention, waitk_walk
 
 
 class TestAlignAttDecide:
@@ -175,10 +175,8 @@ class TestPolicyClasses:
             candidates=(5, 6, 7),
             attention=attn,
             alignment=np.array([0, 2, 7]),
-            n_frames=n,
             source_words=0,
             committed=(),
-            hypothesis=(5, 6, 7),
             eos_reached=False,
             vocab=default_vocab,
         )
@@ -193,10 +191,8 @@ class TestPolicyClasses:
             candidates=(5, 6),
             attention=attn,
             alignment=np.array([0, 0]),
-            n_frames=4,
             source_words=0,
             committed=(),
-            hypothesis=(5, 6),
             eos_reached=False,
             vocab=default_vocab,
         )
@@ -246,19 +242,20 @@ def _waitk_context(vocab: Vocabulary, committed, candidates, source_words, eos=F
         candidates=tuple(candidates),
         attention=np.full((m, n), 1.0 / n),
         alignment=np.zeros(m, dtype=int),
-        n_frames=n,
         source_words=source_words,
         committed=tuple(committed),
-        hypothesis=tuple(committed) + tuple(candidates),
         eos_reached=eos,
         vocab=vocab,
     )
 
 
+_WAITK_VOCAB = Vocabulary(["▁an", "▁be", "▁ce", "de", "fe"])
+
+
 class TestWaitKPolicy:
     @pytest.fixture()
     def vocab(self):
-        return Vocabulary(["▁an", "▁be", "▁ce", "de", "fe"])
+        return _WAITK_VOCAB
 
     def test_withholds_incomplete_tail_word(self, vocab):
         policy = WaitKPolicy(k=1)
@@ -298,6 +295,24 @@ class TestWaitKPolicy:
         policy = WaitKPolicy(k=2)
         ctx = _waitk_context(vocab, [], [], source_words=5)
         assert policy.decide(ctx).commit_count == 0
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        # ids 2..7: <unk> (a continuation), three word starts, two continuations
+        candidates=st.lists(st.integers(2, 7), max_size=12),
+        committed=st.lists(st.integers(2, 7), max_size=8),
+        k=st.integers(1, 6),
+        source_words=st.integers(0, 14),
+        eos=st.booleans(),
+    )
+    def test_matches_segment_walk_oracle(self, candidates, committed, k, source_words, eos):
+        vocab = _WAITK_VOCAB
+        ctx = _waitk_context(vocab, committed, candidates, source_words, eos=eos)
+        allowed = waitk_allowed(k, source_words, vocab.count_words(committed))
+        decision = WaitKPolicy(k).decide(ctx)
+        assert (decision.commit_count, decision.stopped_by) == waitk_walk(
+            tuple(candidates), allowed, eos, vocab
+        )
 
     def test_uses_word_counts_flag(self):
         assert WaitKPolicy(k=2).uses_word_counts

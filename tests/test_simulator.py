@@ -404,6 +404,7 @@ class TestEmissionLogIO:
             (EVENT.replace("3", '"3"'), SUMMARY),
             (EVENT.replace('"ideal_s": 1.0', '"ideal_s": true'), SUMMARY),
             (EVENT.replace(', "wall_s": 1.0', ""), SUMMARY),
+            (EVENT.replace('"wall_s": 1.0', '"wall_s": NaN'), SUMMARY),
             (EVENT, SUMMARY.replace("1.0", "-1.0")),
             (EVENT, SUMMARY.replace('"a"', "7")),
         ],
