@@ -70,6 +70,10 @@ class DecodeResult:
     eos_reached: bool
 
 
+# stop(token, row) -> True ends the decode after ``token``; row is its (L, H, n) cross-attention
+StopHook = Callable[[int, np.ndarray], bool]
+
+
 @runtime_checkable
 class ModelAdapter(Protocol):
     """What the simulator requires of a model.
@@ -79,6 +83,14 @@ class ModelAdapter(Protocol):
     External bridges (e.g. a subprocess wrapping a trained model) satisfy
     this protocol by mapping their outputs onto ``EncoderStates`` /
     ``DecodeResult``.
+
+    Optional early stop: an adapter may declare the class attribute
+    ``accepts_stop = True`` (not part of this protocol) and take a keyword
+    ``stop`` (a ``StopHook``) in ``decode_greedy``. It then calls
+    ``stop(token, row)`` after each generated token, before computing the
+    next, and ends the decode there with ``eos_reached=False`` when the call
+    returns true. The hook is advisory: the simulator runs the policy on
+    whatever the decode returns, so ignoring the hook costs only time.
     """
 
     num_decoder_layers: int
@@ -129,6 +141,8 @@ class ToyModelConfig:
 
 class ToyModel:
     """Fixed-seed encoder-decoder exercising the full adapter contract."""
+
+    accepts_stop = True
 
     def __init__(self, config: ToyModelConfig = ToyModelConfig(), vocab: Optional[Vocabulary] = None):
         self.config = config
@@ -286,10 +300,13 @@ class ToyModel:
         enc: EncoderStates,
         forced_prefix: Sequence[int],
         max_new: int = DEFAULT_MAX_NEW,
+        stop: Optional[StopHook] = None,
     ) -> DecodeResult:
         """Greedily extend the forced prefix by up to ``max_new`` tokens.
 
-        Generation stops at end-of-sequence (never included in the output).
+        Generation stops at end-of-sequence (never included in the output),
+        or right after a generated token for which ``stop(token, row)``
+        returns true (see ``ModelAdapter``).
         The returned attention covers every output position: row i is the
         cross-attention of the pass that generated token i, captured by the
         incremental pass itself (teacher-forcing reproduces it for forced
@@ -316,6 +333,8 @@ class ToyModel:
                 break
             ids.append(next_id)
             if len(ids) == limit:
+                break
+            if stop is not None and stop(next_id, state.attention[:, :, len(ids) - 2]):
                 break
             self._step(state, next_id)
         tokens = tuple(ids[1:])
@@ -458,8 +477,10 @@ class ScriptedAdapter:
     that frame across every layer and head), whether the hypothesis ended
     with end-of-sequence, and optionally the detected source word count.
     Useful for driving the simulator down exact decision paths; also the
-    reference example of a non-toy ``ModelAdapter``.
+    reference example of a non-toy ``ModelAdapter``, early stop included.
     """
+
+    accepts_stop = True
 
     def __init__(
         self,
@@ -499,6 +520,7 @@ class ScriptedAdapter:
         enc: EncoderStates,
         forced_prefix: Sequence[int],
         max_new: int = DEFAULT_MAX_NEW,
+        stop: Optional[StopHook] = None,
     ) -> DecodeResult:
         prefix = tuple(forced_prefix)
         if self.vocab.eos_id in prefix:
@@ -518,12 +540,13 @@ class ScriptedAdapter:
             if not 0 <= frame < enc.n:
                 raise ValueError(f"scripted alignment {frame} outside [0, {enc.n})")
             attn[:, :, i, frame] = 1.0
-        truncated = len(step.tokens) > len(tokens)
-        return DecodeResult(
-            tokens=tokens,
-            attention=attn,
-            eos_reached=step.eos and not truncated,
-        )
+        eos_reached = step.eos and len(step.tokens) == len(tokens)
+        if stop is not None:
+            for i in range(len(prefix), len(tokens)):
+                if stop(tokens[i], attn[:, :, i]):
+                    tokens, attn, eos_reached = tokens[: i + 1], attn[:, :, : i + 1], False
+                    break
+        return DecodeResult(tokens=tokens, attention=attn, eos_reached=eos_reached)
 
     def count_source_words(self, raw_features: np.ndarray) -> int:
         feats = np.asarray(raw_features, dtype=float)

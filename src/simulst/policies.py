@@ -14,6 +14,9 @@ candidate tokens to commit:
 
 The decision functions are pure; the ``Policy`` classes wrap them with the
 per-session state (hyperparameters, agreement history) the simulator needs.
+A policy whose decision is fixed by a prefix of the candidates also offers a
+``stop_rule``: a per-token predicate, built on the same decision function,
+that lets the decoder stop at the token where ``decide`` can no longer change.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .model import StopHook
 from .vocab import Vocabulary
 
 DEFAULT_EDATT_LAM = 2
@@ -172,6 +176,18 @@ class Policy:
     def decide(self, ctx: StepContext) -> PolicyDecision:
         raise NotImplementedError
 
+    def stop_rule(
+        self, committed: tuple[int, ...], source_words: int, vocab: Vocabulary, layer: int
+    ) -> Optional[StopHook]:
+        """A ``StopHook`` that may end this step's decode early, or None to decode in full.
+
+        Asked for before each decode but the final flush. The hook may return
+        true only at a token after which no continuation changes what
+        ``decide`` commits; ``decide`` still runs on the shortened decode.
+        Local agreement, which compares full hypotheses, keeps this default.
+        """
+        return None
+
 
 class AlignAttPolicy(Policy):
     name = "alignatt"
@@ -183,6 +199,15 @@ class AlignAttPolicy(Policy):
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
         return alignatt_decide(ctx.alignment, ctx.attention.shape[1], self.f, len(ctx.candidates))
+
+    def stop_rule(self, committed, source_words, vocab, layer):
+        def stop(token: int, row: np.ndarray) -> bool:
+            # the token that ``decide`` stops at: aligned to an inaccessible frame
+            mean = row[layer].mean(axis=0)
+            aligned = mean.argmax(keepdims=True)
+            return alignatt_decide(aligned, mean.shape[0], self.f, 1).commit_count == 0
+
+        return stop
 
 
 class EDAttPolicy(Policy):
@@ -198,6 +223,14 @@ class EDAttPolicy(Policy):
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
         return edatt_decide(ctx.attention, self.alpha, self.lam, len(ctx.candidates))
+
+    def stop_rule(self, committed, source_words, vocab, layer):
+        def stop(token: int, row: np.ndarray) -> bool:
+            # the token that ``decide`` stops at: its recent-frame mass reaches alpha
+            mean = row[layer].mean(axis=0)
+            return edatt_decide(mean[None], self.alpha, self.lam, 1).commit_count == 0
+
+        return stop
 
 
 class WaitKPolicy(Policy):
@@ -228,6 +261,20 @@ class WaitKPolicy(Policy):
         if commit < len(ctx.candidates):
             return PolicyDecision(commit, StopReason.SCHEDULE)
         return PolicyDecision(commit, StopReason.EXHAUSTED)
+
+    def stop_rule(self, committed, source_words, vocab, layer):
+        allowed = waitk_allowed(self.k, source_words, vocab.count_words(committed))
+        starts = 0
+
+        def stop(token: int, row: np.ndarray) -> bool:
+            # the word start at cuts[allowed], the commit point ``decide`` picks
+            nonlocal starts
+            if not vocab.is_word_start(token):
+                return False
+            starts += 1
+            return starts > allowed
+
+        return stop
 
 
 class LocalAgreementPolicy(Policy):

@@ -4,7 +4,9 @@ Each timestep reads one chunk of source frames, re-encodes the delivered
 prefix, greedily extends the committed hypothesis, and hands the candidate
 tokens (with their aggregated cross-attention) to the decision policy.
 Committed output is append-only. When the source is exhausted the final
-hypothesis is committed unconditionally.
+hypothesis is committed unconditionally. Before every other decode the
+policy may supply a stop rule, which adapters that declare ``accepts_stop``
+use to end the decode once the policy's decision is fixed.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -217,32 +219,23 @@ def run_session(
 
     def commit(tokens: list[int], ideal_s: float) -> None:
         wall_s = clock.now()
+        if not math.isfinite(wall_s):
+            raise SessionError(f"{type(clock).__name__} read {wall_s} at {ideal_s:.3f}s", partial())
         for token in tokens:
             events.append(
                 Emission(token=token, text=vocab.piece(token), ideal_s=ideal_s, wall_s=wall_s)
             )
             committed.append(token)
 
+    accepts_stop = getattr(adapter, "accepts_stop", False)
     while not cursor.exhausted:
         prefix = cursor.read()
         ideal_s = cursor.delivered_s
         clock.advance_to(ideal_s)
-        try:
-            states = adapter.encode(prefix)
-            clock.charge(step_cost_s)
-            result = adapter.decode_greedy(states, forced_prefix=committed, max_new=max_new)
-            clock.charge(step_cost_s)
-        except Exception as exc:
-            raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
-
-        candidates = list(result.tokens[len(committed):])
-        if cursor.exhausted:
-            # Final flush: the full source has been seen, so the remaining
-            # greedy hypothesis is committed without consulting the policy.
-            commit(candidates, ideal_s)
-            break
-
-        if policy.uses_word_counts:
+        # Final flush: once the full source has been seen, the remaining
+        # greedy hypothesis is committed without consulting the policy.
+        final = cursor.exhausted
+        if policy.uses_word_counts and not final:
             try:
                 words = adapter.count_source_words(prefix)
             except Exception as exc:
@@ -252,6 +245,26 @@ def run_session(
             # Word detections only ratchet upward so the schedule never
             # retracts budget already granted.
             detected_words = max(detected_words, words)
+        hook = {}
+        if accepts_stop and not final:
+            try:
+                stop = policy.stop_rule(tuple(committed), detected_words, vocab, layer)
+            except Exception as exc:
+                raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc
+            if stop is not None:
+                hook["stop"] = stop
+        try:
+            states = adapter.encode(prefix)
+            clock.charge(step_cost_s)
+            result = adapter.decode_greedy(states, forced_prefix=committed, max_new=max_new, **hook)
+            clock.charge(step_cost_s)
+        except Exception as exc:
+            raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
+
+        candidates = list(result.tokens[len(committed):])
+        if final:
+            commit(candidates, ideal_s)
+            break
 
         weights = aggregate_attention(result.attention, layer)[len(committed):, :]
         context = StepContext(
@@ -320,11 +333,17 @@ _JSON_KINDS = {int: (int,), float: (int, float), str: (str,)}
 def has_json_type(value, kind: type) -> bool:
     """Whether a decoded JSON value is a ``kind``: an int is also a float, a bool is neither.
 
-    NaN and +-inf, which Python's ``json`` parses but JSON does not define, are not floats.
+    NaN and +-inf, which Python's ``json`` parses but JSON does not define, are not floats,
+    and neither is an int too large to convert to one.
     """
     if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
         return False
-    return not isinstance(value, float) or math.isfinite(value)
+    if kind is not float:
+        return True
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def read_emission_log(path) -> EmissionLog:

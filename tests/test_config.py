@@ -113,7 +113,7 @@ class TestJson:
         with pytest.raises(ConfigError, match=message):
             SessionConfig.from_dict(data)
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400, -(10**400)])
     @pytest.mark.parametrize("key", [key for key, kind in CONFIG_TYPES.items() if kind is float])
     def test_non_finite_numbers_rejected(self, key, value):
         owners = {

@@ -6,10 +6,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulst import (
     DecodeResult,
     EncoderStates,
+    ModelAdapter,
     ScriptStep,
     ScriptedAdapter,
     ToyModel,
@@ -278,6 +281,76 @@ class TestIncrementalFastPath:
             assert result.attention.shape == (2, 4, m, enc.n)
             assert np.allclose(result.attention, cross[:, :, :m], rtol=0.0, atol=1e-12)
             assert np.array_equal(result.attention.argmax(axis=-1), cross[:, :, :m].argmax(axis=-1))
+
+
+class TestStopHook:
+    """``decode_greedy(..., stop=)`` ends the decode right after the token the hook flags."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        frames=st.integers(1, 400),
+        share=st.floats(0.0, 1.0),
+        max_new=st.sampled_from([1, 4, 128]),
+        rule=st.sampled_from(["count", "token", "late"]),
+        param=st.integers(0, 12),
+    )
+    def test_hooked_decode_is_a_prefix_of_the_full_decode(
+        self, toy_model, seed, frames, share, max_new, rule, param
+    ):
+        enc = toy_model.encode(np.random.default_rng(seed).normal(size=(frames, 80)))
+        free = toy_model.decode_greedy(enc, [])
+        prefix = free.tokens[: round(share * len(free.tokens))]
+        full = toy_model.decode_greedy(enc, prefix, max_new)
+        seen = []
+
+        def stop(token, row):
+            seen.append((token, row.copy()))
+            if rule == "count":
+                return len(seen) > param
+            if rule == "token":
+                return token % 13 == param
+            return row[-1].mean(axis=0).argmax() >= enc.n - 1 - param % 3
+
+        hooked = toy_model.decode_greedy(enc, prefix, max_new, stop=stop)
+        m = len(hooked.tokens)
+        assert hooked.tokens == full.tokens[:m]
+        assert np.array_equal(hooked.attention, full.attention[:, :, :m])
+        # the hook saw every generated token but the one that hits max_new,
+        # with that token's captured attention row
+        assert [t for t, _ in seen] == list(hooked.tokens[len(prefix): len(prefix) + len(seen)])
+        for i, (_, row) in enumerate(seen):
+            assert np.array_equal(row, full.attention[:, :, len(prefix) + i])
+        if m < len(full.tokens) or (full.eos_reached and not hooked.eos_reached):
+            assert not hooked.eos_reached and len(seen) == m - len(prefix)
+        else:
+            assert hooked.eos_reached == full.eos_reached
+
+    def test_scripted_adapter_truncates_at_first_firing(self):
+        vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "dd"])
+        a, b, c, d = (vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "dd"))
+        adapter = ScriptedAdapter(
+            vocab, {4: ScriptStep(tokens=(a, b, c, d), alignment=(0, 3, 1, 3), eos=True)}
+        )
+        enc = adapter.encode(np.zeros((16, 80)))
+        calls = []
+
+        def late(token, row):
+            calls.append(token)
+            return row[0, 0, 3] == 1.0
+
+        res = adapter.decode_greedy(enc, [a], stop=late)
+        assert res.tokens == (a, b) and not res.eos_reached
+        assert res.attention.shape == (1, 1, 2, 4)
+        assert calls == [b]  # forced tokens are not offered to the hook
+        res = adapter.decode_greedy(enc, [a, b], stop=late)
+        assert res.tokens == (a, b, c, d) and not res.eos_reached
+        res = adapter.decode_greedy(enc, [a, b], stop=lambda token, row: False)
+        assert res.tokens == (a, b, c, d) and res.eos_reached
+
+    def test_capability_is_declared_outside_the_protocol(self, toy_model):
+        assert ToyModel.accepts_stop and ScriptedAdapter.accepts_stop
+        assert "accepts_stop" not in ModelAdapter.__annotations__
 
 
 class TestSharedAcrossThreads:

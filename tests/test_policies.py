@@ -9,11 +9,14 @@ from simulst import (
     AlignAttPolicy,
     EDAttPolicy,
     LocalAgreementPolicy,
+    Policy,
     StepContext,
     StopReason,
     Vocabulary,
     WaitKPolicy,
+    aggregate_attention,
     alignatt_decide,
+    compute_alignment,
     edatt_decide,
     local_agreement_prefix,
     longest_common_prefix,
@@ -374,3 +377,80 @@ class TestLocalAgreement:
         policy.reset()
         assert policy.decide(_waitk_context(default_vocab, [], [5, 6], source_words=0)).commit_count == 0
 
+
+
+def _step_context(vocab, tensor, layer, committed, candidates, source_words, eos):
+    """The context ``run_session`` builds from a decode of ``committed + candidates``."""
+    weights = aggregate_attention(tensor, layer)[len(committed):, :]
+    return StepContext(
+        candidates=tuple(candidates),
+        attention=weights,
+        alignment=compute_alignment(weights),
+        source_words=source_words,
+        committed=tuple(committed),
+        eos_reached=eos,
+        vocab=vocab,
+    )
+
+
+class TestStopRule:
+    """A stop rule fires only where ``decide`` on the shortened decode equals ``decide`` in full."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        policy=st.sampled_from(
+            [AlignAttPolicy(1), AlignAttPolicy(3), EDAttPolicy(0.2, 1), EDAttPolicy(0.5, 3),
+             WaitKPolicy(1), WaitKPolicy(3)]
+        ),
+        seed=st.integers(0, 10_000),
+        # ids 2..7: <unk> (a continuation), three word starts, two continuations
+        candidates=st.lists(st.integers(2, 7), max_size=12),
+        committed=st.lists(st.integers(2, 7), max_size=6),
+        n=st.integers(1, 12),
+        source_words=st.integers(0, 10),
+        eos=st.booleans(),
+    )
+    def test_fires_only_once_decide_is_fixed(
+        self, policy, seed, candidates, committed, n, source_words, eos
+    ):
+        vocab, layer = _WAITK_VOCAB, 1
+        rng = np.random.default_rng(seed)
+        # peaked rows, so that some align with the last frames
+        tensor = rng.random((2, 3, len(committed) + len(candidates), n)) ** 6 + 1e-9
+        tensor /= tensor.sum(axis=-1, keepdims=True)
+        stop = policy.stop_rule(tuple(committed), source_words, vocab, layer)
+        fired = next(
+            (i for i, token in enumerate(candidates) if stop(token, tensor[:, :, len(committed) + i])),
+            None,
+        )
+        full = policy.decide(
+            _step_context(vocab, tensor, layer, committed, candidates, source_words, eos)
+        )
+        if fired is not None:
+            end = len(committed) + fired + 1
+            short = policy.decide(
+                _step_context(
+                    vocab, tensor[:, :, :end], layer, committed, candidates[: fired + 1],
+                    source_words, False,
+                )
+            )
+            assert short.commit_count == full.commit_count == fired
+
+    def test_fires_at_the_decision_point(self):
+        vocab = _WAITK_VOCAB
+        tensor = np.zeros((1, 1, 3, 8))
+        tensor[0, 0, [0, 1, 2], [0, 7, 7]] = 1.0
+        stop = AlignAttPolicy(f=2).stop_rule((), 0, vocab, 0)
+        assert [stop(5, tensor[:, :, i]) for i in range(3)] == [False, True, True]
+        stop = EDAttPolicy(alpha=0.5, lam=1).stop_rule((), 0, vocab, 0)
+        assert [stop(5, tensor[:, :, i]) for i in range(3)] == [False, True, True]
+        an, be, de = (vocab.piece_id(p) for p in ("▁an", "▁be", "de"))
+        # detected 4, k 3, nothing emitted: two words allowed, so the rule
+        # fires at the third word start, the token that completes word two
+        stop = WaitKPolicy(k=3).stop_rule((), 4, vocab, 0)
+        row = tensor[:, :, 0]
+        assert [stop(t, row) for t in (de, an, de, be, an)] == [False, False, False, False, True]
+
+    def test_policies_needing_the_whole_hypothesis_decode_in_full(self):
+        assert LocalAgreementPolicy().stop_rule((), 3, _WAITK_VOCAB, 0) is None
+        assert Policy().stop_rule((), 3, _WAITK_VOCAB, 0) is None

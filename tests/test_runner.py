@@ -107,6 +107,15 @@ class TestRunEval:
         assert not (tmp_path / ALIGNATT4.run_id / f"{broken[0].id}.jsonl").exists()
         assert record["corpus_bleu"] is not None
 
+    def test_overflowing_clock_fails_each_utterance_and_writes_no_infinity(
+        self, small_suite, tmp_path
+    ):
+        config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0, step_cost_s=1e308)
+        evaluation = run_eval(small_suite, config, out_dir=tmp_path, workers=1)
+        assert all("SimulatedClock read inf" in r.error for r in evaluation.results)
+        for path in (tmp_path / config.run_id).iterdir():
+            assert "Infinity" not in path.read_text(encoding="utf-8")
+
     def test_all_failed_gives_null_aggregates(self, small_suite, tmp_path):
         import dataclasses
 

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulst import (
     AlignAttPolicy,
+    EDAttPolicy,
     Emission,
     EmissionLog,
     FeatureMatrix,
     LocalAgreementPolicy,
+    ModelAdapter,
     RealClock,
     ScriptStep,
     ScriptedAdapter,
@@ -277,6 +281,12 @@ class TestRunSession:
         with pytest.raises(SessionError, match="policy committed"):
             run_session(source, adapter, Greedy(f=2), chunk_ms=400.0)
 
+    def test_non_finite_clock_fails_the_session(self):
+        vocab, ids, adapter, source = scripted_setup("early")
+        with pytest.raises(SessionError, match=r"SimulatedClock read inf at 0\.400s") as info:
+            run_session(source, adapter, AlignAttPolicy(f=2), chunk_ms=400.0, step_cost_s=1e308)
+        assert info.value.partial_log.events == ()
+
     def test_attention_layer_validation(self):
         vocab, ids, adapter, source = scripted_setup("early")
         with pytest.raises(ValueError, match="out of range"):
@@ -286,6 +296,134 @@ class TestRunSession:
         vocab, ids, adapter, source = scripted_setup("early")
         log = run_session(source, adapter, AlignAttPolicy(f=2), chunk_ms=400.0, attention_layer=0)
         assert log.tokens == tuple(ids)
+
+
+class _Forwarding:
+    """Forwards the three-argument adapter contract and records each decode's keywords.
+
+    It does not declare ``accepts_stop``, so the simulator must never pass it a hook.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.vocab = inner.vocab
+        self.num_decoder_layers = inner.num_decoder_layers
+        self.num_heads = inner.num_heads
+        self.decode_keywords = []
+        self.decoded = []
+
+    def encode(self, feats):
+        return self._inner.encode(feats)
+
+    def decode_greedy(self, enc, forced_prefix, max_new=128, **keywords):
+        self.decode_keywords.append(sorted(keywords))
+        result = self._inner.decode_greedy(enc, forced_prefix, max_new, **keywords)
+        self.decoded.append(len(result.tokens) - len(forced_prefix))
+        return result
+
+    def count_source_words(self, feats):
+        return self._inner.count_source_words(feats)
+
+
+class _AcceptsStop(_Forwarding):
+    accepts_stop = True
+
+
+_STOP_VOCAB = Vocabulary(["▁aa", "▁bb", "cc", "dd"])
+
+
+@st.composite
+def random_scripts(draw):
+    """A source and a ScriptedAdapter that reveals one master hypothesis as a growing prefix.
+
+    Each encoder length n gets a hypothesis length (non-decreasing in n), a
+    random frame per token, leaning to the newest frames, an end-of-sequence
+    flag and a word count.
+    """
+    frames = draw(st.integers(4, 120))
+    chunk_ms = draw(st.sampled_from([40.0, 80.0, 120.0, 200.0]))
+    n_max = -(-frames // 4)
+    master = draw(st.lists(st.integers(2, _STOP_VOCAB.size - 1), max_size=14))
+    growth = draw(st.lists(st.integers(0, 3), min_size=n_max, max_size=n_max))
+    lengths = np.minimum(np.cumsum(growth), len(master))
+    seed = draw(st.integers(0, 10_000))
+    eos_at_end = draw(st.booleans())
+    words_per_frame = draw(st.floats(0.0, 1.5))
+
+    def script(n):
+        rng = np.random.default_rng((seed, n))
+        length = int(lengths[n - 1])
+        late = n - 1 - rng.integers(0, min(n, 3), size=length)
+        alignment = np.where(rng.random(length) < 0.5, late, rng.integers(0, n, size=length))
+        return ScriptStep(
+            tokens=tuple(master[:length]),
+            alignment=tuple(int(a) for a in alignment),
+            eos=(n == n_max and eos_at_end) or bool(rng.random() < 0.2),
+            source_words=int(n * words_per_frame),
+        )
+
+    source = FeatureMatrix(frames=np.zeros((frames, 80), dtype=np.float32))
+    return source, ScriptedAdapter(_STOP_VOCAB, script, num_layers=2, num_heads=2), chunk_ms
+
+
+class TestStopHook:
+    """The stop hook only ends decodes early: it never changes what is committed, or when."""
+
+    POLICIES = [
+        lambda: AlignAttPolicy(f=1),
+        lambda: AlignAttPolicy(f=2),
+        lambda: EDAttPolicy(alpha=0.5, lam=2),
+        lambda: WaitKPolicy(k=1),
+        lambda: WaitKPolicy(k=3),
+        lambda: LocalAgreementPolicy(),
+    ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=random_scripts(), max_new=st.sampled_from([2, 128]))
+    def test_log_equals_the_log_of_an_adapter_without_the_capability(self, case, max_new):
+        source, adapter, chunk_ms = case
+        for make_policy in self.POLICIES:
+            hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
+            logs = [
+                run_session(source, a, make_policy(), chunk_ms=chunk_ms, max_new=max_new)
+                for a in (hooked, plain)
+            ]
+            assert logs[0] == logs[1]
+            assert all(kw == [] for kw in plain.decode_keywords)
+            assert all(h <= p for h, p in zip(hooked.decoded, plain.decoded))
+
+    def test_hook_shortens_decodes(self):
+        vocab, ids, adapter, source = scripted_setup("late")
+        hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
+        for a in (hooked, plain):
+            run_session(source, a, AlignAttPolicy(f=2), chunk_ms=400.0)
+        # each early step stops at its first candidate; the final flush decodes in full
+        assert hooked.decoded == [1, 1, 1, 4] and plain.decoded == [1, 2, 3, 4]
+        assert hooked.decode_keywords == [["stop"]] * 3 + [[]]
+
+    @pytest.mark.parametrize("make_policy", POLICIES)
+    def test_adapters_without_the_capability_never_get_a_hook(self, make_policy):
+        vocab, ids, adapter, source = scripted_setup("late")
+        plain = _Forwarding(adapter)
+        assert isinstance(plain, ModelAdapter)
+        run_session(source, plain, make_policy(), chunk_ms=400.0)
+        assert plain.decode_keywords == [[]] * 4
+
+    def test_local_agreement_decodes_in_full(self):
+        vocab, ids, adapter, source = scripted_setup("late")
+        hooked = _AcceptsStop(adapter)
+        run_session(source, hooked, LocalAgreementPolicy(), chunk_ms=400.0)
+        assert hooked.decode_keywords == [[]] * 4
+
+    def test_failing_stop_rule_is_a_policy_error(self):
+        vocab, ids, adapter, source = scripted_setup("early")
+
+        class Broken(AlignAttPolicy):
+            def stop_rule(self, committed, source_words, vocab, layer):
+                raise KeyError("layer")
+
+        with pytest.raises(SessionError, match=r"policy failed at 0\.400s: KeyError"):
+            run_session(source, adapter, Broken(f=2), chunk_ms=400.0)
 
 
 GOLDEN_CHUNK_MS = 500.0
@@ -405,6 +543,7 @@ class TestEmissionLogIO:
             (EVENT.replace('"ideal_s": 1.0', '"ideal_s": true'), SUMMARY),
             (EVENT.replace(', "wall_s": 1.0', ""), SUMMARY),
             (EVENT.replace('"wall_s": 1.0', '"wall_s": NaN'), SUMMARY),
+            (EVENT.replace('"wall_s": 1.0', '"wall_s": 1' + "0" * 400), SUMMARY),
             (EVENT, SUMMARY.replace("1.0", "-1.0")),
             (EVENT, SUMMARY.replace('"a"', "7")),
         ],
