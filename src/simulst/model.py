@@ -15,7 +15,7 @@ It exists to exercise every interface at negligible cost, not to translate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -62,16 +62,20 @@ class DecodeResult:
 
     ``tokens`` is the full output (prefix + continuation, never containing
     end-of-sequence); ``attention`` is the (layers, heads, len(tokens), n)
-    cross-attention captured at each generated position.
+    cross-attention captured at each generated position. ``resume`` is set
+    only on a decode that its stop hook ended (see ``ModelAdapter``).
     """
 
     tokens: tuple[int, ...]
     attention: np.ndarray
     eos_reached: bool
+    resume: Optional[Resume] = field(default=None, compare=False, repr=False)
 
 
 # stop(token, row) -> True ends the decode after ``token``; row is its (L, H, n) cross-attention
 StopHook = Callable[[int, np.ndarray], bool]
+# resume(stop) -> the paused decode continued under a new hook (None: to its end)
+Resume = Callable[[Optional[StopHook]], DecodeResult]
 
 
 @runtime_checkable
@@ -79,7 +83,8 @@ class ModelAdapter(Protocol):
     """What the simulator requires of a model.
 
     Adapters are immutable after construction and safe to share across
-    concurrent sessions; any scratch state lives inside a single call.
+    concurrent sessions; any scratch state lives inside a single call or,
+    for a paused decode, in the ``resume`` of the result it returned.
     External bridges (e.g. a subprocess wrapping a trained model) satisfy
     this protocol by mapping their outputs onto ``EncoderStates`` /
     ``DecodeResult``.
@@ -89,8 +94,16 @@ class ModelAdapter(Protocol):
     ``stop`` (a ``StopHook``) in ``decode_greedy``. It then calls
     ``stop(token, row)`` after each generated token, before computing the
     next, and ends the decode there with ``eos_reached=False`` when the call
-    returns true. The hook is advisory: the simulator runs the policy on
-    whatever the decode returns, so ignoring the hook costs only time.
+    returns true. The hook is not consulted on the token that reaches
+    ``max_new``. The hook is advisory: the simulator runs the policy on
+    whatever the decode returns, so ignoring the hook costs only time. But
+    a decode that the hook did end must come back with ``resume`` set: a
+    one-shot ``resume(stop)`` that continues the same decode from where it
+    paused, giving exactly the result of a decode whose earlier hook had
+    returned false at that token (and ``stop`` as its hook from there on).
+    ``resume`` is never set on a decode that ended at end-of-sequence or at
+    ``max_new``. The simulator fails the session when the hook ended a
+    decode that has no ``resume``.
     """
 
     num_decoder_layers: int
@@ -306,7 +319,7 @@ class ToyModel:
 
         Generation stops at end-of-sequence (never included in the output),
         or right after a generated token for which ``stop(token, row)``
-        returns true (see ``ModelAdapter``).
+        returns true; such a result carries ``resume`` (see ``ModelAdapter``).
         The returned attention covers every output position: row i is the
         cross-attention of the pass that generated token i, captured by the
         incremental pass itself (teacher-forcing reproduces it for forced
@@ -322,25 +335,49 @@ class ToyModel:
                 raise ValueError(f"forced prefix contains unknown token id {t}")
 
         ids = [self.vocab.bos_id] + prefix
-        limit = len(ids) + max_new
         state = _DecodeState(self, enc.states, len(ids) + min(max_new, _INITIAL_NEW_ROWS))
         self._advance(state, ids)
-        eos_reached = False
+        return self._generate(state, ids, len(ids) + max_new, stop)
+
+    def _generate(
+        self, state: _DecodeState, ids: list[int], limit: int, stop: Optional[StopHook]
+    ) -> DecodeResult:
+        """Generate from ``state.logits`` until end-of-sequence, ``limit`` ids or the hook.
+
+        ``decode_greedy`` and every ``resume`` share this loop, so a paused
+        decode continues with the very state it stopped in.
+        """
+        resume = None
         while True:
             next_id = int(state.logits.argmax())
             if next_id == self.vocab.eos_id:
-                eos_reached = True
                 break
             ids.append(next_id)
             if len(ids) == limit:
                 break
             if stop is not None and stop(next_id, state.attention[:, :, len(ids) - 2]):
+                resume = self._resumer(state, ids, limit)
                 break
             self._step(state, next_id)
         tokens = tuple(ids[1:])
         return DecodeResult(
-            tokens=tokens, attention=state.attention[:, :, : len(tokens)], eos_reached=eos_reached
+            tokens=tokens,
+            attention=state.attention[:, :, : len(tokens)],
+            eos_reached=next_id == self.vocab.eos_id,
+            resume=resume,
         )
+
+    def _resumer(self, state: _DecodeState, ids: list[int], limit: int) -> Resume:
+        """The ``resume`` of a decode paused after ``ids[-1]``, before ``_step`` ran on it."""
+        paused = len(ids)
+
+        def resume(stop: Optional[StopHook] = None) -> DecodeResult:
+            if len(ids) != paused or state.length != paused - 1:
+                raise RuntimeError("this decode was already resumed")
+            self._step(state, ids[-1])
+            return self._generate(state, ids, limit, stop)
+
+        return resume
 
     def _advance(self, state: _DecodeState, new_ids: list[int]) -> None:
         """Run the next ``len(new_ids)`` positions through the decoder.
@@ -477,7 +514,8 @@ class ScriptedAdapter:
     that frame across every layer and head), whether the hypothesis ended
     with end-of-sequence, and optionally the detected source word count.
     Useful for driving the simulator down exact decision paths; also the
-    reference example of a non-toy ``ModelAdapter``, early stop included.
+    reference example of a non-toy ``ModelAdapter``, early stop and resume
+    included.
     """
 
     accepts_stop = True
@@ -541,18 +579,42 @@ class ScriptedAdapter:
                 raise ValueError(f"scripted alignment {frame} outside [0, {enc.n})")
             attn[:, :, i, frame] = 1.0
         eos_reached = step.eos and len(step.tokens) == len(tokens)
-        if stop is not None:
-            for i in range(len(prefix), len(tokens)):
-                if stop(tokens[i], attn[:, :, i]):
-                    tokens, attn, eos_reached = tokens[: i + 1], attn[:, :, : i + 1], False
-                    break
-        return DecodeResult(tokens=tokens, attention=attn, eos_reached=eos_reached)
+        # as in ToyModel, the token that reaches max_new is not offered to the hook
+        hooked_end = min(len(tokens), len(prefix) + max_new - 1)
+        return _scripted_result(tokens, attn, eos_reached, len(prefix), hooked_end, stop)
 
     def count_source_words(self, raw_features: np.ndarray) -> int:
         feats = np.asarray(raw_features, dtype=float)
         n = -(-feats.shape[0] // self._reduction)
         step = self._script(n)
         return step.source_words
+
+
+def _scripted_result(
+    tokens: tuple[int, ...],
+    attn: np.ndarray,
+    eos_reached: bool,
+    start: int,
+    hooked_end: int,
+    stop: Optional[StopHook],
+) -> DecodeResult:
+    """A scripted decode from output position ``start`` on.
+
+    Tokens before ``hooked_end`` are offered to ``stop``; a firing pauses
+    the decode with a ``resume`` that continues from the next token.
+    """
+    if stop is not None:
+        for i in range(start, hooked_end):
+            if stop(tokens[i], attn[:, :, i]):
+                return DecodeResult(
+                    tokens=tokens[: i + 1],
+                    attention=attn[:, :, : i + 1],
+                    eos_reached=False,
+                    resume=lambda stop: _scripted_result(
+                        tokens, attn, eos_reached, i + 1, hooked_end, stop
+                    ),
+                )
+    return DecodeResult(tokens=tokens, attention=attn, eos_reached=eos_reached)
 
 
 @dataclass(frozen=True)

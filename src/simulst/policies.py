@@ -17,17 +17,20 @@ per-session state (hyperparameters, agreement history) the simulator needs.
 A policy whose decision is fixed by a prefix of the candidates also offers a
 ``stop_rule``: a per-token predicate, built on the same decision function,
 that lets the decoder stop at the token where ``decide`` can no longer change.
+Local agreement stops at the first disagreement with the previous hypothesis,
+which it reads lazily: a previous decode that was stopped early is resumed
+only as far as the comparison reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import StopHook
+from .model import Resume, StopHook
 from .vocab import Vocabulary
 
 DEFAULT_EDATT_LAM = 2
@@ -51,7 +54,7 @@ class PolicyDecision:
 
 @dataclass(frozen=True)
 class StepContext:
-    """Everything a policy may inspect at one timestep: seven fields.
+    """Everything a policy may inspect at one timestep: eight fields.
 
     ``candidates`` are the tokens decoded past the ``committed`` prefix, so
     the full hypothesis is ``committed + candidates``. ``attention`` is their
@@ -59,8 +62,9 @@ class StepContext:
     frames (the committed prefix is not re-gated), and ``alignment`` is each
     candidate's most-attended frame. ``source_words`` is the number of source
     words detected so far (0 unless the policy ``uses_word_counts``).
-    ``eos_reached`` tells whether the decode ended at end-of-sequence, and
-    ``vocab`` is the adapter's vocabulary.
+    ``eos_reached`` tells whether the decode ended at end-of-sequence,
+    ``vocab`` is the adapter's vocabulary, and ``resume`` continues the
+    decode when this step's stop hook ended it (``DecodeResult.resume``).
     """
 
     candidates: tuple[int, ...]
@@ -70,6 +74,7 @@ class StepContext:
     committed: tuple[int, ...]
     eos_reached: bool
     vocab: Vocabulary
+    resume: Optional[Resume] = field(default=None, compare=False, repr=False)
 
 
 def alignatt_decide(
@@ -138,6 +143,7 @@ def waitk_allowed(k: int, source_words_detected: int, target_words_emitted: int)
 
 
 def longest_common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
+    """Length of the common prefix; ``b`` is read no further than ``a`` allows."""
     length = 0
     for x, y in zip(a, b):
         if x != y:
@@ -157,7 +163,7 @@ def local_agreement_prefix(
     """
     if previous is None:
         return PolicyDecision(0, StopReason.DISAGREEMENT)
-    lcp = longest_common_prefix(previous, current)
+    lcp = longest_common_prefix(current, previous)
     commit = max(0, lcp - committed)
     if lcp < len(current):
         return PolicyDecision(commit, StopReason.DISAGREEMENT)
@@ -184,7 +190,6 @@ class Policy:
         Asked for before each decode but the final flush. The hook may return
         true only at a token after which no continuation changes what
         ``decide`` commits; ``decide`` still runs on the shortened decode.
-        Local agreement, which compares full hypotheses, keeps this default.
         """
         return None
 
@@ -277,13 +282,38 @@ class WaitKPolicy(Policy):
         return stop
 
 
+class _Hypothesis:
+    """A decode's tokens, extended on demand by resuming the decode one token at a time."""
+
+    def __init__(self, tokens: tuple[int, ...], resume: Optional[Resume]):
+        self._tokens = tokens
+        self._resume = resume
+
+    def token(self, i: int) -> Optional[int]:
+        """Token ``i`` of the full decode, or None past its end."""
+        while i >= len(self._tokens) and self._resume is not None:
+            result = self._resume(_after_one_token)
+            self._tokens, self._resume = result.tokens, result.resume
+        return self._tokens[i] if i < len(self._tokens) else None
+
+    def __iter__(self) -> Iterator[int]:
+        i = 0
+        while (token := self.token(i)) is not None:
+            yield token
+            i += 1
+
+
+def _after_one_token(token: int, row: np.ndarray) -> bool:
+    return True
+
+
 class LocalAgreementPolicy(Policy):
     """Commit what the previous and the current hypothesis agree on."""
 
     name = "local_agreement"
 
     def __init__(self):
-        self._previous: tuple[int, ...] | None = None
+        self._previous: _Hypothesis | None = None
 
     def reset(self) -> None:
         self._previous = None
@@ -291,5 +321,20 @@ class LocalAgreementPolicy(Policy):
     def decide(self, ctx: StepContext) -> PolicyDecision:
         current = ctx.committed + ctx.candidates
         decision = local_agreement_prefix(self._previous, current, len(ctx.committed))
-        self._previous = current
+        self._previous = _Hypothesis(current, ctx.resume)
         return decision
+
+    def stop_rule(self, committed, source_words, vocab, layer):
+        previous = self._previous
+        if previous is None:
+            # nothing commits without a previous hypothesis: one token suffices
+            return _after_one_token
+        position = len(committed)
+
+        def stop(token: int, row: np.ndarray) -> bool:
+            # the first token past the longest common prefix ``decide`` computes
+            nonlocal position
+            position += 1
+            return previous.token(position - 1) != token
+
+        return stop

@@ -30,6 +30,7 @@ from .simulator import (
     SimulatedClock,
     run_session,
     write_emission_log,
+    write_failed_log,
     write_text_atomic,
 )
 from .vocab import build_default_vocabulary
@@ -131,12 +132,22 @@ def _json_number(value: float | None) -> float | None:
     return value
 
 
-def _run_one(entry: ManifestEntry, config: SessionConfig, adapter: ModelAdapter) -> EmissionLog | str:
-    """One session's emission log, or the message of the error that stopped it."""
+@dataclass(frozen=True)
+class _Failure:
+    """The error that stopped a session, and its log of commits so far if it had started."""
+
+    error: str
+    partial_log: EmissionLog | None = None
+
+
+def _run_one(
+    entry: ManifestEntry, config: SessionConfig, adapter: ModelAdapter
+) -> EmissionLog | _Failure:
+    """One session's emission log, or the failure that stopped it."""
     try:
         source = load_source_features(entry.source)
     except (OSError, ValueError) as exc:
-        return f"source unreadable: {exc}"
+        return _Failure(f"source unreadable: {exc}")
     clock = RealClock() if config.clock == "real" else SimulatedClock()
     try:
         return run_session(
@@ -149,8 +160,10 @@ def _run_one(entry: ManifestEntry, config: SessionConfig, adapter: ModelAdapter)
             step_cost_s=config.step_cost_s,
             max_new=config.max_new,
         )
-    except (SessionError, ValueError) as exc:
-        return str(exc)
+    except SessionError as exc:
+        return _Failure(str(exc), exc.partial_log)
+    except ValueError as exc:
+        return _Failure(str(exc))
 
 
 def _mean(values: list[float]) -> float:
@@ -209,7 +222,8 @@ def run_eval(
 
     Writes, when ``out_dir`` is given, ``<out_dir>/<run_id>/<utterance>.jsonl``
     per session plus an ``aggregate.json`` record. Per-utterance errors are
-    recorded in the result rather than raised.
+    recorded in the result rather than raised; a failed session's log holds
+    its commits so far and ends with a record carrying the error.
     """
     if not entries:
         raise ConfigError("manifest is empty")
@@ -222,14 +236,19 @@ def run_eval(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(lambda e: _run_one(e, config, adapter), entries))
-    evaluation = aggregate(entries, outcomes, config)
+    evaluation = aggregate(
+        entries, [o.error if isinstance(o, _Failure) else o for o in outcomes], config
+    )
 
     if out_dir is not None:
         run_dir = Path(out_dir) / config.run_id
         run_dir.mkdir(parents=True, exist_ok=True)
-        for result in evaluation.results:
-            if result.log is not None:
-                write_emission_log(run_dir / f"{result.id}.jsonl", result.log)
+        for entry, outcome in zip(entries, outcomes):
+            path = run_dir / f"{entry.id}.jsonl"
+            if isinstance(outcome, _Failure):
+                write_failed_log(path, outcome.error, outcome.partial_log)
+            else:
+                write_emission_log(path, outcome)
         write_text_atomic(
             run_dir / "aggregate.json",
             json.dumps(evaluation.to_record(), indent=2, sort_keys=True) + "\n",

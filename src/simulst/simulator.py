@@ -6,7 +6,8 @@ tokens (with their aggregated cross-attention) to the decision policy.
 Committed output is append-only. When the source is exhausted the final
 hypothesis is committed unconditionally. Before every other decode the
 policy may supply a stop rule, which adapters that declare ``accepts_stop``
-use to end the decode once the policy's decision is fixed.
+use to end the decode once the policy's decision is fixed; the policy gets
+the decode's ``resume`` with the step's context, so it can read further.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -42,6 +43,7 @@ __all__ = [
     "StreamCursor",
     "run_session",
     "write_emission_log",
+    "write_failed_log",
     "read_emission_log",
 ]
 
@@ -246,12 +248,19 @@ def run_session(
             # retracts budget already granted.
             detected_words = max(detected_words, words)
         hook = {}
+        fired = False
         if accepts_stop and not final:
             try:
-                stop = policy.stop_rule(tuple(committed), detected_words, vocab, layer)
+                rule = policy.stop_rule(tuple(committed), detected_words, vocab, layer)
             except Exception as exc:
                 raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc
-            if stop is not None:
+            if rule is not None:
+
+                def stop(token: int, row: np.ndarray) -> bool:
+                    nonlocal fired
+                    fired = rule(token, row)
+                    return fired
+
                 hook["stop"] = stop
         try:
             states = adapter.encode(prefix)
@@ -260,6 +269,12 @@ def run_session(
             clock.charge(step_cost_s)
         except Exception as exc:
             raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
+        if fired and not result.eos_reached and result.resume is None:
+            # a policy reading this decode later (local agreement) would see it truncated
+            raise SessionError(
+                f"adapter ended the decode at the stop hook at {ideal_s:.3f}s without a resume",
+                partial(),
+            )
 
         candidates = list(result.tokens[len(committed):])
         if final:
@@ -275,6 +290,7 @@ def run_session(
             committed=tuple(committed),
             eos_reached=result.eos_reached,
             vocab=vocab,
+            resume=result.resume,
         )
         try:
             decision: PolicyDecision = policy.decide(context)
@@ -294,19 +310,29 @@ def run_session(
 
 def write_emission_log(path, log: EmissionLog) -> None:
     """One JSON event per line, then a summary record."""
-    lines = [
-        json.dumps(
-            {"token": e.token, "text": e.text, "ideal_s": e.ideal_s, "wall_s": e.wall_s},
-            ensure_ascii=False,
-        )
-        for e in log.events
-    ]
-    lines.append(
-        json.dumps(
-            {"source_duration_s": log.source_duration_s, "final_text": log.final_text},
-            ensure_ascii=False,
-        )
-    )
+    _write_log(path, log, {})
+
+
+def write_failed_log(path, error: str, partial_log: EmissionLog | None) -> None:
+    """The log of a failed session, which ``read_emission_log`` raises as ``error``.
+
+    It is the ``write_emission_log`` of the partial log with ``error`` added
+    to the summary record, or only ``{"error": ...}`` when the session never
+    started.
+    """
+    _write_log(path, partial_log, {"error": error})
+
+
+def _write_log(path, log: EmissionLog | None, extra: dict) -> None:
+    records, summary = [], {}
+    if log is not None:
+        records = [
+            {"token": e.token, "text": e.text, "ideal_s": e.ideal_s, "wall_s": e.wall_s}
+            for e in log.events
+        ]
+        summary = {"source_duration_s": log.source_duration_s, "final_text": log.final_text}
+    records.append(summary | extra)
+    lines = [json.dumps(record, ensure_ascii=False) for record in records]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -351,7 +377,8 @@ def read_emission_log(path) -> EmissionLog:
 
     Raises ValueError naming ``path`` when the file is empty, a line is not
     a JSON object, a key is missing or of the wrong type, or the source
-    duration is not positive.
+    duration is not positive. A log written by ``write_failed_log`` raises
+    ValueError with the session's error message verbatim.
     """
     lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
     if not lines:
@@ -373,6 +400,8 @@ def read_emission_log(path) -> EmissionLog:
         return kind(value)
 
     summary = record(lines[-1])
+    if "error" in summary:
+        raise ValueError(field(summary, "error", str))
     if "source_duration_s" not in summary or "final_text" not in summary:
         raise ValueError(f"{path}: missing trailing summary record")
     duration = field(summary, "source_duration_s", float)

@@ -353,6 +353,143 @@ class TestStopHook:
         assert "accepts_stop" not in ModelAdapter.__annotations__
 
 
+def resume_chain(adapter, enc, prefix, max_new, pauses):
+    """Decode with a hook firing at the generated tokens numbered in ``pauses``; resume each pause.
+
+    Returns every result of the chain, the uninterrupted decode's last.
+    """
+    offered = iter(range(10**6))
+
+    def stop(token, row):
+        return next(offered) in pauses
+
+    results = [adapter.decode_greedy(enc, prefix, max_new, stop=stop)]
+    while results[-1].resume is not None:
+        results.append(results[-1].resume(stop))
+    return results
+
+
+def assert_same_decode(got, want):
+    assert got.tokens == want.tokens
+    assert np.array_equal(got.attention, want.attention)
+    assert got.eos_reached == want.eos_reached
+
+
+class TestResume:
+    """``DecodeResult.resume`` continues a paused decode to exactly the uninterrupted result."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        frames=st.integers(1, 450),
+        share=st.floats(0.0, 1.0),
+        max_new=st.sampled_from([1, 2, 5, 128]),
+        pauses=st.sets(st.integers(0, 70), max_size=8),
+    )
+    def test_resumed_toy_decode_equals_the_uninterrupted_one(
+        self, toy_model, seed, frames, share, max_new, pauses
+    ):
+        enc = toy_model.encode(np.random.default_rng(seed).normal(size=(frames, 80)))
+        free = toy_model.decode_greedy(enc, [])
+        prefix = free.tokens[: round(share * len(free.tokens))]
+        full = toy_model.decode_greedy(enc, prefix, max_new)
+        chain = resume_chain(toy_model, enc, prefix, max_new, pauses)
+        assert_same_decode(chain[-1], full)
+        for paused in chain[:-1]:
+            # each pause is a prefix of the full decode, ended by the hook
+            m = len(paused.tokens)
+            assert paused.tokens == full.tokens[:m] and not paused.eos_reached
+            assert np.array_equal(paused.attention, full.attention[:, :, :m])
+            assert m - len(prefix) - 1 in pauses and m < len(prefix) + max_new
+
+    def test_chained_resumes_one_token_at_a_time(self, toy_model):
+        enc = toy_model.encode(np.random.default_rng(0).normal(size=(200, 80)))
+        full = toy_model.decode_greedy(enc, [])
+        chain = resume_chain(toy_model, enc, [], 128, set(range(100)))
+        assert full.eos_reached and len(full.tokens) == 45
+        # a pause after every token, then the resume that reaches end-of-sequence
+        assert [len(r.tokens) for r in chain] == list(range(1, 46)) + [45]
+        assert_same_decode(chain[-1], full)
+
+    def test_resume_grows_the_buffers(self, toy_model, monkeypatch):
+        states = []
+
+        class RecordedState(model_module._DecodeState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.append(self)
+
+        enc = toy_model.encode(np.random.default_rng(0).normal(size=(450, 80)))
+        full = toy_model.decode_greedy(enc, [])
+        monkeypatch.setattr(model_module, "_DecodeState", RecordedState)
+        paused = toy_model.decode_greedy(enc, [], stop=lambda token, row: True)
+        assert states[0].keys.shape[1] == 1 + model_module._INITIAL_NEW_ROWS
+        resumed = paused.resume(None)
+        assert len(states) == 1 and states[0].keys.shape[1] > 1 + model_module._INITIAL_NEW_ROWS
+        assert len(full.tokens) > model_module._INITIAL_NEW_ROWS
+        assert_same_decode(resumed, full)
+        # the paused result is a view the resume did not overwrite
+        assert np.array_equal(paused.attention, full.attention[:, :, :1])
+
+    def test_pause_right_before_eos(self, toy_model):
+        enc = toy_model.encode(np.random.default_rng(1).normal(size=(40, 80)))
+        prefix = toy_model.decode_greedy(enc, []).tokens[:-1]
+        full = toy_model.decode_greedy(enc, prefix)
+        assert full.eos_reached and len(full.tokens) == len(prefix) + 1
+        paused = toy_model.decode_greedy(enc, prefix, stop=lambda token, row: True)
+        assert paused.tokens == full.tokens and not paused.eos_reached
+        resumed = paused.resume(None)
+        assert_same_decode(resumed, full)
+        assert resumed.resume is None
+
+    def test_decode_ending_at_max_new_has_no_resume(self, toy_model):
+        enc = toy_model.encode(np.random.default_rng(2).normal(size=(200, 80)))
+        offered = []
+
+        def stop(token, row):
+            offered.append(token)
+            return len(offered) == 3
+
+        result = toy_model.decode_greedy(enc, [], max_new=3, stop=stop)
+        # the third token reaches max_new, so the hook never sees it
+        assert len(result.tokens) == 3 and len(offered) == 2
+        assert result.resume is None and not result.eos_reached
+        assert toy_model.decode_greedy(enc, [], max_new=1, stop=lambda t, r: True).resume is None
+        assert toy_model.decode_greedy(enc, []).resume is None
+
+    def test_a_resume_runs_once(self, toy_model):
+        enc = toy_model.encode(np.random.default_rng(3).normal(size=(200, 80)))
+        paused = toy_model.decode_greedy(enc, [], stop=lambda token, row: True)
+        paused.resume(lambda token, row: True)
+        with pytest.raises(RuntimeError, match="already resumed"):
+            paused.resume(None)
+
+    @pytest.mark.parametrize("max_new", [1, 2, 3, 4, 128])
+    @pytest.mark.parametrize("eos", [False, True])
+    def test_resumed_scripted_decode_equals_the_uninterrupted_one(self, max_new, eos):
+        vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "dd"])
+        a, b, c, d = (vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "dd"))
+        adapter = ScriptedAdapter(
+            vocab, {4: ScriptStep(tokens=(a, b, c, d), alignment=(0, 3, 1, 2), eos=eos)},
+            num_layers=2, num_heads=3,
+        )
+        enc = adapter.encode(np.zeros((16, 80)))
+        for prefix in ((), (a,), (a, b, c)):
+            full = adapter.decode_greedy(enc, prefix, max_new)
+            for pauses in (set(), {0}, {1}, {0, 1, 2}, set(range(4))):
+                chain = resume_chain(adapter, enc, prefix, max_new, pauses)
+                assert_same_decode(chain[-1], full)
+                for paused in chain[:-1]:
+                    assert not paused.eos_reached
+                    # never paused on the token that reaches max_new
+                    assert len(paused.tokens) < len(prefix) + max_new
+                    assert paused.tokens == full.tokens[: len(paused.tokens)]
+        # a pause right before end-of-sequence
+        paused = adapter.decode_greedy(enc, (a, b, c), stop=lambda token, row: True)
+        assert paused.tokens == (a, b, c, d) and not paused.eos_reached
+        assert paused.resume(None).eos_reached == eos
+
+
 class TestSharedAcrossThreads:
     def test_position_table_growth_race(self):
         # Every round restarts from a one-row table, so the threads grow it

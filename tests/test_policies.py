@@ -1,5 +1,7 @@
 """Decision policies: stopping rules, schedules, agreement, monotonicity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from simulst import (
     EDAttPolicy,
     LocalAgreementPolicy,
     Policy,
+    PolicyDecision,
+    ScriptStep,
+    ScriptedAdapter,
     StepContext,
     StopReason,
     Vocabulary,
@@ -393,6 +398,34 @@ def _step_context(vocab, tensor, layer, committed, candidates, source_words, eos
     )
 
 
+def _la_context(vocab, committed, candidates, resume, eos=False):
+    return dataclasses.replace(
+        _waitk_context(vocab, committed, candidates, 0, eos), resume=resume
+    )
+
+
+def _paused_decode(tokens, pause, resumes):
+    """A scripted decode of ``tokens`` ended by its hook after token ``pause``; resumes are logged."""
+    step = ScriptStep(tokens=tokens, alignment=(0,) * len(tokens))
+    adapter = ScriptedAdapter(_WAITK_VOCAB, {4: step})
+    offered = iter(range(10**6))
+    result = adapter.decode_greedy(
+        adapter.encode(np.zeros((16, 80))), [], stop=lambda token, row: next(offered) == pause
+    )
+
+    def logged(result):
+        if result.resume is None:
+            return result
+
+        def resume(stop):
+            resumes.append(len(result.tokens))
+            return logged(result.resume(stop))
+
+        return dataclasses.replace(result, resume=resume)
+
+    return logged(result)
+
+
 class TestStopRule:
     """A stop rule fires only where ``decide`` on the shortened decode equals ``decide`` in full."""
 
@@ -452,5 +485,63 @@ class TestStopRule:
         assert [stop(t, row) for t in (de, an, de, be, an)] == [False, False, False, False, True]
 
     def test_policies_needing_the_whole_hypothesis_decode_in_full(self):
-        assert LocalAgreementPolicy().stop_rule((), 3, _WAITK_VOCAB, 0) is None
         assert Policy().stop_rule((), 3, _WAITK_VOCAB, 0) is None
+
+    def test_local_agreement_fires_at_the_first_disagreement(self):
+        vocab, row = _WAITK_VOCAB, np.zeros((1, 1, 4))
+        policy = LocalAgreementPolicy()
+        # no previous hypothesis: nothing can agree, so one token suffices
+        assert policy.stop_rule((), 0, vocab, 0)(3, row)
+        policy.decide(_waitk_context(vocab, [], [3, 4, 5], 0))
+        # candidates are compared from the end of the committed prefix on
+        stop = policy.stop_rule((3,), 0, vocab, 0)
+        assert [stop(t, row) for t in (4, 6)] == [False, True]
+        stop = policy.stop_rule((3,), 0, vocab, 0)
+        assert [stop(t, row) for t in (4, 5, 5)] == [False, False, True]  # past its end
+
+    def test_local_agreement_resumes_the_previous_hypothesis_as_far_as_it_reads(self):
+        vocab, row = _WAITK_VOCAB, np.zeros((1, 1, 4))
+        resumes = []
+        paused = _paused_decode((3, 4, 5, 6), pause=0, resumes=resumes)
+        assert paused.tokens == (3,)
+        policy = LocalAgreementPolicy()
+        policy.decide(_la_context(vocab, (), paused.tokens, paused.resume))
+        stop = policy.stop_rule((), 0, vocab, 0)
+        assert [stop(t, row) for t in (3, 4, 5)] == [False, False, False]
+        assert len(resumes) == 2  # tokens 4 and 5 of the previous hypothesis
+        assert stop(7, row) and len(resumes) == 3
+        # decide reads no further than the hook did
+        decision = policy.decide(_la_context(vocab, (), (3, 4, 5, 7), None))
+        assert decision == PolicyDecision(3, StopReason.DISAGREEMENT)
+        assert len(resumes) == 3
+        # nor past the end of a current hypothesis that agrees throughout
+        resumes.clear()
+        paused = _paused_decode((3, 4, 5, 6), pause=0, resumes=resumes)
+        policy.decide(_la_context(vocab, (), paused.tokens, paused.resume))
+        decision = policy.decide(_la_context(vocab, (), (3, 4), None, eos=True))
+        assert decision == PolicyDecision(2, StopReason.EXHAUSTED)
+        assert len(resumes) == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        previous=st.lists(st.integers(2, 5), max_size=8),
+        pause=st.integers(0, 8),
+        share=st.floats(0.0, 1.0),
+        tail=st.lists(st.integers(2, 5), max_size=8),
+        eos=st.booleans(),
+    )
+    def test_local_agreement_fires_only_once_decide_is_fixed(self, previous, pause, share, tail, eos):
+        vocab, row = _WAITK_VOCAB, np.zeros((1, 1, 4))
+        committed = tuple(previous[: round(share * len(previous))])
+        hooked, full = LocalAgreementPolicy(), LocalAgreementPolicy()
+        for policy in (hooked, full):
+            paused = _paused_decode(tuple(previous), pause, [])
+            policy.decide(_la_context(vocab, (), paused.tokens, paused.resume))
+        stop = hooked.stop_rule(committed, 0, vocab, 0)
+        fired = next((i for i, token in enumerate(tail) if stop(token, row)), None)
+        want = full.decide(_la_context(vocab, committed, tuple(tail), None, eos))
+        agrees = tuple(tail) == tuple(previous[len(committed): len(committed) + len(tail)])
+        assert (fired is None) == agrees
+        if fired is not None:
+            got = hooked.decide(_la_context(vocab, committed, tuple(tail[: fired + 1]), None))
+            assert got == want and got.commit_count == fired

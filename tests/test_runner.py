@@ -11,9 +11,12 @@ import pytest
 from simulst import (
     AlignAttPolicy,
     ConfigError,
+    PolicyDecision,
     SessionConfig,
+    StopReason,
     ToyModel,
     load_manifest,
+    read_emission_log,
     read_features,
     run_eval,
     runner,
@@ -103,9 +106,34 @@ class TestRunEval:
             (tmp_path / ALIGNATT4.run_id / "aggregate.json").read_text(encoding="utf-8")
         )
         assert record["failed_ids"] == [broken[0].id]
-        # failed utterance contributes neither a log file nor pooled counts
-        assert not (tmp_path / ALIGNATT4.run_id / f"{broken[0].id}.jsonl").exists()
+        # the failed utterance's log is its error alone; it adds no pooled counts
+        path = tmp_path / ALIGNATT4.run_id / f"{broken[0].id}.jsonl"
+        error = evaluation.results[0].error
+        assert path.read_text(encoding="utf-8") == json.dumps({"error": error}) + "\n"
         assert record["corpus_bleu"] is not None
+
+    def test_failed_session_log_keeps_its_commits_and_error(self, small_suite, tmp_path, monkeypatch):
+        class FailsThirdStep(AlignAttPolicy):
+            steps = 0
+
+            def decide(self, ctx):
+                self.steps += 1
+                if self.steps == 3:
+                    raise IndexError("alignment index out of range")
+                return PolicyDecision(len(ctx.candidates), StopReason.EXHAUSTED)
+
+        monkeypatch.setattr(SessionConfig, "make_policy", lambda config: FailsThirdStep(config.f))
+        config = SessionConfig(policy="alignatt", f=4, chunk_ms=250.0)
+        evaluation = run_eval(small_suite[:1], config, out_dir=tmp_path)
+        error = evaluation.results[0].error
+        assert "policy failed" in error
+        path = tmp_path / config.run_id / f"{small_suite[0].id}.jsonl"
+        *events, summary = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+        assert events and all(set(e) == {"token", "text", "ideal_s", "wall_s"} for e in events)
+        assert summary["error"] == error and summary["source_duration_s"] > 0
+        with pytest.raises(ValueError) as info:
+            read_emission_log(path)
+        assert str(info.value) == error
 
     def test_overflowing_clock_fails_each_utterance_and_writes_no_infinity(
         self, small_suite, tmp_path

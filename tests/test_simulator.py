@@ -1,5 +1,7 @@
 """Streaming session driver: clocks, chunked delivery, commit timing, JSONL."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,12 +29,14 @@ from simulst import (
     alignatt_decide,
     build_default_vocabulary,
     compute_alignment,
+    load_manifest,
+    load_source_features,
     read_emission_log,
     run_session,
     write_emission_log,
 )
 
-from conftest import make_source
+from conftest import build_suite, make_source
 
 
 class TestSimulatedClock:
@@ -311,6 +315,7 @@ class _Forwarding:
         self.num_heads = inner.num_heads
         self.decode_keywords = []
         self.decoded = []
+        self.resumed = 0
 
     def encode(self, feats):
         return self._inner.encode(feats)
@@ -319,7 +324,17 @@ class _Forwarding:
         self.decode_keywords.append(sorted(keywords))
         result = self._inner.decode_greedy(enc, forced_prefix, max_new, **keywords)
         self.decoded.append(len(result.tokens) - len(forced_prefix))
-        return result
+        return self._counting_resumes(result)
+
+    def _counting_resumes(self, result):
+        if result.resume is None:
+            return result
+
+        def resume(stop):
+            self.resumed += 1
+            return self._counting_resumes(result.resume(stop))
+
+        return dataclasses.replace(result, resume=resume)
 
     def count_source_words(self, feats):
         return self._inner.count_source_words(feats)
@@ -366,6 +381,66 @@ def random_scripts(draw):
     return source, ScriptedAdapter(_STOP_VOCAB, script, num_layers=2, num_heads=2), chunk_ms
 
 
+class _Diverging:
+    """Scripted hypotheses that keep the committed prefix and diverge after it.
+
+    ``hypotheses[n - 1]`` is the hypothesis at encoder length n; a decode
+    returns the forced prefix followed by that hypothesis past the prefix's
+    length, so successive hypotheses may disagree anywhere past what has been
+    committed. Frames and flags are drawn as in ``random_scripts``.
+    """
+
+    accepts_stop = True
+    num_decoder_layers = 2
+    num_heads = 2
+    vocab = _STOP_VOCAB
+
+    def __init__(self, hypotheses, seed, words_per_frame):
+        self._hypotheses = hypotheses
+        self._seed = seed
+        self._words_per_frame = words_per_frame
+
+    def encode(self, feats):
+        return ScriptedAdapter(self.vocab, {}).encode(feats)
+
+    def decode_greedy(self, enc, forced_prefix, max_new=128, stop=None):
+        n, prefix = enc.n, tuple(forced_prefix)
+        tokens = prefix + tuple(self._hypotheses[n - 1][len(prefix):])
+        rng = np.random.default_rng((self._seed, n, len(prefix)))
+        late = n - 1 - rng.integers(0, min(n, 3), size=len(tokens))
+        alignment = np.where(rng.random(len(tokens)) < 0.5, late, rng.integers(0, n, size=len(tokens)))
+        step = ScriptStep(
+            tokens=tokens,
+            alignment=tuple(int(a) for a in alignment),
+            eos=bool(rng.random() < 0.5),
+        )
+        adapter = ScriptedAdapter(self.vocab, {n: step}, self.num_decoder_layers, self.num_heads)
+        return adapter.decode_greedy(enc, prefix, max_new, stop=stop)
+
+    def count_source_words(self, feats):
+        return int(self.encode(feats).n * self._words_per_frame)
+
+
+@st.composite
+def diverging_scripts(draw):
+    """A source and a ``_Diverging`` adapter whose hypotheses are random edits of one master."""
+    frames = draw(st.integers(4, 120))
+    chunk_ms = draw(st.sampled_from([40.0, 80.0, 120.0, 200.0]))
+    n_max = -(-frames // 4)
+    token = st.integers(2, _STOP_VOCAB.size - 1)
+    master = draw(st.lists(token, max_size=14))
+    hypotheses = []
+    for _ in range(n_max):
+        edited = list(master[: draw(st.integers(0, len(master)))])
+        for _ in range(draw(st.integers(0, 2))):
+            if edited:
+                edited[draw(st.integers(0, len(edited) - 1))] = draw(token)
+        hypotheses.append(tuple(edited) + tuple(draw(st.lists(token, max_size=2))))
+    adapter = _Diverging(hypotheses, draw(st.integers(0, 10_000)), draw(st.floats(0.0, 1.5)))
+    source = FeatureMatrix(frames=np.zeros((frames, 80), dtype=np.float32))
+    return source, adapter, chunk_ms
+
+
 class TestStopHook:
     """The stop hook only ends decodes early: it never changes what is committed, or when."""
 
@@ -378,19 +453,39 @@ class TestStopHook:
         lambda: LocalAgreementPolicy(),
     ]
 
+    @staticmethod
+    def assert_hook_changes_no_log(source, adapter, chunk_ms, max_new, make_policy):
+        """Run with and without the hook; returns how often the hooked run resumed a decode."""
+        hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
+        logs = [
+            run_session(source, a, make_policy(), chunk_ms=chunk_ms, max_new=max_new)
+            for a in (hooked, plain)
+        ]
+        assert logs[0] == logs[1]
+        assert all(kw == [] for kw in plain.decode_keywords)
+        assert all(h <= p for h, p in zip(hooked.decoded, plain.decoded))
+        return hooked.resumed
+
     @settings(max_examples=150, deadline=None)
     @given(case=random_scripts(), max_new=st.sampled_from([2, 128]))
     def test_log_equals_the_log_of_an_adapter_without_the_capability(self, case, max_new):
-        source, adapter, chunk_ms = case
         for make_policy in self.POLICIES:
-            hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
-            logs = [
-                run_session(source, a, make_policy(), chunk_ms=chunk_ms, max_new=max_new)
-                for a in (hooked, plain)
-            ]
-            assert logs[0] == logs[1]
-            assert all(kw == [] for kw in plain.decode_keywords)
-            assert all(h <= p for h, p in zip(hooked.decoded, plain.decoded))
+            self.assert_hook_changes_no_log(*case, max_new, make_policy)
+
+    def test_diverging_hypotheses_log_equal_and_local_agreement_resumes(self):
+        resumed = []
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(case=diverging_scripts(), max_new=st.sampled_from([2, 128]))
+        def check(case, max_new):
+            for make_policy in self.POLICIES:
+                count = self.assert_hook_changes_no_log(*case, max_new, make_policy)
+                if make_policy is not self.POLICIES[-1]:
+                    assert count == 0  # only local agreement reads past a stopped decode
+                resumed.append(count)
+
+        check()
+        assert sum(c > 0 for c in resumed) >= 10
 
     def test_hook_shortens_decodes(self):
         vocab, ids, adapter, source = scripted_setup("late")
@@ -409,11 +504,72 @@ class TestStopHook:
         run_session(source, plain, make_policy(), chunk_ms=400.0)
         assert plain.decode_keywords == [[]] * 4
 
-    def test_local_agreement_decodes_in_full(self):
+    def test_local_agreement_stops_at_the_first_disagreement(self):
         vocab, ids, adapter, source = scripted_setup("late")
-        hooked = _AcceptsStop(adapter)
-        run_session(source, hooked, LocalAgreementPolicy(), chunk_ms=400.0)
-        assert hooked.decode_keywords == [[]] * 4
+        hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
+        logs = [run_session(source, a, LocalAgreementPolicy(), chunk_ms=400.0) for a in (hooked, plain)]
+        assert logs[0] == logs[1] and logs[0].tokens == tuple(ids)
+        # step 1 has no previous hypothesis and stops after one token; steps
+        # 2 and 3 stop at the token past the previous hypothesis's end, which
+        # resuming that hypothesis finds; the final flush decodes in full
+        assert hooked.decode_keywords == [["stop"]] * 3 + [[]]
+        assert hooked.decoded == [1, 2, 2, 2] and plain.decoded == [1, 2, 2, 2]
+        assert hooked.resumed == 2
+
+    def test_local_agreement_reads_the_previous_hypothesis_lazily(self):
+        vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
+        a, b, c, d = (vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "▁dd"))
+        script = {
+            10: ScriptStep(tokens=(a, b, c, d), alignment=(0, 0, 0, 0)),
+            20: ScriptStep(tokens=(a, b, d, c), alignment=(0, 0, 0, 0)),
+            30: ScriptStep(tokens=(a, b, d, c, a), alignment=(0, 0, 0, 0, 0), eos=True),
+        }
+        source = FeatureMatrix(frames=np.zeros((120, 80), dtype=np.float32))
+        adapter = ScriptedAdapter(vocab, script)
+        hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
+        logs = [run_session(source, x, LocalAgreementPolicy(), chunk_ms=400.0) for x in (hooked, plain)]
+        assert logs[0] == logs[1] and logs[0].tokens == (a, b, d, c, a)
+        # step 2 resumes step 1's one-token decode twice and stops at d, its
+        # first disagreement; the flush then decodes in full
+        assert hooked.decoded == [1, 3, 3] and plain.decoded == [4, 4, 3]
+        assert hooked.resumed == 2
+        assert [e.ideal_s for e in logs[0].events] == pytest.approx([0.8, 0.8, 1.2, 1.2, 1.2])
+
+    def test_toy_local_agreement_logs_equal_with_and_without_the_hook(self, toy_model, tmp_path):
+        entries = load_manifest(build_suite(tmp_path, num_utterances=4))
+        resumed = 0
+        for chunk_ms in (250.0, 600.0):
+            for entry in entries:
+                source = load_source_features(entry.source)
+                hooked, plain = _AcceptsStop(toy_model), _Forwarding(toy_model)
+                logs = [
+                    run_session(source, x, LocalAgreementPolicy(), chunk_ms=chunk_ms)
+                    for x in (hooked, plain)
+                ]
+                assert logs[0] == logs[1]
+                assert sum(hooked.decoded) < sum(plain.decoded)
+                resumed += hooked.resumed
+        assert resumed > 0
+
+    def test_hook_ending_a_decode_without_a_resume_fails_the_session(self):
+        vocab, ids, adapter, source = scripted_setup("late")
+
+        class DropsResume(_AcceptsStop):
+            def decode_greedy(self, enc, forced_prefix, max_new=128, **keywords):
+                result = super().decode_greedy(enc, forced_prefix, max_new, **keywords)
+                return dataclasses.replace(result, resume=None)
+
+        with pytest.raises(SessionError, match=r"without a resume") as info:
+            run_session(source, DropsResume(adapter), LocalAgreementPolicy(), chunk_ms=400.0)
+        assert info.value.partial_log.events == ()
+
+        class IgnoresHook(_AcceptsStop):
+            def decode_greedy(self, enc, forced_prefix, max_new=128, stop=None):
+                return super().decode_greedy(enc, forced_prefix, max_new)
+
+        # an adapter that ignores the hook needs no resume
+        log = run_session(source, IgnoresHook(adapter), LocalAgreementPolicy(), chunk_ms=400.0)
+        assert log.tokens == tuple(ids)
 
     def test_failing_stop_rule_is_a_policy_error(self):
         vocab, ids, adapter, source = scripted_setup("early")
@@ -546,6 +702,7 @@ class TestEmissionLogIO:
             (EVENT.replace('"wall_s": 1.0', '"wall_s": 1' + "0" * 400), SUMMARY),
             (EVENT, SUMMARY.replace("1.0", "-1.0")),
             (EVENT, SUMMARY.replace('"a"', "7")),
+            (EVENT, '{"error": 3}'),
         ],
     )
     def test_malformed_record_rejected_with_path(self, tmp_path, event, summary):
