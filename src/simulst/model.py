@@ -15,7 +15,7 @@ It exists to exercise every interface at negligible cost, not to translate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -62,20 +62,12 @@ class DecodeResult:
 
     ``tokens`` is the full output (prefix + continuation, never containing
     end-of-sequence); ``attention`` is the (layers, heads, len(tokens), n)
-    cross-attention captured at each generated position. ``resume`` is set
-    only on a decode that its stop hook ended (see ``ModelAdapter``).
+    cross-attention captured at each generated position.
     """
 
     tokens: tuple[int, ...]
     attention: np.ndarray
     eos_reached: bool
-    resume: Optional[Resume] = field(default=None, compare=False, repr=False)
-
-
-# stop(token, row) -> True ends the decode after ``token``; row is its (L, H, n) cross-attention
-StopHook = Callable[[int, np.ndarray], bool]
-# resume(stop) -> the paused decode continued under a new hook (None: to its end)
-Resume = Callable[[Optional[StopHook]], DecodeResult]
 
 
 @runtime_checkable
@@ -83,27 +75,16 @@ class ModelAdapter(Protocol):
     """What the simulator requires of a model.
 
     Adapters are immutable after construction and safe to share across
-    concurrent sessions; any scratch state lives inside a single call or,
-    for a paused decode, in the ``resume`` of the result it returned.
-    External bridges (e.g. a subprocess wrapping a trained model) satisfy
-    this protocol by mapping their outputs onto ``EncoderStates`` /
-    ``DecodeResult``.
+    concurrent sessions; any scratch state lives inside a single call or in
+    a ``Decode`` it returned. External bridges (e.g. a subprocess wrapping a
+    trained model) satisfy this protocol by mapping their outputs onto
+    ``EncoderStates`` / ``DecodeResult``.
 
-    Optional early stop: an adapter may declare the class attribute
-    ``accepts_stop = True`` (not part of this protocol) and take a keyword
-    ``stop`` (a ``StopHook``) in ``decode_greedy``. It then calls
-    ``stop(token, row)`` after each generated token, before computing the
-    next, and ends the decode there with ``eos_reached=False`` when the call
-    returns true. The hook is not consulted on the token that reaches
-    ``max_new``. The hook is advisory: the simulator runs the policy on
-    whatever the decode returns, so ignoring the hook costs only time. But
-    a decode that the hook did end must come back with ``resume`` set: a
-    one-shot ``resume(stop)`` that continues the same decode from where it
-    paused, giving exactly the result of a decode whose earlier hook had
-    returned false at that token (and ``stop`` as its hook from there on).
-    ``resume`` is never set on a decode that ended at end-of-sequence or at
-    ``max_new``. The simulator fails the session when the hook ended a
-    decode that has no ``resume``.
+    Optional early stop: an adapter may also offer
+    ``start_decode(enc, forced_prefix, max_new)`` (not part of this
+    protocol), the same decode as a ``Decode`` paused before its first
+    generated token; draining it gives exactly ``decode_greedy``'s result.
+    Several decodes of one adapter may be live, each advancing on its own.
     """
 
     num_decoder_layers: int
@@ -117,6 +98,42 @@ class ModelAdapter(Protocol):
     ) -> DecodeResult: ...
 
     def count_source_words(self, raw_features: np.ndarray) -> int: ...
+
+
+class Decode:
+    """A greedy decode that generates each token when asked for it (see ``ModelAdapter``).
+
+    ``tokens``, ``attention`` and ``eos_reached`` read as in ``DecodeResult``
+    for the tokens generated so far. ``advance()`` generates the next token
+    and returns it with its (layers, heads, n) cross-attention row, or None
+    once end-of-sequence was read or ``max_new`` tokens exist.
+
+    Subclasses keep the output so far, forced prefix included, in
+    ``_tokens``; row i of ``_rows()`` is the cross-attention of token i; and
+    ``_next()`` generates one token, returning false once the decode has
+    ended. Any other object with the four public members also serves.
+    """
+
+    eos_reached = False
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        return tuple(self._tokens)
+
+    @property
+    def attention(self) -> np.ndarray:
+        return self._rows()[:, :, : len(self._tokens)]
+
+    def advance(self) -> Optional[tuple[int, np.ndarray]]:
+        if not self._next():
+            return None
+        return self._tokens[-1], self._rows()[:, :, len(self._tokens) - 1]
+
+    def drained(self) -> DecodeResult:
+        """The result once every remaining token is generated, with no per-token rows built."""
+        while self._next():
+            pass
+        return DecodeResult(self.tokens, self.attention, self.eos_reached)
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
@@ -154,8 +171,6 @@ class ToyModelConfig:
 
 class ToyModel:
     """Fixed-seed encoder-decoder exercising the full adapter contract."""
-
-    accepts_stop = True
 
     def __init__(self, config: ToyModelConfig = ToyModelConfig(), vocab: Optional[Vocabulary] = None):
         self.config = config
@@ -309,22 +324,22 @@ class ToyModel:
         return logits, np.stack(cross_layers)
 
     def decode_greedy(
-        self,
-        enc: EncoderStates,
-        forced_prefix: Sequence[int],
-        max_new: int = DEFAULT_MAX_NEW,
-        stop: Optional[StopHook] = None,
+        self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
     ) -> DecodeResult:
         """Greedily extend the forced prefix by up to ``max_new`` tokens.
 
-        Generation stops at end-of-sequence (never included in the output),
-        or right after a generated token for which ``stop(token, row)``
-        returns true; such a result carries ``resume`` (see ``ModelAdapter``).
+        Generation stops at end-of-sequence (never included in the output).
         The returned attention covers every output position: row i is the
         cross-attention of the pass that generated token i, captured by the
         incremental pass itself (teacher-forcing reproduces it for forced
         positions).
         """
+        return self.start_decode(enc, forced_prefix, max_new).drained()
+
+    def start_decode(
+        self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
+    ) -> _ToyDecode:
+        """The decode of ``decode_greedy``, prefilled and paused before its first generated token."""
         if max_new < 1:
             raise ValueError("max_new must be at least 1")
         prefix = list(forced_prefix)
@@ -334,50 +349,9 @@ class ToyModel:
             if not 0 <= t < self.vocab.size:
                 raise ValueError(f"forced prefix contains unknown token id {t}")
 
-        ids = [self.vocab.bos_id] + prefix
-        state = _DecodeState(self, enc.states, len(ids) + min(max_new, _INITIAL_NEW_ROWS))
-        self._advance(state, ids)
-        return self._generate(state, ids, len(ids) + max_new, stop)
-
-    def _generate(
-        self, state: _DecodeState, ids: list[int], limit: int, stop: Optional[StopHook]
-    ) -> DecodeResult:
-        """Generate from ``state.logits`` until end-of-sequence, ``limit`` ids or the hook.
-
-        ``decode_greedy`` and every ``resume`` share this loop, so a paused
-        decode continues with the very state it stopped in.
-        """
-        resume = None
-        while True:
-            next_id = int(state.logits.argmax())
-            if next_id == self.vocab.eos_id:
-                break
-            ids.append(next_id)
-            if len(ids) == limit:
-                break
-            if stop is not None and stop(next_id, state.attention[:, :, len(ids) - 2]):
-                resume = self._resumer(state, ids, limit)
-                break
-            self._step(state, next_id)
-        tokens = tuple(ids[1:])
-        return DecodeResult(
-            tokens=tokens,
-            attention=state.attention[:, :, : len(tokens)],
-            eos_reached=next_id == self.vocab.eos_id,
-            resume=resume,
-        )
-
-    def _resumer(self, state: _DecodeState, ids: list[int], limit: int) -> Resume:
-        """The ``resume`` of a decode paused after ``ids[-1]``, before ``_step`` ran on it."""
-        paused = len(ids)
-
-        def resume(stop: Optional[StopHook] = None) -> DecodeResult:
-            if len(ids) != paused or state.length != paused - 1:
-                raise RuntimeError("this decode was already resumed")
-            self._step(state, ids[-1])
-            return self._generate(state, ids, limit, stop)
-
-        return resume
+        state = _DecodeState(self, enc.states, 1 + len(prefix) + min(max_new, _INITIAL_NEW_ROWS))
+        self._advance(state, [self.vocab.bos_id] + prefix)
+        return _ToyDecode(self, state, prefix, len(prefix) + max_new)
 
     def _advance(self, state: _DecodeState, new_ids: list[int]) -> None:
         """Run the next ``len(new_ids)`` positions through the decoder.
@@ -495,6 +469,37 @@ class _DecodeState:
         self.keys, self.values, self.attention = grown
 
 
+class _ToyDecode(Decode):
+    """A ``ToyModel`` decode over its ``_DecodeState``.
+
+    ``_step`` runs on a generated token only when the token after it is
+    asked for, so a paused decode has done the decoder work of the tokens it
+    returned and no more.
+    """
+
+    def __init__(self, model: ToyModel, state: _DecodeState, prefix: list[int], limit: int):
+        self._model = model
+        self._state = state
+        self._tokens = prefix
+        self._limit = limit
+
+    def _rows(self) -> np.ndarray:
+        return self._state.attention
+
+    def _next(self) -> bool:
+        tokens, state = self._tokens, self._state
+        if self.eos_reached or len(tokens) == self._limit:
+            return False
+        if state.length == len(tokens):  # the last token is not in the state yet (bos is)
+            self._model._step(state, tokens[-1])
+        next_id = int(state.logits.argmax())
+        if next_id == self._model.vocab.eos_id:
+            self.eos_reached = True
+            return False
+        tokens.append(next_id)
+        return True
+
+
 def count_words_in_labels(labels: Sequence[int], blank: int = 0, boundary: int = 1) -> int:
     """CTC-style word count: collapse repeats, remove blanks, count boundaries."""
     count = 0
@@ -514,11 +519,9 @@ class ScriptedAdapter:
     that frame across every layer and head), whether the hypothesis ended
     with end-of-sequence, and optionally the detected source word count.
     Useful for driving the simulator down exact decision paths; also the
-    reference example of a non-toy ``ModelAdapter``, early stop and resume
+    reference example of a non-toy ``ModelAdapter``, ``start_decode``
     included.
     """
-
-    accepts_stop = True
 
     def __init__(
         self,
@@ -554,12 +557,13 @@ class ScriptedAdapter:
         return EncoderStates(states=np.zeros((n, self._d_model)), version=feats.shape[0])
 
     def decode_greedy(
-        self,
-        enc: EncoderStates,
-        forced_prefix: Sequence[int],
-        max_new: int = DEFAULT_MAX_NEW,
-        stop: Optional[StopHook] = None,
+        self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
     ) -> DecodeResult:
+        return self.start_decode(enc, forced_prefix, max_new).drained()
+
+    def start_decode(
+        self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
+    ) -> _ScriptedDecode:
         prefix = tuple(forced_prefix)
         if self.vocab.eos_id in prefix:
             raise ValueError("forced prefix must not contain end-of-sequence")
@@ -578,10 +582,9 @@ class ScriptedAdapter:
             if not 0 <= frame < enc.n:
                 raise ValueError(f"scripted alignment {frame} outside [0, {enc.n})")
             attn[:, :, i, frame] = 1.0
-        eos_reached = step.eos and len(step.tokens) == len(tokens)
-        # as in ToyModel, the token that reaches max_new is not offered to the hook
-        hooked_end = min(len(tokens), len(prefix) + max_new - 1)
-        return _scripted_result(tokens, attn, eos_reached, len(prefix), hooked_end, stop)
+        # as in ToyModel, end-of-sequence is read only after fewer than max_new tokens
+        eos = step.eos and len(step.tokens) < len(prefix) + max_new
+        return _ScriptedDecode(tokens, attn, len(prefix), eos)
 
     def count_source_words(self, raw_features: np.ndarray) -> int:
         feats = np.asarray(raw_features, dtype=float)
@@ -590,31 +593,24 @@ class ScriptedAdapter:
         return step.source_words
 
 
-def _scripted_result(
-    tokens: tuple[int, ...],
-    attn: np.ndarray,
-    eos_reached: bool,
-    start: int,
-    hooked_end: int,
-    stop: Optional[StopHook],
-) -> DecodeResult:
-    """A scripted decode from output position ``start`` on.
+class _ScriptedDecode(Decode):
+    """A scripted decode that generates ``script`` from its forced prefix on."""
 
-    Tokens before ``hooked_end`` are offered to ``stop``; a firing pauses
-    the decode with a ``resume`` that continues from the next token.
-    """
-    if stop is not None:
-        for i in range(start, hooked_end):
-            if stop(tokens[i], attn[:, :, i]):
-                return DecodeResult(
-                    tokens=tokens[: i + 1],
-                    attention=attn[:, :, : i + 1],
-                    eos_reached=False,
-                    resume=lambda stop: _scripted_result(
-                        tokens, attn, eos_reached, i + 1, hooked_end, stop
-                    ),
-                )
-    return DecodeResult(tokens=tokens, attention=attn, eos_reached=eos_reached)
+    def __init__(self, script: tuple[int, ...], attention: np.ndarray, start: int, eos: bool):
+        self._script = script
+        self._attention = attention
+        self._tokens = list(script[:start])
+        self._eos = eos
+
+    def _rows(self) -> np.ndarray:
+        return self._attention
+
+    def _next(self) -> bool:
+        if len(self._tokens) == len(self._script):
+            self.eos_reached = self._eos
+            return False
+        self._tokens.append(self._script[len(self._tokens)])
+        return True
 
 
 @dataclass(frozen=True)

@@ -16,21 +16,22 @@ The decision functions are pure; the ``Policy`` classes wrap them with the
 per-session state (hyperparameters, agreement history) the simulator needs.
 A policy whose decision is fixed by a prefix of the candidates also offers a
 ``stop_rule``: a per-token predicate, built on the same decision function,
-that lets the decoder stop at the token where ``decide`` can no longer change.
-Local agreement stops at the first disagreement with the previous hypothesis,
-which it reads lazily: a previous decode that was stopped early is resumed
-only as far as the comparison reaches.
+at which the simulator stops pulling tokens from the decoder because
+``decide`` can no longer change. Local agreement stops at the first
+disagreement with the previous hypothesis, which it reads lazily: a previous
+decode that was stopped early is advanced only as far as the comparison
+reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import Resume, StopHook
+from .model import Decode
 from .vocab import Vocabulary
 
 DEFAULT_EDATT_LAM = 2
@@ -63,8 +64,9 @@ class StepContext:
     candidate's most-attended frame. ``source_words`` is the number of source
     words detected so far (0 unless the policy ``uses_word_counts``).
     ``eos_reached`` tells whether the decode ended at end-of-sequence,
-    ``vocab`` is the adapter's vocabulary, and ``resume`` continues the
-    decode when this step's stop hook ended it (``DecodeResult.resume``).
+    ``vocab`` is the adapter's vocabulary, and ``decode`` is the step's
+    decode, paused where the stop rule fired, when the adapter offers
+    ``start_decode`` (None otherwise).
     """
 
     candidates: tuple[int, ...]
@@ -74,7 +76,7 @@ class StepContext:
     committed: tuple[int, ...]
     eos_reached: bool
     vocab: Vocabulary
-    resume: Optional[Resume] = field(default=None, compare=False, repr=False)
+    decode: Optional[Decode] = field(default=None, compare=False, repr=False)
 
 
 def alignatt_decide(
@@ -184,12 +186,15 @@ class Policy:
 
     def stop_rule(
         self, committed: tuple[int, ...], source_words: int, vocab: Vocabulary, layer: int
-    ) -> Optional[StopHook]:
-        """A ``StopHook`` that may end this step's decode early, or None to decode in full.
+    ) -> Optional[Callable[[int, np.ndarray], bool]]:
+        """A rule ``stop(token, row)`` that may end this step's decode early, or None.
 
-        Asked for before each decode but the final flush. The hook may return
-        true only at a token after which no continuation changes what
-        ``decide`` commits; ``decide`` still runs on the shortened decode.
+        Asked for before each decode but the final flush, when the adapter
+        offers ``start_decode``. The simulator pulls the decode one token at a
+        time, ``row`` being the token's (L, H, n) cross-attention, until the
+        rule returns true, which it may do only at a token after which no
+        continuation changes what ``decide`` commits; ``decide`` still runs
+        on the shortened decode. None decodes in full.
         """
         return None
 
@@ -283,17 +288,20 @@ class WaitKPolicy(Policy):
 
 
 class _Hypothesis:
-    """A decode's tokens, extended on demand by resuming the decode one token at a time."""
+    """A step's hypothesis, extended on demand by advancing its paused decode."""
 
-    def __init__(self, tokens: tuple[int, ...], resume: Optional[Resume]):
-        self._tokens = tokens
-        self._resume = resume
+    def __init__(self, tokens: tuple[int, ...], decode: Optional[Decode]):
+        self._tokens = list(tokens)
+        self._decode = decode
 
     def token(self, i: int) -> Optional[int]:
         """Token ``i`` of the full decode, or None past its end."""
-        while i >= len(self._tokens) and self._resume is not None:
-            result = self._resume(_after_one_token)
-            self._tokens, self._resume = result.tokens, result.resume
+        while i >= len(self._tokens) and self._decode is not None:
+            pulled = self._decode.advance()
+            if pulled is None:
+                self._decode = None
+            else:
+                self._tokens.append(pulled[0])
         return self._tokens[i] if i < len(self._tokens) else None
 
     def __iter__(self) -> Iterator[int]:
@@ -301,10 +309,6 @@ class _Hypothesis:
         while (token := self.token(i)) is not None:
             yield token
             i += 1
-
-
-def _after_one_token(token: int, row: np.ndarray) -> bool:
-    return True
 
 
 class LocalAgreementPolicy(Policy):
@@ -321,14 +325,14 @@ class LocalAgreementPolicy(Policy):
     def decide(self, ctx: StepContext) -> PolicyDecision:
         current = ctx.committed + ctx.candidates
         decision = local_agreement_prefix(self._previous, current, len(ctx.committed))
-        self._previous = _Hypothesis(current, ctx.resume)
+        self._previous = _Hypothesis(current, ctx.decode)
         return decision
 
     def stop_rule(self, committed, source_words, vocab, layer):
         previous = self._previous
         if previous is None:
             # nothing commits without a previous hypothesis: one token suffices
-            return _after_one_token
+            return lambda token, row: True
         position = len(committed)
 
         def stop(token: int, row: np.ndarray) -> bool:

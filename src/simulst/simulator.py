@@ -5,9 +5,10 @@ prefix, greedily extends the committed hypothesis, and hands the candidate
 tokens (with their aggregated cross-attention) to the decision policy.
 Committed output is append-only. When the source is exhausted the final
 hypothesis is committed unconditionally. Before every other decode the
-policy may supply a stop rule, which adapters that declare ``accepts_stop``
-use to end the decode once the policy's decision is fixed; the policy gets
-the decode's ``resume`` with the step's context, so it can read further.
+policy may supply a stop rule: when the adapter offers ``start_decode``, the
+simulator pulls tokens from the decode one at a time until the rule fires,
+and hands the paused decode to the policy with the step's context, so it can
+read further.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -229,7 +230,7 @@ def run_session(
             )
             committed.append(token)
 
-    accepts_stop = getattr(adapter, "accepts_stop", False)
+    start_decode = getattr(adapter, "start_decode", None)
     while not cursor.exhausted:
         prefix = cursor.read()
         ideal_s = cursor.delivered_s
@@ -247,34 +248,32 @@ def run_session(
             # Word detections only ratchet upward so the schedule never
             # retracts budget already granted.
             detected_words = max(detected_words, words)
-        hook = {}
-        fired = False
-        if accepts_stop and not final:
+        rule = None
+        if start_decode is not None and not final:
             try:
                 rule = policy.stop_rule(tuple(committed), detected_words, vocab, layer)
             except Exception as exc:
                 raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc
-            if rule is not None:
-
-                def stop(token: int, row: np.ndarray) -> bool:
-                    nonlocal fired
-                    fired = rule(token, row)
-                    return fired
-
-                hook["stop"] = stop
         try:
             states = adapter.encode(prefix)
             clock.charge(step_cost_s)
-            result = adapter.decode_greedy(states, forced_prefix=committed, max_new=max_new, **hook)
-            clock.charge(step_cost_s)
+            if rule is None:
+                result = adapter.decode_greedy(states, forced_prefix=committed, max_new=max_new)
+            else:
+                result = start_decode(states, committed, max_new)
         except Exception as exc:
             raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
-        if fired and not result.eos_reached and result.resume is None:
-            # a policy reading this decode later (local agreement) would see it truncated
-            raise SessionError(
-                f"adapter ended the decode at the stop hook at {ideal_s:.3f}s without a resume",
-                partial(),
-            )
+        while rule is not None:
+            try:
+                pulled = result.advance()
+            except Exception as exc:
+                raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
+            try:
+                if pulled is None or rule(*pulled):
+                    break
+            except Exception as exc:
+                raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc
+        clock.charge(step_cost_s)
 
         candidates = list(result.tokens[len(committed):])
         if final:
@@ -290,7 +289,7 @@ def run_session(
             committed=tuple(committed),
             eos_reached=result.eos_reached,
             vocab=vocab,
-            resume=result.resume,
+            decode=None if rule is None else result,
         )
         try:
             decision: PolicyDecision = policy.decide(context)

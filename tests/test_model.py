@@ -283,8 +283,22 @@ class TestIncrementalFastPath:
             assert np.array_equal(result.attention.argmax(axis=-1), cross[:, :, :m].argmax(axis=-1))
 
 
+def pull_until(decode, stop):
+    """Advance ``decode`` until ``stop(token, row)`` flags a token or the decode ends.
+
+    Returns the (token, row copy) pairs the rule saw and whether the decode ended.
+    """
+    seen = []
+    while (pulled := decode.advance()) is not None:
+        token, row = pulled
+        seen.append((token, row.copy()))
+        if stop(token, row):
+            return seen, False
+    return seen, True
+
+
 class TestStopHook:
-    """``decode_greedy(..., stop=)`` ends the decode right after the token the hook flags."""
+    """Pulling a ``start_decode`` decode until a rule flags a token gives a prefix of the full decode."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -302,29 +316,31 @@ class TestStopHook:
         free = toy_model.decode_greedy(enc, [])
         prefix = free.tokens[: round(share * len(free.tokens))]
         full = toy_model.decode_greedy(enc, prefix, max_new)
-        seen = []
+        count = 0
 
         def stop(token, row):
-            seen.append((token, row.copy()))
+            nonlocal count
+            count += 1
             if rule == "count":
-                return len(seen) > param
+                return count > param
             if rule == "token":
                 return token % 13 == param
             return row[-1].mean(axis=0).argmax() >= enc.n - 1 - param % 3
 
-        hooked = toy_model.decode_greedy(enc, prefix, max_new, stop=stop)
-        m = len(hooked.tokens)
-        assert hooked.tokens == full.tokens[:m]
-        assert np.array_equal(hooked.attention, full.attention[:, :, :m])
-        # the hook saw every generated token but the one that hits max_new,
-        # with that token's captured attention row
-        assert [t for t, _ in seen] == list(hooked.tokens[len(prefix): len(prefix) + len(seen)])
+        decode = toy_model.start_decode(enc, prefix, max_new)
+        assert decode.tokens == tuple(prefix) and not decode.eos_reached
+        seen, ended = pull_until(decode, stop)
+        m = len(decode.tokens)
+        assert decode.tokens == full.tokens[:m]
+        assert np.array_equal(decode.attention, full.attention[:, :, :m])
+        # the rule saw every generated token with that token's captured attention row
+        assert [t for t, _ in seen] == list(decode.tokens[len(prefix):])
         for i, (_, row) in enumerate(seen):
             assert np.array_equal(row, full.attention[:, :, len(prefix) + i])
-        if m < len(full.tokens) or (full.eos_reached and not hooked.eos_reached):
-            assert not hooked.eos_reached and len(seen) == m - len(prefix)
+        if ended:
+            assert_same_decode(decode, full)
         else:
-            assert hooked.eos_reached == full.eos_reached
+            assert not decode.eos_reached
 
     def test_scripted_adapter_truncates_at_first_firing(self):
         vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "dd"])
@@ -333,40 +349,46 @@ class TestStopHook:
             vocab, {4: ScriptStep(tokens=(a, b, c, d), alignment=(0, 3, 1, 3), eos=True)}
         )
         enc = adapter.encode(np.zeros((16, 80)))
-        calls = []
 
         def late(token, row):
-            calls.append(token)
             return row[0, 0, 3] == 1.0
 
-        res = adapter.decode_greedy(enc, [a], stop=late)
-        assert res.tokens == (a, b) and not res.eos_reached
-        assert res.attention.shape == (1, 1, 2, 4)
-        assert calls == [b]  # forced tokens are not offered to the hook
-        res = adapter.decode_greedy(enc, [a, b], stop=late)
-        assert res.tokens == (a, b, c, d) and not res.eos_reached
-        res = adapter.decode_greedy(enc, [a, b], stop=lambda token, row: False)
-        assert res.tokens == (a, b, c, d) and res.eos_reached
+        decode = adapter.start_decode(enc, [a])
+        seen, ended = pull_until(decode, late)
+        assert decode.tokens == (a, b) and not decode.eos_reached and not ended
+        assert decode.attention.shape == (1, 1, 2, 4)
+        assert [t for t, _ in seen] == [b]  # forced tokens are not pulled
+        decode = adapter.start_decode(enc, [a, b])
+        pull_until(decode, late)
+        assert decode.tokens == (a, b, c, d) and not decode.eos_reached
+        decode = adapter.start_decode(enc, [a, b])
+        assert pull_until(decode, lambda token, row: False)[1]
+        assert decode.tokens == (a, b, c, d) and decode.eos_reached
 
     def test_capability_is_declared_outside_the_protocol(self, toy_model):
-        assert ToyModel.accepts_stop and ScriptedAdapter.accepts_stop
-        assert "accepts_stop" not in ModelAdapter.__annotations__
+        assert callable(ToyModel.start_decode) and callable(ScriptedAdapter.start_decode)
+        assert not hasattr(ModelAdapter, "start_decode")
 
 
-def resume_chain(adapter, enc, prefix, max_new, pauses):
-    """Decode with a hook firing at the generated tokens numbered in ``pauses``; resume each pause.
+def pause_chain(adapter, enc, prefix, max_new, pauses):
+    """Pull a decode one token at a time, pausing after the generated tokens numbered in ``pauses``.
 
-    Returns every result of the chain, the uninterrupted decode's last.
+    Each pause snapshots the decode (tokens, a copy of its attention and
+    ``eos_reached``) and advances another, unrelated decode of the same
+    adapter in between. Returns the snapshots, the drained decode's last.
     """
-    offered = iter(range(10**6))
-
-    def stop(token, row):
-        return next(offered) in pauses
-
-    results = [adapter.decode_greedy(enc, prefix, max_new, stop=stop)]
-    while results[-1].resume is not None:
-        results.append(results[-1].resume(stop))
-    return results
+    decode = adapter.start_decode(enc, prefix, max_new)
+    other = adapter.start_decode(enc, [])
+    snapshots = []
+    for i in range(10**6):
+        if decode.advance() is None:
+            break
+        if i in pauses:
+            snapshots.append(DecodeResult(decode.tokens, decode.attention.copy(), decode.eos_reached))
+            other.advance()
+    snapshots.append(DecodeResult(decode.tokens, decode.attention.copy(), decode.eos_reached))
+    assert decode.advance() is None and snapshots[-1].tokens == decode.tokens
+    return snapshots
 
 
 def assert_same_decode(got, want):
@@ -376,7 +398,7 @@ def assert_same_decode(got, want):
 
 
 class TestResume:
-    """``DecodeResult.resume`` continues a paused decode to exactly the uninterrupted result."""
+    """A decode paused after any token continues to exactly the uninterrupted result."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -393,21 +415,21 @@ class TestResume:
         free = toy_model.decode_greedy(enc, [])
         prefix = free.tokens[: round(share * len(free.tokens))]
         full = toy_model.decode_greedy(enc, prefix, max_new)
-        chain = resume_chain(toy_model, enc, prefix, max_new, pauses)
+        chain = pause_chain(toy_model, enc, prefix, max_new, pauses)
         assert_same_decode(chain[-1], full)
         for paused in chain[:-1]:
-            # each pause is a prefix of the full decode, ended by the hook
+            # each pause is a prefix of the full decode that has not read end-of-sequence
             m = len(paused.tokens)
             assert paused.tokens == full.tokens[:m] and not paused.eos_reached
             assert np.array_equal(paused.attention, full.attention[:, :, :m])
-            assert m - len(prefix) - 1 in pauses and m < len(prefix) + max_new
+            assert m - len(prefix) - 1 in pauses and m <= len(prefix) + max_new
 
     def test_chained_resumes_one_token_at_a_time(self, toy_model):
         enc = toy_model.encode(np.random.default_rng(0).normal(size=(200, 80)))
         full = toy_model.decode_greedy(enc, [])
-        chain = resume_chain(toy_model, enc, [], 128, set(range(100)))
+        chain = pause_chain(toy_model, enc, [], 128, set(range(100)))
         assert full.eos_reached and len(full.tokens) == 45
-        # a pause after every token, then the resume that reaches end-of-sequence
+        # a pause after every token, then the advance that reads end-of-sequence
         assert [len(r.tokens) for r in chain] == list(range(1, 46)) + [45]
         assert_same_decode(chain[-1], full)
 
@@ -422,47 +444,44 @@ class TestResume:
         enc = toy_model.encode(np.random.default_rng(0).normal(size=(450, 80)))
         full = toy_model.decode_greedy(enc, [])
         monkeypatch.setattr(model_module, "_DecodeState", RecordedState)
-        paused = toy_model.decode_greedy(enc, [], stop=lambda token, row: True)
+        decode = toy_model.start_decode(enc, [])
+        decode.advance()
+        paused = decode.attention
         assert states[0].keys.shape[1] == 1 + model_module._INITIAL_NEW_ROWS
-        resumed = paused.resume(None)
+        while decode.advance() is not None:
+            pass
         assert len(states) == 1 and states[0].keys.shape[1] > 1 + model_module._INITIAL_NEW_ROWS
         assert len(full.tokens) > model_module._INITIAL_NEW_ROWS
-        assert_same_decode(resumed, full)
-        # the paused result is a view the resume did not overwrite
-        assert np.array_equal(paused.attention, full.attention[:, :, :1])
+        assert_same_decode(decode, full)
+        # a view read while paused is not overwritten by the growth
+        assert np.array_equal(paused, full.attention[:, :, :1])
 
     def test_pause_right_before_eos(self, toy_model):
         enc = toy_model.encode(np.random.default_rng(1).normal(size=(40, 80)))
         prefix = toy_model.decode_greedy(enc, []).tokens[:-1]
         full = toy_model.decode_greedy(enc, prefix)
         assert full.eos_reached and len(full.tokens) == len(prefix) + 1
-        paused = toy_model.decode_greedy(enc, prefix, stop=lambda token, row: True)
-        assert paused.tokens == full.tokens and not paused.eos_reached
-        resumed = paused.resume(None)
-        assert_same_decode(resumed, full)
-        assert resumed.resume is None
+        decode = toy_model.start_decode(enc, prefix)
+        token, row = decode.advance()
+        assert decode.tokens == full.tokens and not decode.eos_reached
+        assert token == full.tokens[-1] and np.array_equal(row, full.attention[:, :, -1])
+        assert decode.advance() is None
+        assert_same_decode(decode, full)
+        assert decode.advance() is None and decode.eos_reached
 
-    def test_decode_ending_at_max_new_has_no_resume(self, toy_model):
+    def test_decode_ending_at_max_new_has_no_resume(self, toy_model, monkeypatch):
         enc = toy_model.encode(np.random.default_rng(2).normal(size=(200, 80)))
-        offered = []
-
-        def stop(token, row):
-            offered.append(token)
-            return len(offered) == 3
-
-        result = toy_model.decode_greedy(enc, [], max_new=3, stop=stop)
-        # the third token reaches max_new, so the hook never sees it
-        assert len(result.tokens) == 3 and len(offered) == 2
-        assert result.resume is None and not result.eos_reached
-        assert toy_model.decode_greedy(enc, [], max_new=1, stop=lambda t, r: True).resume is None
-        assert toy_model.decode_greedy(enc, []).resume is None
-
-    def test_a_resume_runs_once(self, toy_model):
-        enc = toy_model.encode(np.random.default_rng(3).normal(size=(200, 80)))
-        paused = toy_model.decode_greedy(enc, [], stop=lambda token, row: True)
-        paused.resume(lambda token, row: True)
-        with pytest.raises(RuntimeError, match="already resumed"):
-            paused.resume(None)
+        full = toy_model.decode_greedy(enc, [], max_new=3)
+        steps = []
+        step = toy_model._step
+        monkeypatch.setattr(toy_model, "_step", lambda state, token: steps.append(token) or step(state, token))
+        decode = toy_model.start_decode(enc, [], max_new=3)
+        pulled = [decode.advance()[0] for _ in range(3)]
+        assert tuple(pulled) == full.tokens and len(steps) == 2
+        # the token that reaches max_new ends the decode without a decoder step
+        assert decode.advance() is None and decode.advance() is None
+        assert len(steps) == 2 and not decode.eos_reached
+        assert_same_decode(decode, full)
 
     @pytest.mark.parametrize("max_new", [1, 2, 3, 4, 128])
     @pytest.mark.parametrize("eos", [False, True])
@@ -477,17 +496,44 @@ class TestResume:
         for prefix in ((), (a,), (a, b, c)):
             full = adapter.decode_greedy(enc, prefix, max_new)
             for pauses in (set(), {0}, {1}, {0, 1, 2}, set(range(4))):
-                chain = resume_chain(adapter, enc, prefix, max_new, pauses)
+                chain = pause_chain(adapter, enc, prefix, max_new, pauses)
                 assert_same_decode(chain[-1], full)
                 for paused in chain[:-1]:
                     assert not paused.eos_reached
-                    # never paused on the token that reaches max_new
-                    assert len(paused.tokens) < len(prefix) + max_new
+                    assert len(paused.tokens) <= len(prefix) + max_new
                     assert paused.tokens == full.tokens[: len(paused.tokens)]
         # a pause right before end-of-sequence
-        paused = adapter.decode_greedy(enc, (a, b, c), stop=lambda token, row: True)
-        assert paused.tokens == (a, b, c, d) and not paused.eos_reached
-        assert paused.resume(None).eos_reached == eos
+        decode = adapter.start_decode(enc, (a, b, c))
+        assert decode.advance()[0] == d
+        assert decode.tokens == (a, b, c, d) and not decode.eos_reached
+        assert decode.advance() is None and decode.eos_reached == eos
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_live_decodes_advanced_alternately(self, toy_model, seed):
+        # local agreement's access pattern: the previous step's decode is
+        # advanced while the current step's decode is pulled
+        rng = np.random.default_rng(seed)
+        encs = [toy_model.encode(rng.normal(size=(frames, 80))) for frames in (90, 160)]
+        prefix = toy_model.decode_greedy(encs[0], []).tokens[:3]
+        fulls = [toy_model.decode_greedy(enc, prefix) for enc in encs]
+        decodes = [toy_model.start_decode(enc, prefix) for enc in encs]
+        live = [0, 1]
+        while live:
+            i = live[rng.integers(len(live))]
+            if decodes[i].advance() is None:
+                live.remove(i)
+        for decode, full in zip(decodes, fulls):
+            assert_same_decode(decode, full)
+
+    def test_decode_greedy_drains_without_per_token_rows(self, toy_model, monkeypatch):
+        enc = toy_model.encode(np.random.default_rng(4).normal(size=(120, 80)))
+        full = toy_model.decode_greedy(enc, [])
+
+        def no_rows(self):
+            raise AssertionError("decode_greedy built a per-token row")
+
+        monkeypatch.setattr(model_module._ToyDecode, "advance", no_rows)
+        assert_same_decode(toy_model.decode_greedy(enc, []), full)
 
 
 class TestSharedAcrossThreads:
@@ -616,6 +662,22 @@ class TestScriptedAdapter:
         res = adapter.decode_greedy(adapter.encode(np.zeros((8, 80))), [], max_new=1)
         assert res.tokens == (a,)
         assert not res.eos_reached
+
+    def test_eos_is_not_read_after_max_new_tokens(self, vocab, toy_model):
+        # as in ToyModel, a decode that generates max_new tokens never reads
+        # end-of-sequence, even where the script ends right there
+        a, b = vocab.piece_id("▁aa"), vocab.piece_id("▁bb")
+        adapter = ScriptedAdapter(
+            vocab, {2: ScriptStep(tokens=(a, b), alignment=(0, 1), eos=True)}
+        )
+        enc = adapter.encode(np.zeros((8, 80)))
+        for prefix, max_new, eos in (([], 2, False), ([], 3, True), ([a], 1, False), ([a], 2, True)):
+            res = adapter.decode_greedy(enc, prefix, max_new=max_new)
+            assert res.tokens == (a, b) and res.eos_reached == eos
+        toy_enc = toy_model.encode(np.random.default_rng(1).normal(size=(40, 80)))
+        free = toy_model.decode_greedy(toy_enc, [])
+        assert free.eos_reached
+        assert not toy_model.decode_greedy(toy_enc, [], max_new=len(free.tokens)).eos_reached
 
     def test_alignment_validation(self, vocab):
         a = vocab.piece_id("▁aa")

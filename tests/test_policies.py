@@ -398,32 +398,35 @@ def _step_context(vocab, tensor, layer, committed, candidates, source_words, eos
     )
 
 
-def _la_context(vocab, committed, candidates, resume, eos=False):
+def _la_context(vocab, committed, candidates, decode, eos=False):
     return dataclasses.replace(
-        _waitk_context(vocab, committed, candidates, 0, eos), resume=resume
+        _waitk_context(vocab, committed, candidates, 0, eos), decode=decode
     )
 
 
-def _paused_decode(tokens, pause, resumes):
-    """A scripted decode of ``tokens`` ended by its hook after token ``pause``; resumes are logged."""
+class _Logged:
+    """A decode whose ``advance`` calls are counted in ``advances``."""
+
+    def __init__(self, decode, advances):
+        self._decode = decode
+        self._advances = advances
+
+    def __getattr__(self, name):
+        return getattr(self._decode, name)
+
+    def advance(self):
+        self._advances.append(len(self._decode.tokens))
+        return self._decode.advance()
+
+
+def _paused_decode(tokens, pause, advances):
+    """A scripted decode of ``tokens`` paused after generated token ``pause``; later advances are logged."""
     step = ScriptStep(tokens=tokens, alignment=(0,) * len(tokens))
     adapter = ScriptedAdapter(_WAITK_VOCAB, {4: step})
-    offered = iter(range(10**6))
-    result = adapter.decode_greedy(
-        adapter.encode(np.zeros((16, 80))), [], stop=lambda token, row: next(offered) == pause
-    )
-
-    def logged(result):
-        if result.resume is None:
-            return result
-
-        def resume(stop):
-            resumes.append(len(result.tokens))
-            return logged(result.resume(stop))
-
-        return dataclasses.replace(result, resume=resume)
-
-    return logged(result)
+    decode = adapter.start_decode(adapter.encode(np.zeros((16, 80))), [])
+    for _ in range(pause + 1):
+        decode.advance()
+    return _Logged(decode, advances)
 
 
 class TestStopRule:
@@ -501,26 +504,26 @@ class TestStopRule:
 
     def test_local_agreement_resumes_the_previous_hypothesis_as_far_as_it_reads(self):
         vocab, row = _WAITK_VOCAB, np.zeros((1, 1, 4))
-        resumes = []
-        paused = _paused_decode((3, 4, 5, 6), pause=0, resumes=resumes)
+        advances = []
+        paused = _paused_decode((3, 4, 5, 6), pause=0, advances=advances)
         assert paused.tokens == (3,)
         policy = LocalAgreementPolicy()
-        policy.decide(_la_context(vocab, (), paused.tokens, paused.resume))
+        policy.decide(_la_context(vocab, (), paused.tokens, paused))
         stop = policy.stop_rule((), 0, vocab, 0)
         assert [stop(t, row) for t in (3, 4, 5)] == [False, False, False]
-        assert len(resumes) == 2  # tokens 4 and 5 of the previous hypothesis
-        assert stop(7, row) and len(resumes) == 3
-        # decide reads no further than the hook did
+        assert advances == [1, 2]  # tokens 4 and 5 of the previous hypothesis
+        assert stop(7, row) and len(advances) == 3
+        # decide reads no further than the rule did
         decision = policy.decide(_la_context(vocab, (), (3, 4, 5, 7), None))
         assert decision == PolicyDecision(3, StopReason.DISAGREEMENT)
-        assert len(resumes) == 3
+        assert len(advances) == 3
         # nor past the end of a current hypothesis that agrees throughout
-        resumes.clear()
-        paused = _paused_decode((3, 4, 5, 6), pause=0, resumes=resumes)
-        policy.decide(_la_context(vocab, (), paused.tokens, paused.resume))
+        advances.clear()
+        paused = _paused_decode((3, 4, 5, 6), pause=0, advances=advances)
+        policy.decide(_la_context(vocab, (), paused.tokens, paused))
         decision = policy.decide(_la_context(vocab, (), (3, 4), None, eos=True))
         assert decision == PolicyDecision(2, StopReason.EXHAUSTED)
-        assert len(resumes) == 1
+        assert len(advances) == 1
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -536,7 +539,7 @@ class TestStopRule:
         hooked, full = LocalAgreementPolicy(), LocalAgreementPolicy()
         for policy in (hooked, full):
             paused = _paused_decode(tuple(previous), pause, [])
-            policy.decide(_la_context(vocab, (), paused.tokens, paused.resume))
+            policy.decide(_la_context(vocab, (), paused.tokens, paused))
         stop = hooked.stop_rule(committed, 0, vocab, 0)
         fired = next((i for i, token in enumerate(tail) if stop(token, row)), None)
         want = full.decide(_la_context(vocab, committed, tuple(tail), None, eos))

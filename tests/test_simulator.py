@@ -1,7 +1,5 @@
 """Streaming session driver: clocks, chunked delivery, commit timing, JSONL."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,9 +301,13 @@ class TestRunSession:
 
 
 class _Forwarding:
-    """Forwards the three-argument adapter contract and records each decode's keywords.
+    """Forwards the ``ModelAdapter`` protocol and records each decode.
 
-    It does not declare ``accepts_stop``, so the simulator must never pass it a hook.
+    It offers no ``start_decode``, so the simulator must decode in full
+    through ``decode_greedy``. ``calls`` names the method of each decode,
+    ``decoded`` counts the tokens it generated for the simulator, and
+    ``resumed`` counts the later ``advance`` calls on a decode that is no
+    longer the newest, which only a policy reading it makes.
     """
 
     def __init__(self, inner):
@@ -313,35 +315,48 @@ class _Forwarding:
         self.vocab = inner.vocab
         self.num_decoder_layers = inner.num_decoder_layers
         self.num_heads = inner.num_heads
-        self.decode_keywords = []
+        self.calls = []
         self.decoded = []
         self.resumed = 0
 
     def encode(self, feats):
         return self._inner.encode(feats)
 
-    def decode_greedy(self, enc, forced_prefix, max_new=128, **keywords):
-        self.decode_keywords.append(sorted(keywords))
-        result = self._inner.decode_greedy(enc, forced_prefix, max_new, **keywords)
+    def decode_greedy(self, enc, forced_prefix, max_new=128):
+        self.calls.append("decode_greedy")
+        result = self._inner.decode_greedy(enc, forced_prefix, max_new)
         self.decoded.append(len(result.tokens) - len(forced_prefix))
-        return self._counting_resumes(result)
-
-    def _counting_resumes(self, result):
-        if result.resume is None:
-            return result
-
-        def resume(stop):
-            self.resumed += 1
-            return self._counting_resumes(result.resume(stop))
-
-        return dataclasses.replace(result, resume=resume)
+        return result
 
     def count_source_words(self, feats):
         return self._inner.count_source_words(feats)
 
 
-class _AcceptsStop(_Forwarding):
-    accepts_stop = True
+class _Pulls(_Forwarding):
+    """``_Forwarding`` that also forwards ``start_decode``, counting each ``advance``."""
+
+    def start_decode(self, enc, forced_prefix, max_new=128):
+        self.calls.append("start_decode")
+        self.decoded.append(0)
+        return _CountedDecode(self, self._inner.start_decode(enc, forced_prefix, max_new))
+
+
+class _CountedDecode:
+    def __init__(self, adapter, decode):
+        self._adapter = adapter
+        self._decode = decode
+        self._index = len(adapter.calls) - 1
+
+    def __getattr__(self, name):
+        return getattr(self._decode, name)
+
+    def advance(self):
+        pulled = self._decode.advance()
+        if self._index < len(self._adapter.calls) - 1:
+            self._adapter.resumed += 1
+        elif pulled is not None:
+            self._adapter.decoded[self._index] += 1
+        return pulled
 
 
 _STOP_VOCAB = Vocabulary(["▁aa", "▁bb", "cc", "dd"])
@@ -390,7 +405,6 @@ class _Diverging:
     committed. Frames and flags are drawn as in ``random_scripts``.
     """
 
-    accepts_stop = True
     num_decoder_layers = 2
     num_heads = 2
     vocab = _STOP_VOCAB
@@ -403,8 +417,7 @@ class _Diverging:
     def encode(self, feats):
         return ScriptedAdapter(self.vocab, {}).encode(feats)
 
-    def decode_greedy(self, enc, forced_prefix, max_new=128, stop=None):
-        n, prefix = enc.n, tuple(forced_prefix)
+    def _scripted(self, n, prefix):
         tokens = prefix + tuple(self._hypotheses[n - 1][len(prefix):])
         rng = np.random.default_rng((self._seed, n, len(prefix)))
         late = n - 1 - rng.integers(0, min(n, 3), size=len(tokens))
@@ -414,8 +427,15 @@ class _Diverging:
             alignment=tuple(int(a) for a in alignment),
             eos=bool(rng.random() < 0.5),
         )
-        adapter = ScriptedAdapter(self.vocab, {n: step}, self.num_decoder_layers, self.num_heads)
-        return adapter.decode_greedy(enc, prefix, max_new, stop=stop)
+        return ScriptedAdapter(self.vocab, {n: step}, self.num_decoder_layers, self.num_heads)
+
+    def decode_greedy(self, enc, forced_prefix, max_new=128):
+        prefix = tuple(forced_prefix)
+        return self._scripted(enc.n, prefix).decode_greedy(enc, prefix, max_new)
+
+    def start_decode(self, enc, forced_prefix, max_new=128):
+        prefix = tuple(forced_prefix)
+        return self._scripted(enc.n, prefix).start_decode(enc, prefix, max_new)
 
     def count_source_words(self, feats):
         return int(self.encode(feats).n * self._words_per_frame)
@@ -442,7 +462,7 @@ def diverging_scripts(draw):
 
 
 class TestStopHook:
-    """The stop hook only ends decodes early: it never changes what is committed, or when."""
+    """Pulling a decode only until the stop rule fires never changes what is committed, or when."""
 
     POLICIES = [
         lambda: AlignAttPolicy(f=1),
@@ -454,23 +474,23 @@ class TestStopHook:
     ]
 
     @staticmethod
-    def assert_hook_changes_no_log(source, adapter, chunk_ms, max_new, make_policy):
-        """Run with and without the hook; returns how often the hooked run resumed a decode."""
-        hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
+    def assert_early_stop_changes_no_log(source, adapter, chunk_ms, max_new, make_policy):
+        """Run with and without ``start_decode``; returns how often a policy read a paused decode."""
+        pulled, plain = _Pulls(adapter), _Forwarding(adapter)
         logs = [
             run_session(source, a, make_policy(), chunk_ms=chunk_ms, max_new=max_new)
-            for a in (hooked, plain)
+            for a in (pulled, plain)
         ]
         assert logs[0] == logs[1]
-        assert all(kw == [] for kw in plain.decode_keywords)
-        assert all(h <= p for h, p in zip(hooked.decoded, plain.decoded))
-        return hooked.resumed
+        assert set(plain.calls) <= {"decode_greedy"}
+        assert all(h <= p for h, p in zip(pulled.decoded, plain.decoded))
+        return pulled.resumed
 
     @settings(max_examples=150, deadline=None)
     @given(case=random_scripts(), max_new=st.sampled_from([2, 128]))
     def test_log_equals_the_log_of_an_adapter_without_the_capability(self, case, max_new):
         for make_policy in self.POLICIES:
-            self.assert_hook_changes_no_log(*case, max_new, make_policy)
+            self.assert_early_stop_changes_no_log(*case, max_new, make_policy)
 
     def test_diverging_hypotheses_log_equal_and_local_agreement_resumes(self):
         resumed = []
@@ -479,9 +499,9 @@ class TestStopHook:
         @given(case=diverging_scripts(), max_new=st.sampled_from([2, 128]))
         def check(case, max_new):
             for make_policy in self.POLICIES:
-                count = self.assert_hook_changes_no_log(*case, max_new, make_policy)
+                count = self.assert_early_stop_changes_no_log(*case, max_new, make_policy)
                 if make_policy is not self.POLICIES[-1]:
-                    assert count == 0  # only local agreement reads past a stopped decode
+                    assert count == 0  # only local agreement reads past a paused decode
                 resumed.append(count)
 
         check()
@@ -489,12 +509,12 @@ class TestStopHook:
 
     def test_hook_shortens_decodes(self):
         vocab, ids, adapter, source = scripted_setup("late")
-        hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
-        for a in (hooked, plain):
+        pulled, plain = _Pulls(adapter), _Forwarding(adapter)
+        for a in (pulled, plain):
             run_session(source, a, AlignAttPolicy(f=2), chunk_ms=400.0)
         # each early step stops at its first candidate; the final flush decodes in full
-        assert hooked.decoded == [1, 1, 1, 4] and plain.decoded == [1, 2, 3, 4]
-        assert hooked.decode_keywords == [["stop"]] * 3 + [[]]
+        assert pulled.decoded == [1, 1, 1, 4] and plain.decoded == [1, 2, 3, 4]
+        assert pulled.calls == ["start_decode"] * 3 + ["decode_greedy"]
 
     @pytest.mark.parametrize("make_policy", POLICIES)
     def test_adapters_without_the_capability_never_get_a_hook(self, make_policy):
@@ -502,19 +522,31 @@ class TestStopHook:
         plain = _Forwarding(adapter)
         assert isinstance(plain, ModelAdapter)
         run_session(source, plain, make_policy(), chunk_ms=400.0)
-        assert plain.decode_keywords == [[]] * 4
+        assert plain.calls == ["decode_greedy"] * 4
+
+    def test_policies_without_a_rule_decode_in_full(self):
+        vocab, ids, adapter, source = scripted_setup("late")
+        pulled = _Pulls(adapter)
+
+        class NoRule(AlignAttPolicy):
+            def stop_rule(self, committed, source_words, vocab, layer):
+                return None
+
+        log = run_session(source, pulled, NoRule(f=2), chunk_ms=400.0)
+        assert log == run_session(source, adapter, AlignAttPolicy(f=2), chunk_ms=400.0)
+        assert pulled.calls == ["decode_greedy"] * 4
 
     def test_local_agreement_stops_at_the_first_disagreement(self):
         vocab, ids, adapter, source = scripted_setup("late")
-        hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
-        logs = [run_session(source, a, LocalAgreementPolicy(), chunk_ms=400.0) for a in (hooked, plain)]
+        pulled, plain = _Pulls(adapter), _Forwarding(adapter)
+        logs = [run_session(source, a, LocalAgreementPolicy(), chunk_ms=400.0) for a in (pulled, plain)]
         assert logs[0] == logs[1] and logs[0].tokens == tuple(ids)
         # step 1 has no previous hypothesis and stops after one token; steps
         # 2 and 3 stop at the token past the previous hypothesis's end, which
-        # resuming that hypothesis finds; the final flush decodes in full
-        assert hooked.decode_keywords == [["stop"]] * 3 + [[]]
-        assert hooked.decoded == [1, 2, 2, 2] and plain.decoded == [1, 2, 2, 2]
-        assert hooked.resumed == 2
+        # advancing that hypothesis finds; the final flush decodes in full
+        assert pulled.calls == ["start_decode"] * 3 + ["decode_greedy"]
+        assert pulled.decoded == [1, 2, 2, 2] and plain.decoded == [1, 2, 2, 2]
+        assert pulled.resumed == 2
 
     def test_local_agreement_reads_the_previous_hypothesis_lazily(self):
         vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
@@ -526,13 +558,13 @@ class TestStopHook:
         }
         source = FeatureMatrix(frames=np.zeros((120, 80), dtype=np.float32))
         adapter = ScriptedAdapter(vocab, script)
-        hooked, plain = _AcceptsStop(adapter), _Forwarding(adapter)
-        logs = [run_session(source, x, LocalAgreementPolicy(), chunk_ms=400.0) for x in (hooked, plain)]
+        pulled, plain = _Pulls(adapter), _Forwarding(adapter)
+        logs = [run_session(source, x, LocalAgreementPolicy(), chunk_ms=400.0) for x in (pulled, plain)]
         assert logs[0] == logs[1] and logs[0].tokens == (a, b, d, c, a)
-        # step 2 resumes step 1's one-token decode twice and stops at d, its
+        # step 2 advances step 1's one-token decode twice and stops at d, its
         # first disagreement; the flush then decodes in full
-        assert hooked.decoded == [1, 3, 3] and plain.decoded == [4, 4, 3]
-        assert hooked.resumed == 2
+        assert pulled.decoded == [1, 3, 3] and plain.decoded == [4, 4, 3]
+        assert pulled.resumed == 2
         assert [e.ideal_s for e in logs[0].events] == pytest.approx([0.8, 0.8, 1.2, 1.2, 1.2])
 
     def test_toy_local_agreement_logs_equal_with_and_without_the_hook(self, toy_model, tmp_path):
@@ -541,35 +573,15 @@ class TestStopHook:
         for chunk_ms in (250.0, 600.0):
             for entry in entries:
                 source = load_source_features(entry.source)
-                hooked, plain = _AcceptsStop(toy_model), _Forwarding(toy_model)
+                pulled, plain = _Pulls(toy_model), _Forwarding(toy_model)
                 logs = [
                     run_session(source, x, LocalAgreementPolicy(), chunk_ms=chunk_ms)
-                    for x in (hooked, plain)
+                    for x in (pulled, plain)
                 ]
                 assert logs[0] == logs[1]
-                assert sum(hooked.decoded) < sum(plain.decoded)
-                resumed += hooked.resumed
+                assert sum(pulled.decoded) < sum(plain.decoded)
+                resumed += pulled.resumed
         assert resumed > 0
-
-    def test_hook_ending_a_decode_without_a_resume_fails_the_session(self):
-        vocab, ids, adapter, source = scripted_setup("late")
-
-        class DropsResume(_AcceptsStop):
-            def decode_greedy(self, enc, forced_prefix, max_new=128, **keywords):
-                result = super().decode_greedy(enc, forced_prefix, max_new, **keywords)
-                return dataclasses.replace(result, resume=None)
-
-        with pytest.raises(SessionError, match=r"without a resume") as info:
-            run_session(source, DropsResume(adapter), LocalAgreementPolicy(), chunk_ms=400.0)
-        assert info.value.partial_log.events == ()
-
-        class IgnoresHook(_AcceptsStop):
-            def decode_greedy(self, enc, forced_prefix, max_new=128, stop=None):
-                return super().decode_greedy(enc, forced_prefix, max_new)
-
-        # an adapter that ignores the hook needs no resume
-        log = run_session(source, IgnoresHook(adapter), LocalAgreementPolicy(), chunk_ms=400.0)
-        assert log.tokens == tuple(ids)
 
     def test_failing_stop_rule_is_a_policy_error(self):
         vocab, ids, adapter, source = scripted_setup("early")
@@ -580,6 +592,38 @@ class TestStopHook:
 
         with pytest.raises(SessionError, match=r"policy failed at 0\.400s: KeyError"):
             run_session(source, adapter, Broken(f=2), chunk_ms=400.0)
+
+    def test_stop_rule_raising_mid_decode_is_a_policy_error(self):
+        vocab, ids, adapter, source = scripted_setup("early")
+
+        class Buggy(AlignAttPolicy):
+            def stop_rule(self, committed, source_words, vocab, layer):
+                def stop(token, row):
+                    raise ValueError("rule bug")
+
+                return stop
+
+        with pytest.raises(SessionError) as info:
+            run_session(source, adapter, Buggy(f=2), chunk_ms=400.0)
+        assert str(info.value) == "policy failed at 0.400s: ValueError('rule bug')"
+        assert info.value.partial_log.events == ()
+
+    def test_advance_raising_is_an_adapter_error(self):
+        vocab, ids, adapter, source = scripted_setup("early")
+
+        class LostDecode:
+            def advance(self):
+                raise RuntimeError("device lost")
+
+        class Lost(_Pulls):
+            def start_decode(self, enc, forced_prefix, max_new=128):
+                decode = super().start_decode(enc, forced_prefix, max_new)
+                return LostDecode() if len(self.calls) == 2 else decode
+
+        with pytest.raises(SessionError) as info:
+            run_session(source, Lost(adapter), AlignAttPolicy(f=2), chunk_ms=400.0)
+        assert str(info.value) == "adapter failed at 0.800s: device lost"
+        assert info.value.partial_log.tokens == tuple(ids[:1])
 
 
 GOLDEN_CHUNK_MS = 500.0
