@@ -44,7 +44,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                 help="drop sweep rows whose mean computational-aware LAAL exceeds this (default 3.5 when given bare)",
             )
         parser.add_argument("--" + key.replace("_", "-"), **kwargs)
-    parser.add_argument("--workers", type=int, default=1, help="thread count")
 
 
 def _build_config(args: argparse.Namespace, sweep_seed: float | None = None) -> SessionConfig:
@@ -87,7 +86,7 @@ def _print_aggregate(record: dict) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
     entries = load_manifest(args.manifest)
-    evaluation = run_eval(entries, config, out_dir=args.out, workers=args.workers)
+    evaluation = run_eval(entries, config, out_dir=args.out)
     _print_aggregate(evaluation.to_record())
     print(f"run_id={config.run_id} -> {Path(args.out) / config.run_id}")
     return 1 if evaluation.num_failed else 0
@@ -107,7 +106,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     config = _build_config(args, sweep_seed=min(grid))
     entries = load_manifest(args.manifest)
-    rows, evaluations = sweep(entries, config, grid, out_dir=args.out, workers=args.workers)
+    rows, evaluations = sweep(entries, config, grid, out_dir=args.out)
     digest = hashlib.sha256((config.run_id + args.grid).encode("utf-8")).hexdigest()[:12]
     curve_path = Path(args.out) / f"curve_{digest}.csv"
     write_curve_csv(curve_path, rows)
@@ -142,7 +141,11 @@ def _cmd_extract_features(args: argparse.Namespace) -> int:
     if args.save_cmvn is not None:
         save_cmvn_stats(args.save_cmvn, compute_cmvn_stats(features))
     if args.cmvn is not None:
-        features = global_cmvn(features, load_cmvn_stats(args.cmvn))
+        try:
+            features = global_cmvn(features, load_cmvn_stats(args.cmvn))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     write_features(args.output, features)
     print(f"{args.input} -> {args.output} ({features.num_frames} frames x {features.feature_dim})")
     return 0

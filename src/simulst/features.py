@@ -11,6 +11,7 @@ u32 F, f32 frame_shift_ms, then T*F float32 values row-major.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -46,6 +47,8 @@ class FeatureMatrix:
             raise ValueError(f"feature matrix must be 2-D, got shape {frames.shape}")
         if not np.isfinite(frames).all():
             raise ValueError("feature matrix contains non-finite values")
+        if not 0.0 < self.frame_shift_ms < math.inf:
+            raise ValueError(f"frame shift must be finite and positive, got {self.frame_shift_ms} ms")
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -130,13 +133,17 @@ def logmel(samples: np.ndarray, sample_rate: int, num_bins: int = NUM_MEL_BINS) 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
     """Read a RIFF/WAVE file; must be mono 16-bit PCM. Returns (samples in [-1, 1], rate)."""
-    with wave.open(str(path), "rb") as wav:
-        if wav.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {wav.getnchannels()} channels")
-        if wav.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit")
-        rate = wav.getframerate()
-        raw = wav.readframes(wav.getnframes())
+    try:
+        with wave.open(str(path), "rb") as wav:
+            if wav.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio, got {wav.getnchannels()} channels")
+            if wav.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit")
+            rate = wav.getframerate()
+            raw = wav.readframes(wav.getnframes())
+    except (wave.Error, EOFError) as exc:
+        reason = str(exc) or "unexpected end of file"
+        raise ValueError(f"{path}: malformed WAV file: {reason}") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
     return samples, rate
 
@@ -194,7 +201,12 @@ def save_cmvn_stats(path, stats: CmvnStats) -> None:
 
 def load_cmvn_stats(path) -> CmvnStats:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return CmvnStats(mean=np.asarray(payload["mean"]), var=np.asarray(payload["var"]))
+    if not isinstance(payload, dict) or not {"mean", "var"} <= payload.keys():
+        raise ValueError(f"{path}: CMVN stats must be a JSON object with 'mean' and 'var'")
+    try:
+        return CmvnStats(mean=np.asarray(payload["mean"]), var=np.asarray(payload["var"]))
+    except TypeError as exc:
+        raise ValueError(f"{path}: CMVN stats must be numbers: {exc}") from exc
 
 
 # ------------------------------------------------------------------ feature files
@@ -224,7 +236,10 @@ def read_features(path) -> FeatureMatrix:
     if len(blob) != expected:
         raise FeatureFileError(f"{path}: expected {expected} bytes, found {len(blob)}")
     frames = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(t, f)
-    return FeatureMatrix(frames=frames.copy(), frame_shift_ms=float(shift_ms))
+    try:
+        return FeatureMatrix(frames=frames.copy(), frame_shift_ms=float(shift_ms))
+    except ValueError as exc:
+        raise FeatureFileError(f"{path}: {exc}") from exc
 
 
 def load_source_features(path) -> FeatureMatrix:

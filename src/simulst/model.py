@@ -74,9 +74,9 @@ class DecodeResult:
 class ModelAdapter(Protocol):
     """What the simulator requires of a model.
 
-    Adapters are immutable after construction and safe to share across
-    concurrent sessions; any scratch state lives inside a single call or in
-    a ``Decode`` it returned. External bridges (e.g. a subprocess wrapping a
+    Adapters are immutable after construction and shared by every session
+    of a run; any scratch state lives inside a single call or in a
+    ``Decode`` it returned. External bridges (e.g. a subprocess wrapping a
     trained model) satisfy this protocol by mapping their outputs onto
     ``EncoderStates`` / ``DecodeResult``.
 
@@ -223,13 +223,9 @@ class ToyModel:
         return enc
 
     def _pos(self, length: int) -> np.ndarray:
-        # Slice the table read here, not the attribute, which a concurrent
-        # call may replace with a table of a different length.
-        table = self._pos_cache
-        if length > table.shape[0]:
-            table = self._positions(2 * length)
-            self._pos_cache = table
-        return table[:length]
+        if length > self._pos_cache.shape[0]:
+            self._pos_cache = self._positions(2 * length)
+        return self._pos_cache[:length]
 
     # ------------------------------------------------------------------ encoder
 
@@ -430,7 +426,7 @@ class ToyModel:
         return np.argmax(states @ self._w_ctc + self._b_ctc, axis=1)
 
     def count_source_words(self, raw_features: np.ndarray) -> int:
-        """Collapse repeats, drop blanks, count word-boundary labels."""
+        """Collapse repeats, count word-boundary labels."""
         return count_words_in_labels(self.frame_labels(raw_features))
 
 
@@ -500,8 +496,8 @@ class _ToyDecode(Decode):
         return True
 
 
-def count_words_in_labels(labels: Sequence[int], blank: int = 0, boundary: int = 1) -> int:
-    """CTC-style word count: collapse repeats, remove blanks, count boundaries."""
+def count_words_in_labels(labels: Sequence[int], boundary: int = 1) -> int:
+    """CTC-style word count: boundary labels left after collapsing repeats."""
     count = 0
     previous: Optional[int] = None
     for label in labels:

@@ -1,20 +1,17 @@
 """Batch evaluation: run sessions over a manifest, aggregate, sweep grids.
 
-Each utterance runs as an independent session with its own clock. One
-adapter, immutable by the ``ModelAdapter`` contract, is built per run and
-shared by every session, so utterances may execute on a thread pool;
-aggregation reduces results in manifest order regardless of completion
-order. Per-utterance failures (missing source file, adapter fault) are
-recorded and skipped; corpus BLEU pools n-gram counts over the successful
-sessions and latency is macro-averaged over them (sessions with empty output
-contribute no latency).
+Each utterance runs as an independent session with its own clock, one after
+another in manifest order. One adapter, immutable by the ``ModelAdapter``
+contract, is built per run and shared by every session. Per-utterance
+failures (unreadable source file, adapter fault) are recorded and skipped;
+corpus BLEU pools n-gram counts over the successful sessions and latency is
+macro-averaged over them (sessions with empty output contribute no latency).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,7 +213,6 @@ def run_eval(
     entries: list[ManifestEntry],
     config: SessionConfig,
     out_dir: Path | None = None,
-    workers: int = 1,
 ) -> EvalResult:
     """Evaluate every manifest entry under one config.
 
@@ -227,15 +223,9 @@ def run_eval(
     """
     if not entries:
         raise ConfigError("manifest is empty")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
 
     adapter = make_adapter(config)
-    if workers == 1:
-        outcomes = [_run_one(entry, config, adapter) for entry in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda e: _run_one(e, config, adapter), entries))
+    outcomes = [_run_one(entry, config, adapter) for entry in entries]
     evaluation = aggregate(
         entries, [o.error if isinstance(o, _Failure) else o for o in outcomes], config
     )
@@ -272,7 +262,6 @@ def sweep(
     base_config: SessionConfig,
     grid,
     out_dir: Path | None = None,
-    workers: int = 1,
 ) -> tuple[list[CurveRow], list[EvalResult]]:
     """Run one evaluation per grid value of the policy's sweep knob.
 
@@ -288,7 +277,7 @@ def sweep(
     rows: list[CurveRow] = []
     evaluations: list[EvalResult] = []
     for value, config in zip(values, configs):
-        evaluation = run_eval(entries, config, out_dir=out_dir, workers=workers)
+        evaluation = run_eval(entries, config, out_dir=out_dir)
         evaluations.append(evaluation)
         row = CurveRow(
             param=float(value),

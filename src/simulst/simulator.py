@@ -82,20 +82,23 @@ class SimulatedClock:
 
 
 class RealClock:
-    """Wall-time clock; compute cost is whatever actually elapses."""
+    """``SimulatedClock`` with each step's compute measured, not declared:
+    ``now`` adds the monotonic seconds elapsed since the last ``advance_to``."""
 
     def __init__(self) -> None:
-        self._t0 = time.monotonic()
-        self._floor = 0.0
+        self._t = 0.0
+        self._mark = time.monotonic()
 
     def now(self) -> float:
-        return max(time.monotonic() - self._t0, self._floor)
+        return self._t + (time.monotonic() - self._mark)
 
     def charge(self, seconds: float) -> None:
         pass
 
     def advance_to(self, floor_s: float) -> None:
-        self._floor = max(self._floor, floor_s)
+        mark = time.monotonic()
+        self._t = max(self._t + (mark - self._mark), floor_s)
+        self._mark = mark
 
 
 @dataclass(frozen=True)
@@ -280,7 +283,7 @@ def run_session(
             commit(candidates, ideal_s)
             break
 
-        weights = aggregate_attention(result.attention, layer)[len(committed):, :]
+        weights = aggregate_attention(result.attention[:, :, len(committed):], layer)
         context = StepContext(
             candidates=tuple(candidates),
             attention=weights,

@@ -260,7 +260,7 @@ def test_08_latency_trend_on_synthetic_suite(tmp_path):
     manifest = build_suite(tmp_path / "suite20", num_utterances=20)
     entries = load_manifest(manifest)
     base = SessionConfig(policy="alignatt", f=2, chunk_ms=500.0, step_cost_s=0.01)
-    rows, evaluations = sweep(entries, base, [2, 14], workers=1)
+    rows, evaluations = sweep(entries, base, [2, 14])
     elapsed = time.monotonic() - start
 
     trend = rows[0].laal_s < rows[1].laal_s

@@ -149,29 +149,6 @@ class TestRun:
         overridden = SessionConfig(policy="alignatt", f=6, chunk_ms=500.0)
         assert f"run_id={overridden.run_id}" in captured
 
-    def test_workers_flag_matches_serial(self, suite_dir, tmp_path, capsys):
-        args = (
-            "run", "--manifest", suite_dir / "manifest.jsonl",
-            "--policy", "alignatt", "--f", "4", "--chunk-ms", "500",
-        )
-        assert run_cli(*args, "--out", tmp_path / "serial", "--workers", "1") == 0
-        assert run_cli(*args, "--out", tmp_path / "pooled", "--workers", "3") == 0
-        capsys.readouterr()
-        config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
-        a = (tmp_path / "serial" / config.run_id / "aggregate.json").read_bytes()
-        b = (tmp_path / "pooled" / config.run_id / "aggregate.json").read_bytes()
-        assert a == b
-
-    def test_workers_below_one_is_usage_error(self, suite_dir, tmp_path, capsys):
-        code = run_cli(
-            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out",
-            "--policy", "alignatt", "--f", "4", "--workers", "0",
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "workers must be >= 1" in err
-        assert not (tmp_path / "out").exists()
-
 
 class TestSweep:
     def test_writes_curve_csv(self, suite_dir, tmp_path, capsys):
@@ -396,6 +373,26 @@ class TestExtractFeatures:
         assert abs(float(normalized.frames.mean())) < 1e-3
         assert float(normalized.frames.std()) == pytest.approx(1.0, abs=1e-2)
 
+    @pytest.mark.parametrize(
+        "stats",
+        [
+            {"mean": [0.0, 0.0], "var": [1.0, 1.0]},
+            {"mean": [0.0]},
+            [0.0, 1.0],
+            {"mean": {"a": 0.0}, "var": [1.0]},
+        ],
+        ids=["wrong_dimension", "missing_var", "json_list", "non_numeric"],
+    )
+    def test_malformed_cmvn_is_usage_error(self, tmp_path, capsys, stats):
+        wav = self.make_wav(tmp_path / "a.wav")
+        stats_path = tmp_path / "cmvn.json"
+        stats_path.write_text(json.dumps(stats), encoding="utf-8")
+        code = run_cli("extract-features", wav, tmp_path / "o.sgfb", "--cmvn", stats_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not (tmp_path / "o.sgfb").exists()
+
     def test_feature_file_passthrough(self, tmp_path, capsys):
         wav = self.make_wav(tmp_path / "a.wav")
         first = tmp_path / "one.sgfb"
@@ -428,3 +425,12 @@ class TestParser:
         )
         capsys.readouterr()
         assert code == 2
+
+    def test_workers_flag_is_unknown(self, suite_dir, tmp_path, capsys):
+        code = run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out",
+            "--policy", "alignatt", "--f", "4", "--workers", "2",
+        )
+        assert code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -112,6 +112,11 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             FeatureMatrix(frames=bad)
 
+    @pytest.mark.parametrize("shift_ms", [0.0, -10.0, math.nan, math.inf])
+    def test_rejects_frame_shift_not_finite_and_positive(self, shift_ms):
+        with pytest.raises(ValueError, match="frame shift must be finite and positive"):
+            FeatureMatrix(frames=np.zeros((2, 2), dtype=np.float32), frame_shift_ms=shift_ms)
+
     def test_duration_uses_frame_shift(self):
         feats = FeatureMatrix(frames=np.zeros((30, 4), dtype=np.float32), frame_shift_ms=20.0)
         assert feats.duration_s == pytest.approx(0.6)
@@ -167,6 +172,14 @@ class TestCmvn:
         loaded = load_cmvn_stats(path)
         assert np.array_equal(loaded.mean, stats.mean)
         assert np.array_equal(loaded.var, stats.var)
+
+    @pytest.mark.parametrize("payload", ['[0.0, 1.0]', '{"mean": [0.0]}'])
+    def test_load_rejects_payload_without_both_keys(self, tmp_path, payload):
+        path = tmp_path / "cmvn.json"
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(ValueError, match="JSON object with 'mean' and 'var'") as info:
+            load_cmvn_stats(path)
+        assert str(path) in str(info.value)
 
 
 class TestFeatureFiles:
@@ -253,6 +266,13 @@ class TestWav:
             wav.setframerate(16000)
             wav.writeframes(b"\0" * 800)
         with pytest.raises(ValueError, match="16-bit"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("blob", [b"RIFF", b"RIFF\x08\x00\x00\x00WAVEJUNK"])
+    def test_rejects_malformed_riff(self, tmp_path, blob):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"{path}: malformed WAV file"):
             read_wav(path)
 
 

@@ -586,7 +586,7 @@ class TestWordCounting:
         assert count_words_in_labels(labels) == expected
 
     def test_custom_boundary_label(self):
-        assert count_words_in_labels([3, 5, 3, 3], blank=9, boundary=3) == 2
+        assert count_words_in_labels([3, 5, 3, 3], boundary=3) == 2
 
     def test_toy_count_is_stable_and_nonnegative(self, toy_model, golden_source):
         a = toy_model.count_source_words(golden_source)

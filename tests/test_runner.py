@@ -1,8 +1,10 @@
 """Batch evaluation over manifests: aggregation, failures, sweeps, CSV."""
 
+import dataclasses
 import json
 import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,13 @@ def small_suite(tmp_path_factory):
 ALIGNATT4 = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
 
 
+def _with_frame_shift(feature_file: bytes, shift_ms: float) -> bytes:
+    """The feature file with the header's frame shift replaced."""
+    blob = bytearray(feature_file)
+    struct.pack_into("<f", blob, 16, shift_ms)
+    return bytes(blob)
+
+
 class TestMakeAdapter:
     def test_toy_adapter_uses_config_seed(self):
         adapter = make_adapter(SessionConfig(policy="alignatt", f=2, seed=3))
@@ -56,7 +65,7 @@ class TestMakeAdapter:
 
 class TestRunEval:
     def test_results_follow_manifest_order(self, small_suite):
-        evaluation = run_eval(small_suite, ALIGNATT4, workers=1)
+        evaluation = run_eval(small_suite, ALIGNATT4)
         assert [r.id for r in evaluation.results] == [e.id for e in small_suite]
         assert evaluation.num_failed == 0
         assert not math.isnan(evaluation.corpus_bleu)
@@ -70,16 +79,12 @@ class TestRunEval:
         # the suite's references are the same model's full-source decodes, so
         # a late-committing policy should land near them
         evaluation = run_eval(
-            small_suite, SessionConfig(policy="alignatt", f=30, chunk_ms=500.0), workers=1
+            small_suite, SessionConfig(policy="alignatt", f=30, chunk_ms=500.0)
         )
         assert evaluation.corpus_bleu > 50.0
 
-    def test_workers_below_one_rejected(self, small_suite):
-        with pytest.raises(ConfigError, match=">= 1"):
-            run_eval(small_suite, ALIGNATT4, workers=0)
-
     def test_writes_logs_and_aggregate(self, small_suite, tmp_path):
-        evaluation = run_eval(small_suite, ALIGNATT4, out_dir=tmp_path, workers=1)
+        evaluation = run_eval(small_suite, ALIGNATT4, out_dir=tmp_path)
         run_dir = tmp_path / ALIGNATT4.run_id
         for entry in small_suite:
             assert (run_dir / f"{entry.id}.jsonl").exists()
@@ -91,13 +96,11 @@ class TestRunEval:
         assert len(record["utterances"]) == 3
 
     def test_missing_source_recorded_not_raised(self, small_suite, tmp_path):
-        import dataclasses
-
         broken = [
             dataclasses.replace(small_suite[0], source=tmp_path / "gone.sgfb"),
             *small_suite[1:],
         ]
-        evaluation = run_eval(broken, ALIGNATT4, out_dir=tmp_path, workers=1)
+        evaluation = run_eval(broken, ALIGNATT4, out_dir=tmp_path)
         assert evaluation.num_failed == 1
         assert evaluation.results[0].failed
         assert "source unreadable" in evaluation.results[0].error
@@ -111,6 +114,37 @@ class TestRunEval:
         error = evaluation.results[0].error
         assert path.read_text(encoding="utf-8") == json.dumps({"error": error}) + "\n"
         assert record["corpus_bleu"] is not None
+
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("riff_only.wav", lambda good: b"RIFF"),
+            ("no_chunks.wav", lambda good: b"RIFF\x08\x00\x00\x00WAVEJUNK"),
+            ("shift_zero.sgfb", lambda good: _with_frame_shift(good, 0.0)),
+            ("shift_negative.sgfb", lambda good: _with_frame_shift(good, -10.0)),
+            ("shift_nan.sgfb", lambda good: _with_frame_shift(good, math.nan)),
+        ],
+        ids=["riff_only", "no_chunks", "shift_zero", "shift_negative", "shift_nan"],
+    )
+    def test_malformed_source_fails_only_its_utterance(self, small_suite, tmp_path, name, corrupt):
+        bad = tmp_path / name
+        bad.write_bytes(corrupt(small_suite[1].source.read_bytes()))
+        entries = [small_suite[0], dataclasses.replace(small_suite[1], source=bad)]
+        evaluation = run_eval(entries, ALIGNATT4, out_dir=tmp_path)
+        assert not evaluation.results[0].failed
+        assert evaluation.results[1].error.startswith(f"source unreadable: {bad}")
+        run_dir = tmp_path / ALIGNATT4.run_id
+        assert read_emission_log(run_dir / f"{entries[0].id}.jsonl") == evaluation.results[0].log
+        record = json.loads((run_dir / "aggregate.json").read_text(encoding="utf-8"))
+        assert record["failed_ids"] == [entries[1].id]
+
+    def test_real_clock_counts_compute_after_arrival(self, small_suite):
+        config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0, clock="real")
+        evaluation = run_eval(small_suite, config)
+        events = [e for r in evaluation.results for e in r.log.events]
+        assert all(e.wall_s >= e.ideal_s for e in events)
+        assert any(e.wall_s > e.ideal_s for e in events)
+        assert evaluation.mean_laal_ca_s > evaluation.mean_laal_s
 
     def test_failed_session_log_keeps_its_commits_and_error(self, small_suite, tmp_path, monkeypatch):
         class FailsThirdStep(AlignAttPolicy):
@@ -139,19 +173,17 @@ class TestRunEval:
         self, small_suite, tmp_path
     ):
         config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0, step_cost_s=1e308)
-        evaluation = run_eval(small_suite, config, out_dir=tmp_path, workers=1)
+        evaluation = run_eval(small_suite, config, out_dir=tmp_path)
         assert all("SimulatedClock read inf" in r.error for r in evaluation.results)
         for path in (tmp_path / config.run_id).iterdir():
             assert "Infinity" not in path.read_text(encoding="utf-8")
 
     def test_all_failed_gives_null_aggregates(self, small_suite, tmp_path):
-        import dataclasses
-
         broken = [
             dataclasses.replace(e, source=tmp_path / f"none_{i}.sgfb")
             for i, e in enumerate(small_suite)
         ]
-        evaluation = run_eval(broken, ALIGNATT4, out_dir=tmp_path, workers=1)
+        evaluation = run_eval(broken, ALIGNATT4, out_dir=tmp_path)
         assert evaluation.num_failed == 3
         assert math.isnan(evaluation.corpus_bleu)
         record = json.loads(
@@ -164,13 +196,7 @@ class TestRunEval:
         with pytest.raises(ConfigError, match="manifest is empty"):
             run_eval([], ALIGNATT4)
 
-    def test_thread_pool_matches_serial(self, small_suite):
-        serial = run_eval(small_suite, ALIGNATT4, workers=1)
-        threaded = run_eval(small_suite, ALIGNATT4, workers=3)
-        assert serial.results == threaded.results
-        assert serial.corpus_bleu == threaded.corpus_bleu
-
-    def test_one_adapter_per_run_shared_across_workers(self, small_suite, tmp_path, monkeypatch):
+    def test_one_adapter_per_run_shared_across_sessions(self, small_suite, tmp_path, monkeypatch):
         built = []
 
         def counting_make_adapter(config):
@@ -178,13 +204,13 @@ class TestRunEval:
             return make_adapter(config)
 
         monkeypatch.setattr(runner, "make_adapter", counting_make_adapter)
-        for workers in (1, 2):
-            run_eval(small_suite, ALIGNATT4, out_dir=tmp_path / str(workers), workers=workers)
+        for run in ("a", "b"):
+            run_eval(small_suite, ALIGNATT4, out_dir=tmp_path / run)
         assert built == [ALIGNATT4.run_id, ALIGNATT4.run_id]
         for name in [f"{e.id}.jsonl" for e in small_suite] + ["aggregate.json"]:
-            serial = (tmp_path / "1" / ALIGNATT4.run_id / name).read_bytes()
-            threaded = (tmp_path / "2" / ALIGNATT4.run_id / name).read_bytes()
-            assert serial == threaded, name
+            first = (tmp_path / "a" / ALIGNATT4.run_id / name).read_bytes()
+            second = (tmp_path / "b" / ALIGNATT4.run_id / name).read_bytes()
+            assert first == second, name
 
     def test_word_count_failure_fails_only_its_utterance(self, small_suite, monkeypatch):
         doomed = read_features(small_suite[1].source).frames[0]
@@ -199,7 +225,7 @@ class TestRunEval:
 
         monkeypatch.setattr(runner, "make_adapter", lambda config: WordCountFails())
         config = SessionConfig(policy="waitk", k=2, chunk_ms=500.0)
-        evaluation = run_eval(small_suite, config, workers=1)
+        evaluation = run_eval(small_suite, config)
         assert [r.failed for r in evaluation.results] == [False, True, False]
         assert "counting words" in evaluation.results[1].error
         assert not math.isnan(evaluation.corpus_bleu)
@@ -218,14 +244,14 @@ class TestRunEval:
             return policy
 
         monkeypatch.setattr(SessionConfig, "make_policy", make_policy)
-        evaluation = run_eval(small_suite[:2], ALIGNATT4, workers=1)
+        evaluation = run_eval(small_suite[:2], ALIGNATT4)
         assert [r.failed for r in evaluation.results] == [False, True]
         assert "policy failed" in evaluation.results[1].error
         assert "IndexError" in evaluation.results[1].error
         assert not math.isnan(evaluation.corpus_bleu)
 
     def test_interrupted_aggregate_write_keeps_earlier_file(self, small_suite, tmp_path, monkeypatch):
-        run_eval(small_suite, ALIGNATT4, out_dir=tmp_path, workers=1)
+        run_eval(small_suite, ALIGNATT4, out_dir=tmp_path)
         run_dir = tmp_path / ALIGNATT4.run_id
         before = (run_dir / "aggregate.json").read_bytes()
         names = sorted(p.name for p in run_dir.iterdir())
@@ -238,14 +264,14 @@ class TestRunEval:
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
-            run_eval(small_suite[:2], ALIGNATT4, out_dir=tmp_path, workers=1)
+            run_eval(small_suite[:2], ALIGNATT4, out_dir=tmp_path)
         assert (run_dir / "aggregate.json").read_bytes() == before
         assert sorted(p.name for p in run_dir.iterdir()) == names
 
     def test_deterministic_outputs(self, small_suite, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        run_eval(small_suite, ALIGNATT4, out_dir=a_dir, workers=1)
-        run_eval(small_suite, ALIGNATT4, out_dir=b_dir, workers=1)
+        run_eval(small_suite, ALIGNATT4, out_dir=a_dir)
+        run_eval(small_suite, ALIGNATT4, out_dir=b_dir)
         for name in [f"{e.id}.jsonl" for e in small_suite] + ["aggregate.json"]:
             a = (a_dir / ALIGNATT4.run_id / name).read_bytes()
             b = (b_dir / ALIGNATT4.run_id / name).read_bytes()
@@ -254,29 +280,29 @@ class TestRunEval:
 
 class TestSweep:
     def test_rows_sorted_and_deduplicated(self, small_suite):
-        rows, evaluations = sweep(small_suite, ALIGNATT4, [8, 2, 8], workers=1)
+        rows, evaluations = sweep(small_suite, ALIGNATT4, [8, 2, 8])
         assert [row.param for row in rows] == [2.0, 8.0]
         assert len(evaluations) == 2
         assert evaluations[0].config.f == 2
         assert evaluations[1].config.f == 8
 
     def test_rows_match_single_runs(self, small_suite):
-        rows, _ = sweep(small_suite, ALIGNATT4, [4], workers=1)
-        single = run_eval(small_suite, ALIGNATT4, workers=1)
+        rows, _ = sweep(small_suite, ALIGNATT4, [4])
+        single = run_eval(small_suite, ALIGNATT4)
         assert rows[0].bleu == pytest.approx(single.corpus_bleu)
         assert rows[0].laal_s == pytest.approx(single.mean_laal_s)
         assert rows[0].al_s == pytest.approx(single.mean_al_s)
 
     def test_empty_grid_rejected(self, small_suite):
         with pytest.raises(ConfigError, match="sweep grid is empty"):
-            sweep(small_suite, ALIGNATT4, [], workers=1)
+            sweep(small_suite, ALIGNATT4, [])
 
     def test_laal_cap_filters_rows_not_evaluations(self, small_suite):
-        uncapped_rows, _ = sweep(small_suite, ALIGNATT4, [2, 30], workers=1)
+        uncapped_rows, _ = sweep(small_suite, ALIGNATT4, [2, 30])
         assert len(uncapped_rows) == 2
         cap = (uncapped_rows[0].laal_ca_s + uncapped_rows[1].laal_ca_s) / 2.0
         capped = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0, laal_cap_s=cap)
-        rows, evaluations = sweep(small_suite, capped, [2, 30], workers=1)
+        rows, evaluations = sweep(small_suite, capped, [2, 30])
         assert len(evaluations) == 2  # every grid point still evaluated
         assert [row.param for row in rows] == [2.0]
 
@@ -287,7 +313,7 @@ class TestSweep:
 
     def test_sweep_varies_the_policy_knob(self, small_suite):
         base = SessionConfig(policy="edatt", alpha=0.5, chunk_ms=500.0)
-        _, evaluations = sweep(small_suite, base, [0.2, 0.8], workers=1)
+        _, evaluations = sweep(small_suite, base, [0.2, 0.8])
         assert [e.config.alpha for e in evaluations] == [0.2, 0.8]
 
 

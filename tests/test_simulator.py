@@ -1,5 +1,7 @@
 """Streaming session driver: clocks, chunked delivery, commit timing, JSONL."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from simulst import (
     run_session,
     write_emission_log,
 )
+from simulst import simulator
 
 from conftest import build_suite, make_source
 
@@ -72,6 +75,13 @@ class TestRealClock:
         assert clock.now() >= 0.0
         first = clock.now()
         assert clock.now() >= first
+
+    def test_compute_after_arrival_counts(self, monkeypatch):
+        ticks = iter([0.0, 0.001, 0.011])
+        monkeypatch.setattr(simulator, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        clock = RealClock()
+        clock.advance_to(0.25)
+        assert clock.now() == pytest.approx(0.26)
 
 
 class TestStreamCursor:
