@@ -29,7 +29,7 @@ from .features import (
 )
 from .manifest import ManifestError, load_manifest
 from .runner import aggregate, run_eval, sweep, write_curve_csv
-from .simulator import read_emission_log
+from .simulator import read_emission_log, write_text_atomic
 
 __all__ = ["main"]
 
@@ -127,7 +127,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     evaluation = aggregate(entries, outcomes)
     text = json.dumps(evaluation.to_record(), indent=2, sort_keys=True)
     if args.out is not None:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_text_atomic(args.out, text + "\n")
     print(text)
     return 1 if evaluation.num_failed else 0
 
@@ -135,17 +135,18 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_extract_features(args: argparse.Namespace) -> int:
     try:
         features = load_source_features(args.input)
+        stats = None if args.save_cmvn is None else compute_cmvn_stats(features)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.save_cmvn is not None:
-        save_cmvn_stats(args.save_cmvn, compute_cmvn_stats(features))
     if args.cmvn is not None:
         try:
             features = global_cmvn(features, load_cmvn_stats(args.cmvn))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    if stats is not None:
+        save_cmvn_stats(args.save_cmvn, stats)
     write_features(args.output, features)
     print(f"{args.input} -> {args.output} ({features.num_frames} frames x {features.feature_dim})")
     return 0

@@ -161,19 +161,6 @@ class SessionConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SessionConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc.msg}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls.from_dict(data)
-
     @property
     def run_id(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -173,6 +173,8 @@ class CmvnStats:
         var = np.asarray(self.var, dtype=float).ravel()
         if mean.shape != var.shape:
             raise ValueError("mean and variance must have the same dimension")
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+            raise ValueError("mean and variance must be finite")
         if (var <= 0).any():
             raise ValueError("variances must be strictly positive")
         object.__setattr__(self, "mean", mean)
@@ -180,6 +182,8 @@ class CmvnStats:
 
 
 def compute_cmvn_stats(features: FeatureMatrix) -> CmvnStats:
+    if features.num_frames == 0:
+        raise ValueError("no frames to compute CMVN stats from")
     frames = features.frames.astype(float)
     return CmvnStats(mean=frames.mean(axis=0), var=frames.var(axis=0))
 

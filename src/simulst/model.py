@@ -80,11 +80,12 @@ class ModelAdapter(Protocol):
     trained model) satisfy this protocol by mapping their outputs onto
     ``EncoderStates`` / ``DecodeResult``.
 
-    Optional early stop: an adapter may also offer
-    ``start_decode(enc, forced_prefix, max_new)`` (not part of this
-    protocol), the same decode as a ``Decode`` paused before its first
-    generated token; draining it gives exactly ``decode_greedy``'s result.
-    Several decodes of one adapter may be live, each advancing on its own.
+    The simulator pulls each decode token by token. An adapter that can
+    generate on demand offers ``start_decode(enc, forced_prefix, max_new)``
+    beside this protocol: the same decode as a ``Decode`` paused before its
+    first generated token, drained to exactly ``decode_greedy``'s result;
+    several may be live, each advancing on its own. Any other adapter is
+    bridged by ``FinishedDecode``, so every adapter gets stop rules.
     """
 
     num_decoder_layers: int
@@ -101,7 +102,7 @@ class ModelAdapter(Protocol):
 
 
 class Decode:
-    """A greedy decode that generates each token when asked for it (see ``ModelAdapter``).
+    """A greedy decode that yields each token when asked for it (see ``ModelAdapter``).
 
     ``tokens``, ``attention`` and ``eos_reached`` read as in ``DecodeResult``
     for the tokens generated so far. ``advance()`` generates the next token
@@ -134,6 +135,28 @@ class Decode:
         while self._next():
             pass
         return DecodeResult(self.tokens, self.attention, self.eos_reached)
+
+
+class FinishedDecode(Decode):
+    """A finished decode replayed token by token from output position ``start``.
+
+    It bridges an adapter with only ``decode_greedy`` to the simulator's pulls.
+    """
+
+    def __init__(self, result: DecodeResult, start: int):
+        self._result = result
+        self._tokens = list(result.tokens[:start])
+
+    def _rows(self) -> np.ndarray:
+        return self._result.attention
+
+    def _next(self) -> bool:
+        full = self._result.tokens
+        if len(self._tokens) == len(full):
+            self.eos_reached = self._result.eos_reached
+            return False
+        self._tokens.append(full[len(self._tokens)])
+        return True
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
@@ -515,8 +538,8 @@ class ScriptedAdapter:
     that frame across every layer and head), whether the hypothesis ended
     with end-of-sequence, and optionally the detected source word count.
     Useful for driving the simulator down exact decision paths; also the
-    reference example of a non-toy ``ModelAdapter``, ``start_decode``
-    included.
+    reference full-decode adapter: it offers only ``decode_greedy``, so the
+    simulator pulls its results through ``FinishedDecode``.
     """
 
     def __init__(
@@ -555,11 +578,6 @@ class ScriptedAdapter:
     def decode_greedy(
         self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
     ) -> DecodeResult:
-        return self.start_decode(enc, forced_prefix, max_new).drained()
-
-    def start_decode(
-        self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
-    ) -> _ScriptedDecode:
         prefix = tuple(forced_prefix)
         if self.vocab.eos_id in prefix:
             raise ValueError("forced prefix must not contain end-of-sequence")
@@ -580,33 +598,13 @@ class ScriptedAdapter:
             attn[:, :, i, frame] = 1.0
         # as in ToyModel, end-of-sequence is read only after fewer than max_new tokens
         eos = step.eos and len(step.tokens) < len(prefix) + max_new
-        return _ScriptedDecode(tokens, attn, len(prefix), eos)
+        return DecodeResult(tokens, attn, eos)
 
     def count_source_words(self, raw_features: np.ndarray) -> int:
         feats = np.asarray(raw_features, dtype=float)
         n = -(-feats.shape[0] // self._reduction)
         step = self._script(n)
         return step.source_words
-
-
-class _ScriptedDecode(Decode):
-    """A scripted decode that generates ``script`` from its forced prefix on."""
-
-    def __init__(self, script: tuple[int, ...], attention: np.ndarray, start: int, eos: bool):
-        self._script = script
-        self._attention = attention
-        self._tokens = list(script[:start])
-        self._eos = eos
-
-    def _rows(self) -> np.ndarray:
-        return self._attention
-
-    def _next(self) -> bool:
-        if len(self._tokens) == len(self._script):
-            self.eos_reached = self._eos
-            return False
-        self._tokens.append(self._script[len(self._tokens)])
-        return True
 
 
 @dataclass(frozen=True)

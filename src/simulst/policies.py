@@ -65,8 +65,8 @@ class StepContext:
     words detected so far (0 unless the policy ``uses_word_counts``).
     ``eos_reached`` tells whether the decode ended at end-of-sequence,
     ``vocab`` is the adapter's vocabulary, and ``decode`` is the step's
-    decode, paused where the stop rule fired, when the adapter offers
-    ``start_decode`` (None otherwise).
+    ``Decode`` of ``committed + candidates``, paused where the stop rule
+    fired (a ``FinishedDecode`` replay for a ``decode_greedy``-only adapter).
     """
 
     candidates: tuple[int, ...]
@@ -76,7 +76,7 @@ class StepContext:
     committed: tuple[int, ...]
     eos_reached: bool
     vocab: Vocabulary
-    decode: Optional[Decode] = field(default=None, compare=False, repr=False)
+    decode: Decode = field(compare=False, repr=False)
 
 
 def alignatt_decide(
@@ -189,12 +189,12 @@ class Policy:
     ) -> Optional[Callable[[int, np.ndarray], bool]]:
         """A rule ``stop(token, row)`` that may end this step's decode early, or None.
 
-        Asked for before each decode but the final flush, when the adapter
-        offers ``start_decode``. The simulator pulls the decode one token at a
-        time, ``row`` being the token's (L, H, n) cross-attention, until the
-        rule returns true, which it may do only at a token after which no
-        continuation changes what ``decide`` commits; ``decide`` still runs
-        on the shortened decode. None decodes in full.
+        Asked for before each decode but the final flush, whatever the
+        adapter. The simulator pulls the decode one token at a time, ``row``
+        being the token's (L, H, n) cross-attention, until the rule returns
+        true, which it may do only at a token after which no continuation
+        changes what ``decide`` commits; ``decide`` still runs on the
+        shortened decode. None drains the decode.
         """
         return None
 
@@ -290,16 +290,16 @@ class WaitKPolicy(Policy):
 class _Hypothesis:
     """A step's hypothesis, extended on demand by advancing its paused decode."""
 
-    def __init__(self, tokens: tuple[int, ...], decode: Optional[Decode]):
-        self._tokens = list(tokens)
-        self._decode = decode
+    def __init__(self, decode: Decode):
+        self._tokens = list(decode.tokens)
+        self._decode: Optional[Decode] = decode
 
     def token(self, i: int) -> Optional[int]:
         """Token ``i`` of the full decode, or None past its end."""
         while i >= len(self._tokens) and self._decode is not None:
             pulled = self._decode.advance()
             if pulled is None:
-                self._decode = None
+                self._decode = None  # ended: advance it no more
             else:
                 self._tokens.append(pulled[0])
         return self._tokens[i] if i < len(self._tokens) else None
@@ -325,7 +325,7 @@ class LocalAgreementPolicy(Policy):
     def decide(self, ctx: StepContext) -> PolicyDecision:
         current = ctx.committed + ctx.candidates
         decision = local_agreement_prefix(self._previous, current, len(ctx.committed))
-        self._previous = _Hypothesis(current, ctx.decode)
+        self._previous = _Hypothesis(ctx.decode)
         return decision
 
     def stop_rule(self, committed, source_words, vocab, layer):

@@ -4,11 +4,11 @@ Each timestep reads one chunk of source frames, re-encodes the delivered
 prefix, greedily extends the committed hypothesis, and hands the candidate
 tokens (with their aggregated cross-attention) to the decision policy.
 Committed output is append-only. When the source is exhausted the final
-hypothesis is committed unconditionally. Before every other decode the
-policy may supply a stop rule: when the adapter offers ``start_decode``, the
-simulator pulls tokens from the decode one at a time until the rule fires,
-and hands the paused decode to the policy with the step's context, so it can
-read further.
+hypothesis is committed unconditionally. Every decode is pulled one token at
+a time: the adapter's ``start_decode``, or its ``decode_greedy`` result
+replayed by ``FinishedDecode``. Before every other decode the policy may
+supply a stop rule; tokens are pulled until it fires, and the paused decode
+goes to the policy with the step's context, so it can read further.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -31,7 +31,7 @@ import numpy as np
 
 from .attention import aggregate_attention, compute_alignment
 from .features import FeatureMatrix
-from .model import DEFAULT_MAX_NEW, ModelAdapter
+from .model import DEFAULT_MAX_NEW, FinishedDecode, ModelAdapter
 from .policies import Policy, PolicyDecision, StepContext
 
 __all__ = [
@@ -233,7 +233,6 @@ def run_session(
             )
             committed.append(token)
 
-    start_decode = getattr(adapter, "start_decode", None)
     while not cursor.exhausted:
         prefix = cursor.read()
         ideal_s = cursor.delivered_s
@@ -252,7 +251,7 @@ def run_session(
             # retracts budget already granted.
             detected_words = max(detected_words, words)
         rule = None
-        if start_decode is not None and not final:
+        if not final:
             try:
                 rule = policy.stop_rule(tuple(committed), detected_words, vocab, layer)
             except Exception as exc:
@@ -260,15 +259,17 @@ def run_session(
         try:
             states = adapter.encode(prefix)
             clock.charge(step_cost_s)
-            if rule is None:
-                result = adapter.decode_greedy(states, forced_prefix=committed, max_new=max_new)
+            if hasattr(adapter, "start_decode"):
+                decode = adapter.start_decode(states, committed, max_new)
             else:
-                result = start_decode(states, committed, max_new)
+                decode = FinishedDecode(adapter.decode_greedy(states, committed, max_new), len(committed))
+            if rule is None:
+                decode.drained()
         except Exception as exc:
             raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
         while rule is not None:
             try:
-                pulled = result.advance()
+                pulled = decode.advance()
             except Exception as exc:
                 raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
             try:
@@ -278,21 +279,21 @@ def run_session(
                 raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc
         clock.charge(step_cost_s)
 
-        candidates = list(result.tokens[len(committed):])
+        candidates = list(decode.tokens[len(committed):])
         if final:
             commit(candidates, ideal_s)
             break
 
-        weights = aggregate_attention(result.attention[:, :, len(committed):], layer)
+        weights = aggregate_attention(decode.attention[:, :, len(committed):], layer)
         context = StepContext(
             candidates=tuple(candidates),
             attention=weights,
             alignment=compute_alignment(weights),
             source_words=detected_words,
             committed=tuple(committed),
-            eos_reached=result.eos_reached,
+            eos_reached=decode.eos_reached,
             vocab=vocab,
-            decode=None if rule is None else result,
+            decode=decode,
         )
         try:
             decision: PolicyDecision = policy.decide(context)

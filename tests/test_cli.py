@@ -1,11 +1,12 @@
 """Command-line surface: verbs, exit codes, artifacts."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from simulst import SessionConfig, read_features, write_wav
+from simulst import FeatureMatrix, SessionConfig, read_features, write_features, write_wav
 from simulst.cli import main
 from simulst.runner import CURVE_HEADER
 
@@ -294,6 +295,29 @@ class TestScore:
         assert code == 0
         assert json.loads(report.read_text("utf-8"))["num_utterances"] == 3
 
+    def test_failed_out_write_keeps_earlier_report(self, suite_dir, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
+        run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--policy", "alignatt", "--f", "4", "--chunk-ms", "500",
+        )
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        report.write_text("earlier\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code = run_cli(
+            "score", "--manifest", suite_dir / "manifest.jsonl",
+            "--logs", out / config.run_id, "--out", report,
+        )
+        assert code == 1 and "disk full" in capsys.readouterr().err
+        assert report.read_text("utf-8") == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "report.json"]
+
     def test_missing_log_is_partial_failure(self, suite_dir, tmp_path, capsys):
         out = tmp_path / "out"
         config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
@@ -380,8 +404,9 @@ class TestExtractFeatures:
             {"mean": [0.0]},
             [0.0, 1.0],
             {"mean": {"a": 0.0}, "var": [1.0]},
+            {"mean": [float("nan")] * 80, "var": [1.0] * 80},
         ],
-        ids=["wrong_dimension", "missing_var", "json_list", "non_numeric"],
+        ids=["wrong_dimension", "missing_var", "json_list", "non_numeric", "non_finite"],
     )
     def test_malformed_cmvn_is_usage_error(self, tmp_path, capsys, stats):
         wav = self.make_wav(tmp_path / "a.wav")
@@ -392,6 +417,21 @@ class TestExtractFeatures:
         assert code == 2
         assert err.startswith("error: ")
         assert not (tmp_path / "o.sgfb").exists()
+
+    @pytest.mark.parametrize("kind", ["silent_wav", "one_frame", "zero_frames"])
+    def test_stats_of_input_that_cannot_be_normalized_are_an_error(self, tmp_path, capsys, kind):
+        if kind == "silent_wav":
+            source = tmp_path / "silent.wav"
+            write_wav(source, np.zeros(16000), 16000)
+        else:
+            source = tmp_path / f"{kind}.sgfb"
+            frames = np.ones((1 if kind == "one_frame" else 0, 80), dtype=np.float32)
+            write_features(source, FeatureMatrix(frames=frames))
+        stats_path, out = tmp_path / "s.json", tmp_path / "o.sgfb"
+        code = run_cli("extract-features", source, out, "--save-cmvn", stats_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not stats_path.exists() and not out.exists()
 
     def test_feature_file_passthrough(self, tmp_path, capsys):
         wav = self.make_wav(tmp_path / "a.wav")

@@ -165,6 +165,24 @@ class TestCmvn:
         with pytest.raises(ValueError, match="same dimension"):
             CmvnStats(mean=np.zeros(2), var=np.ones(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mean", "var"])
+    def test_rejects_non_finite_stats(self, field, bad):
+        values = {"mean": np.zeros(2), "var": np.ones(2)}
+        values[field][1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            CmvnStats(**values)
+
+    @pytest.mark.parametrize(
+        "frames,message",
+        [(np.ones((0, 3)), "no frames"), (np.ones((1, 3)), "strictly positive"),
+         (np.full((40, 3), LOG_FLOOR), "strictly positive")],
+        ids=["zero_frames", "one_frame", "constant"],
+    )
+    def test_stats_of_input_that_cannot_be_normalized(self, frames, message):
+        with pytest.raises(ValueError, match=message):
+            compute_cmvn_stats(FeatureMatrix(frames=frames.astype(np.float32)))
+
     def test_json_round_trip(self, tmp_path):
         stats = CmvnStats(mean=np.array([1.5, -2.0]), var=np.array([0.25, 9.0]))
         path = tmp_path / "cmvn.json"

@@ -25,6 +25,7 @@ from simulst import (
 )
 
 from simulst import model as model_module
+from simulst.model import Decode, FinishedDecode
 
 from conftest import make_source
 
@@ -283,6 +284,15 @@ class TestIncrementalFastPath:
             assert np.array_equal(result.attention.argmax(axis=-1), cross[:, :, :m].argmax(axis=-1))
 
 
+def finished_start(adapter):
+    """A ``start_decode`` for an adapter that decodes in full: its result replayed by ``FinishedDecode``."""
+
+    def start(enc, forced_prefix, max_new=128):
+        return FinishedDecode(adapter.decode_greedy(enc, forced_prefix, max_new), len(forced_prefix))
+
+    return start
+
+
 def pull_until(decode, stop):
     """Advance ``decode`` until ``stop(token, row)`` flags a token or the decode ends.
 
@@ -349,36 +359,42 @@ class TestStopHook:
             vocab, {4: ScriptStep(tokens=(a, b, c, d), alignment=(0, 3, 1, 3), eos=True)}
         )
         enc = adapter.encode(np.zeros((16, 80)))
+        start = finished_start(adapter)
 
         def late(token, row):
             return row[0, 0, 3] == 1.0
 
-        decode = adapter.start_decode(enc, [a])
+        decode = start(enc, [a])
         seen, ended = pull_until(decode, late)
         assert decode.tokens == (a, b) and not decode.eos_reached and not ended
         assert decode.attention.shape == (1, 1, 2, 4)
         assert [t for t, _ in seen] == [b]  # forced tokens are not pulled
-        decode = adapter.start_decode(enc, [a, b])
+        decode = start(enc, [a, b])
         pull_until(decode, late)
         assert decode.tokens == (a, b, c, d) and not decode.eos_reached
-        decode = adapter.start_decode(enc, [a, b])
+        decode = start(enc, [a, b])
         assert pull_until(decode, lambda token, row: False)[1]
         assert decode.tokens == (a, b, c, d) and decode.eos_reached
 
     def test_capability_is_declared_outside_the_protocol(self, toy_model):
-        assert callable(ToyModel.start_decode) and callable(ScriptedAdapter.start_decode)
+        # ToyModel generates on demand; ScriptedAdapter, the full-decode
+        # reference, offers only the protocol and is bridged by FinishedDecode
+        assert callable(ToyModel.start_decode) and not hasattr(ScriptedAdapter, "start_decode")
         assert not hasattr(ModelAdapter, "start_decode")
+        assert isinstance(ScriptedAdapter(toy_model.vocab, {}), ModelAdapter)
+        assert issubclass(FinishedDecode, Decode)
 
 
-def pause_chain(adapter, enc, prefix, max_new, pauses):
+def pause_chain(start, enc, prefix, max_new, pauses):
     """Pull a decode one token at a time, pausing after the generated tokens numbered in ``pauses``.
 
-    Each pause snapshots the decode (tokens, a copy of its attention and
+    ``start`` is an adapter's ``start_decode`` (or ``finished_start``). Each
+    pause snapshots the decode (tokens, a copy of its attention and
     ``eos_reached``) and advances another, unrelated decode of the same
     adapter in between. Returns the snapshots, the drained decode's last.
     """
-    decode = adapter.start_decode(enc, prefix, max_new)
-    other = adapter.start_decode(enc, [])
+    decode = start(enc, prefix, max_new)
+    other = start(enc, [])
     snapshots = []
     for i in range(10**6):
         if decode.advance() is None:
@@ -415,7 +431,7 @@ class TestResume:
         free = toy_model.decode_greedy(enc, [])
         prefix = free.tokens[: round(share * len(free.tokens))]
         full = toy_model.decode_greedy(enc, prefix, max_new)
-        chain = pause_chain(toy_model, enc, prefix, max_new, pauses)
+        chain = pause_chain(toy_model.start_decode, enc, prefix, max_new, pauses)
         assert_same_decode(chain[-1], full)
         for paused in chain[:-1]:
             # each pause is a prefix of the full decode that has not read end-of-sequence
@@ -427,7 +443,7 @@ class TestResume:
     def test_chained_resumes_one_token_at_a_time(self, toy_model):
         enc = toy_model.encode(np.random.default_rng(0).normal(size=(200, 80)))
         full = toy_model.decode_greedy(enc, [])
-        chain = pause_chain(toy_model, enc, [], 128, set(range(100)))
+        chain = pause_chain(toy_model.start_decode, enc, [], 128, set(range(100)))
         assert full.eos_reached and len(full.tokens) == 45
         # a pause after every token, then the advance that reads end-of-sequence
         assert [len(r.tokens) for r in chain] == list(range(1, 46)) + [45]
@@ -486,6 +502,7 @@ class TestResume:
     @pytest.mark.parametrize("max_new", [1, 2, 3, 4, 128])
     @pytest.mark.parametrize("eos", [False, True])
     def test_resumed_scripted_decode_equals_the_uninterrupted_one(self, max_new, eos):
+        # the scripted result replayed by FinishedDecode
         vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "dd"])
         a, b, c, d = (vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "dd"))
         adapter = ScriptedAdapter(
@@ -493,17 +510,18 @@ class TestResume:
             num_layers=2, num_heads=3,
         )
         enc = adapter.encode(np.zeros((16, 80)))
+        start = finished_start(adapter)
         for prefix in ((), (a,), (a, b, c)):
             full = adapter.decode_greedy(enc, prefix, max_new)
             for pauses in (set(), {0}, {1}, {0, 1, 2}, set(range(4))):
-                chain = pause_chain(adapter, enc, prefix, max_new, pauses)
+                chain = pause_chain(start, enc, prefix, max_new, pauses)
                 assert_same_decode(chain[-1], full)
                 for paused in chain[:-1]:
                     assert not paused.eos_reached
                     assert len(paused.tokens) <= len(prefix) + max_new
                     assert paused.tokens == full.tokens[: len(paused.tokens)]
         # a pause right before end-of-sequence
-        decode = adapter.start_decode(enc, (a, b, c))
+        decode = start(enc, (a, b, c))
         assert decode.advance()[0] == d
         assert decode.tokens == (a, b, c, d) and not decode.eos_reached
         assert decode.advance() is None and decode.eos_reached == eos

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from simulst import (
     AlignAttPolicy,
+    DecodeResult,
     EDAttPolicy,
     LocalAgreementPolicy,
     Policy,
@@ -28,7 +29,16 @@ from simulst import (
     waitk_allowed,
 )
 
+from simulst.model import FinishedDecode
+
 from conftest import alignatt_bruteforce, random_attention, waitk_walk
+
+
+def _drained(tokens, attention, eos=False):
+    """A drained decode of ``tokens``, as ``run_session`` hands it to a policy without a stop rule."""
+    decode = FinishedDecode(DecodeResult(tuple(tokens), attention, eos), len(tokens))
+    decode.drained()
+    return decode
 
 
 class TestAlignAttDecide:
@@ -187,6 +197,7 @@ class TestPolicyClasses:
             committed=(),
             eos_reached=False,
             vocab=default_vocab,
+            decode=_drained((5, 6, 7), attn[None, None]),
         )
         decision = policy.decide(ctx)
         assert decision.commit_count == 2
@@ -203,6 +214,7 @@ class TestPolicyClasses:
             committed=(),
             eos_reached=False,
             vocab=default_vocab,
+            decode=_drained((5, 6), attn[None, None]),
         )
         assert policy.decide(ctx).commit_count == 1
 
@@ -246,6 +258,7 @@ class TestWaitK:
 def _waitk_context(vocab: Vocabulary, committed, candidates, source_words, eos=False):
     n = 20
     m = len(candidates)
+    tokens = tuple(committed) + tuple(candidates)
     return StepContext(
         candidates=tuple(candidates),
         attention=np.full((m, n), 1.0 / n),
@@ -254,6 +267,7 @@ def _waitk_context(vocab: Vocabulary, committed, candidates, source_words, eos=F
         committed=tuple(committed),
         eos_reached=eos,
         vocab=vocab,
+        decode=_drained(tokens, np.full((1, 1, len(tokens), n), 1.0 / n), eos),
     )
 
 
@@ -395,13 +409,14 @@ def _step_context(vocab, tensor, layer, committed, candidates, source_words, eos
         committed=tuple(committed),
         eos_reached=eos,
         vocab=vocab,
+        decode=_drained(tuple(committed) + tuple(candidates), tensor, eos),
     )
 
 
-def _la_context(vocab, committed, candidates, decode, eos=False):
-    return dataclasses.replace(
-        _waitk_context(vocab, committed, candidates, 0, eos), decode=decode
-    )
+def _la_context(vocab, committed, candidates, decode=None, eos=False):
+    """A local agreement context; ``decode`` is the step's paused decode, else a drained one."""
+    ctx = _waitk_context(vocab, committed, candidates, 0, eos)
+    return ctx if decode is None else dataclasses.replace(ctx, decode=decode)
 
 
 class _Logged:
@@ -423,7 +438,7 @@ def _paused_decode(tokens, pause, advances):
     """A scripted decode of ``tokens`` paused after generated token ``pause``; later advances are logged."""
     step = ScriptStep(tokens=tokens, alignment=(0,) * len(tokens))
     adapter = ScriptedAdapter(_WAITK_VOCAB, {4: step})
-    decode = adapter.start_decode(adapter.encode(np.zeros((16, 80))), [])
+    decode = FinishedDecode(adapter.decode_greedy(adapter.encode(np.zeros((16, 80))), []), 0)
     for _ in range(pause + 1):
         decode.advance()
     return _Logged(decode, advances)

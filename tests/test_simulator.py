@@ -36,6 +36,7 @@ from simulst import (
     write_emission_log,
 )
 from simulst import simulator
+from simulst.model import Decode, FinishedDecode
 
 from conftest import build_suite, make_source
 
@@ -313,11 +314,12 @@ class TestRunSession:
 class _Forwarding:
     """Forwards the ``ModelAdapter`` protocol and records each decode.
 
-    It offers no ``start_decode``, so the simulator must decode in full
-    through ``decode_greedy``. ``calls`` names the method of each decode,
-    ``decoded`` counts the tokens it generated for the simulator, and
-    ``resumed`` counts the later ``advance`` calls on a decode that is no
-    longer the newest, which only a policy reading it makes.
+    It offers no ``start_decode``, so the simulator replays each
+    ``decode_greedy`` result through ``FinishedDecode``: every decode runs in
+    full. ``calls`` names the method of each decode, ``decoded`` counts the
+    tokens it generated for the simulator, and ``resumed`` counts the later
+    ``advance`` calls on a decode that is no longer the newest, which only a
+    policy reading it makes.
     """
 
     def __init__(self, inner):
@@ -343,12 +345,22 @@ class _Forwarding:
 
 
 class _Pulls(_Forwarding):
-    """``_Forwarding`` that also forwards ``start_decode``, counting each ``advance``."""
+    """``_Forwarding`` that also offers ``start_decode``, counting each generated token.
+
+    It forwards the inner adapter's ``start_decode``, or replays the inner
+    ``decode_greedy`` result when there is none, so that a scripted adapter
+    is pulled as one that generates on demand would be.
+    """
 
     def start_decode(self, enc, forced_prefix, max_new=128):
         self.calls.append("start_decode")
         self.decoded.append(0)
-        return _CountedDecode(self, self._inner.start_decode(enc, forced_prefix, max_new))
+        if hasattr(self._inner, "start_decode"):
+            decode = self._inner.start_decode(enc, forced_prefix, max_new)
+        else:
+            result = self._inner.decode_greedy(enc, forced_prefix, max_new)
+            decode = FinishedDecode(result, len(forced_prefix))
+        return _CountedDecode(self, decode)
 
 
 class _CountedDecode:
@@ -367,6 +379,30 @@ class _CountedDecode:
         elif pulled is not None:
             self._adapter.decoded[self._index] += 1
         return pulled
+
+    def drained(self):
+        before = len(self._decode.tokens)
+        result = self._decode.drained()
+        self._adapter.decoded[self._index] += len(result.tokens) - before
+        return result
+
+
+def _without_rule(policy):
+    """``policy`` with a ``stop_rule`` that returns None, so that every decode is drained."""
+    policy.stop_rule = lambda committed, source_words, vocab, layer: None
+    return policy
+
+
+def _recording(policy, seen):
+    """``policy`` appending, at each ``decide``, its decode's type and whether it holds the hypothesis."""
+    decide = policy.decide
+
+    def recorded(ctx):
+        seen.append((type(ctx.decode), ctx.decode.tokens == ctx.committed + ctx.candidates))
+        return decide(ctx)
+
+    policy.decide = recorded
+    return policy
 
 
 _STOP_VOCAB = Vocabulary(["▁aa", "▁bb", "cc", "dd"])
@@ -443,10 +479,6 @@ class _Diverging:
         prefix = tuple(forced_prefix)
         return self._scripted(enc.n, prefix).decode_greedy(enc, prefix, max_new)
 
-    def start_decode(self, enc, forced_prefix, max_new=128):
-        prefix = tuple(forced_prefix)
-        return self._scripted(enc.n, prefix).start_decode(enc, prefix, max_new)
-
     def count_source_words(self, feats):
         return int(self.encode(feats).n * self._words_per_frame)
 
@@ -485,15 +517,17 @@ class TestStopHook:
 
     @staticmethod
     def assert_early_stop_changes_no_log(source, adapter, chunk_ms, max_new, make_policy):
-        """Run with and without ``start_decode``; returns how often a policy read a paused decode."""
-        pulled, plain = _Pulls(adapter), _Forwarding(adapter)
-        logs = [
-            run_session(source, a, make_policy(), chunk_ms=chunk_ms, max_new=max_new)
-            for a in (pulled, plain)
-        ]
-        assert logs[0] == logs[1]
-        assert set(plain.calls) <= {"decode_greedy"}
-        assert all(h <= p for h, p in zip(pulled.decoded, plain.decoded))
+        """Run the policy with its stop rule and without one, and bridged from ``decode_greedy``.
+
+        Returns how often a policy read a paused decode.
+        """
+        pulled, drained, bridged = _Pulls(adapter), _Pulls(adapter), _Forwarding(adapter)
+        runs = ((pulled, make_policy()), (drained, _without_rule(make_policy())), (bridged, make_policy()))
+        logs = [run_session(source, a, p, chunk_ms=chunk_ms, max_new=max_new) for a, p in runs]
+        assert logs[0] == logs[1] == logs[2]
+        assert set(bridged.calls) == {"decode_greedy"}
+        assert all(h <= p for h, p in zip(pulled.decoded, drained.decoded))
+        assert drained.decoded == bridged.decoded
         return pulled.resumed
 
     @settings(max_examples=150, deadline=None)
@@ -522,29 +556,33 @@ class TestStopHook:
         pulled, plain = _Pulls(adapter), _Forwarding(adapter)
         for a in (pulled, plain):
             run_session(source, a, AlignAttPolicy(f=2), chunk_ms=400.0)
-        # each early step stops at its first candidate; the final flush decodes in full
+        # each early step stops at its first candidate; the final flush drains
+        # its decode, and the bridged adapter decodes every step in full
         assert pulled.decoded == [1, 1, 1, 4] and plain.decoded == [1, 2, 3, 4]
-        assert pulled.calls == ["start_decode"] * 3 + ["decode_greedy"]
+        assert pulled.calls == ["start_decode"] * 4
 
     @pytest.mark.parametrize("make_policy", POLICIES)
-    def test_adapters_without_the_capability_never_get_a_hook(self, make_policy):
+    def test_adapters_without_the_capability_are_bridged(self, make_policy):
         vocab, ids, adapter, source = scripted_setup("late")
         plain = _Forwarding(adapter)
         assert isinstance(plain, ModelAdapter)
-        run_session(source, plain, make_policy(), chunk_ms=400.0)
+        rules, seen = [], []
+        policy = _recording(make_policy(), seen)
+        stop_rule = policy.stop_rule
+        policy.stop_rule = lambda *args: rules.append(args) or stop_rule(*args)
+        log = run_session(source, plain, policy, chunk_ms=400.0)
+        assert log == run_session(source, _Pulls(adapter), make_policy(), chunk_ms=400.0)
+        # every step decodes in full; every step but the final flush asks for
+        # a stop rule and hands the policy the replayed decode
         assert plain.calls == ["decode_greedy"] * 4
+        assert len(rules) == 3 and seen == [(FinishedDecode, True)] * 3
 
     def test_policies_without_a_rule_decode_in_full(self):
         vocab, ids, adapter, source = scripted_setup("late")
         pulled = _Pulls(adapter)
-
-        class NoRule(AlignAttPolicy):
-            def stop_rule(self, committed, source_words, vocab, layer):
-                return None
-
-        log = run_session(source, pulled, NoRule(f=2), chunk_ms=400.0)
+        log = run_session(source, pulled, _without_rule(AlignAttPolicy(f=2)), chunk_ms=400.0)
         assert log == run_session(source, adapter, AlignAttPolicy(f=2), chunk_ms=400.0)
-        assert pulled.calls == ["decode_greedy"] * 4
+        assert pulled.calls == ["start_decode"] * 4 and pulled.decoded == [1, 2, 3, 4]
 
     def test_local_agreement_stops_at_the_first_disagreement(self):
         vocab, ids, adapter, source = scripted_setup("late")
@@ -553,8 +591,8 @@ class TestStopHook:
         assert logs[0] == logs[1] and logs[0].tokens == tuple(ids)
         # step 1 has no previous hypothesis and stops after one token; steps
         # 2 and 3 stop at the token past the previous hypothesis's end, which
-        # advancing that hypothesis finds; the final flush decodes in full
-        assert pulled.calls == ["start_decode"] * 3 + ["decode_greedy"]
+        # advancing that hypothesis finds; the final flush drains its decode
+        assert pulled.calls == ["start_decode"] * 4
         assert pulled.decoded == [1, 2, 2, 2] and plain.decoded == [1, 2, 2, 2]
         assert pulled.resumed == 2
 
@@ -577,21 +615,33 @@ class TestStopHook:
         assert pulled.resumed == 2
         assert [e.ideal_s for e in logs[0].events] == pytest.approx([0.8, 0.8, 1.2, 1.2, 1.2])
 
-    def test_toy_local_agreement_logs_equal_with_and_without_the_hook(self, toy_model, tmp_path):
+    @pytest.mark.parametrize(
+        "make_policy",
+        [lambda: AlignAttPolicy(f=2), lambda: EDAttPolicy(alpha=0.3), lambda: WaitKPolicy(k=2),
+         LocalAgreementPolicy],
+        ids=["alignatt", "edatt", "waitk", "local_agreement"],
+    )
+    def test_toy_logs_equal_pulled_and_bridged(self, toy_model, tmp_path, make_policy):
         entries = load_manifest(build_suite(tmp_path, num_utterances=4))
-        resumed = 0
+        saved, resumed = [], 0
         for chunk_ms in (250.0, 600.0):
             for entry in entries:
                 source = load_source_features(entry.source)
-                pulled, plain = _Pulls(toy_model), _Forwarding(toy_model)
+                pulled, plain, seen = _Pulls(toy_model), _Forwarding(toy_model), []
                 logs = [
-                    run_session(source, x, LocalAgreementPolicy(), chunk_ms=chunk_ms)
+                    run_session(source, x, make_policy(), chunk_ms=chunk_ms)
                     for x in (pulled, plain)
                 ]
-                assert logs[0] == logs[1]
-                assert sum(pulled.decoded) < sum(plain.decoded)
+                logs.append(run_session(source, toy_model, _recording(make_policy(), seen), chunk_ms=chunk_ms))
+                assert logs[0] == logs[1] == logs[2]
+                assert all(issubclass(kind, Decode) and holds for kind, holds in seen)
+                saved.append(sum(plain.decoded) - sum(pulled.decoded))
                 resumed += pulled.resumed
-        assert resumed > 0
+        local_agreement = make_policy().name == "local_agreement"
+        # early stop saves decoder work in every session under local
+        # agreement, and in some under each other policy
+        assert min(saved) >= 0 and (min(saved) if local_agreement else max(saved)) > 0
+        assert (resumed > 0) == local_agreement
 
     def test_failing_stop_rule_is_a_policy_error(self):
         vocab, ids, adapter, source = scripted_setup("early")
