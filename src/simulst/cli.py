@@ -53,6 +53,8 @@ def _build_config(args: argparse.Namespace, sweep_seed: float | None = None) -> 
             text = args.config.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8 text ({exc})")
         data = json.loads(text) if text.strip() else {}
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -1,7 +1,8 @@
 """Evaluation manifests: one JSON object per line describing an utterance.
 
 Each line carries an ``id``, a ``source`` audio or feature path, and a
-``reference`` translation; ``transcript`` is optional. Relative source paths
+``reference`` translation; ``transcript`` is optional. An id names the
+utterance's log file, so it must be a plain file name. Relative source paths
 are resolved against the manifest's own directory. Whether a source file
 exists is checked when a run touches it, not at load time.
 """
@@ -35,48 +36,56 @@ _REQUIRED = ("id", "source", "reference")
 def load_manifest(path) -> list[ManifestEntry]:
     """Parse a JSON-lines manifest into entries, in file order.
 
-    Blank lines are skipped. Raises ManifestError on unparseable lines,
-    missing, non-string or blank required fields, or duplicate ids.
+    Blank lines are skipped. Raises ManifestError on a file that is not
+    UTF-8, unparseable lines, missing, non-string or blank required fields,
+    an id that is not a single path component, or duplicate ids.
     """
     manifest_path = Path(path)
     base = manifest_path.parent
     entries: list[ManifestEntry] = []
     seen: dict[str, int] = {}
-    with manifest_path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{manifest_path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise ManifestError(f"{manifest_path}:{lineno}: expected a JSON object")
-            for key in _REQUIRED:
-                if key not in record:
-                    raise ManifestError(f"{manifest_path}:{lineno}: missing required field {key!r}")
-                if not isinstance(record[key], str) or not record[key].strip():
-                    raise ManifestError(
-                        f"{manifest_path}:{lineno}: field {key!r} must be a non-empty string"
-                    )
-            transcript = record.get("transcript")
-            if transcript is not None and not isinstance(transcript, str):
-                raise ManifestError(f"{manifest_path}:{lineno}: field 'transcript' must be a string")
-            utt_id = record["id"]
-            if utt_id in seen:
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{manifest_path}: not UTF-8 text ({exc})") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{manifest_path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise ManifestError(f"{manifest_path}:{lineno}: expected a JSON object")
+        for key in _REQUIRED:
+            if key not in record:
+                raise ManifestError(f"{manifest_path}:{lineno}: missing required field {key!r}")
+            if not isinstance(record[key], str) or not record[key].strip():
                 raise ManifestError(
-                    f"{manifest_path}:{lineno}: duplicate id {utt_id!r} (first seen on line {seen[utt_id]})"
+                    f"{manifest_path}:{lineno}: field {key!r} must be a non-empty string"
                 )
-            seen[utt_id] = lineno
-            source = Path(record["source"])
-            if not source.is_absolute():
-                source = base / source
-            entries.append(
-                ManifestEntry(
-                    id=utt_id,
-                    source=source,
-                    reference=record["reference"],
-                    transcript=transcript,
-                )
+        transcript = record.get("transcript")
+        if transcript is not None and not isinstance(transcript, str):
+            raise ManifestError(f"{manifest_path}:{lineno}: field 'transcript' must be a string")
+        utt_id = record["id"]
+        if Path(utt_id).name != utt_id or utt_id in (".", ".."):
+            raise ManifestError(
+                f"{manifest_path}:{lineno}: id {utt_id!r} must be a file name, not a path"
             )
+        if utt_id in seen:
+            raise ManifestError(
+                f"{manifest_path}:{lineno}: duplicate id {utt_id!r} (first seen on line {seen[utt_id]})"
+            )
+        seen[utt_id] = lineno
+        source = Path(record["source"])
+        if not source.is_absolute():
+            source = base / source
+        entries.append(
+            ManifestEntry(
+                id=utt_id,
+                source=source,
+                reference=record["reference"],
+                transcript=transcript,
+            )
+        )
     return entries

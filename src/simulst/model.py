@@ -83,9 +83,10 @@ class ModelAdapter(Protocol):
     The simulator pulls each decode token by token. An adapter that can
     generate on demand offers ``start_decode(enc, forced_prefix, max_new)``
     beside this protocol: the same decode as a ``Decode`` paused before its
-    first generated token, drained to exactly ``decode_greedy``'s result;
-    several may be live, each advancing on its own. Any other adapter is
-    bridged by ``FinishedDecode``, so every adapter gets stop rules.
+    first generated token, which ``advance()`` takes to exactly
+    ``decode_greedy``'s result; several may be live, each advancing on its
+    own. Any other adapter is bridged by ``FinishedDecode``, so every adapter
+    gets stop rules.
     """
 
     num_decoder_layers: int
@@ -107,12 +108,14 @@ class Decode:
     ``tokens``, ``attention`` and ``eos_reached`` read as in ``DecodeResult``
     for the tokens generated so far. ``advance()`` generates the next token
     and returns it with its (layers, heads, n) cross-attention row, or None
-    once end-of-sequence was read or ``max_new`` tokens exist.
+    once end-of-sequence was read or ``max_new`` tokens exist. These four
+    members are the whole contract: every token is read through
+    ``advance()``, and any other object with them also serves.
 
     Subclasses keep the output so far, forced prefix included, in
-    ``_tokens``; row i of ``_rows()`` is the cross-attention of token i; and
-    ``_next()`` generates one token, returning false once the decode has
-    ended. Any other object with the four public members also serves.
+    ``_tokens``; row i of ``_attention`` (L, H, rows, n) is the
+    cross-attention of token i; and ``_next()`` generates one token,
+    returning false once the decode has ended.
     """
 
     eos_reached = False
@@ -123,18 +126,12 @@ class Decode:
 
     @property
     def attention(self) -> np.ndarray:
-        return self._rows()[:, :, : len(self._tokens)]
+        return self._attention[:, :, : len(self._tokens)]
 
     def advance(self) -> Optional[tuple[int, np.ndarray]]:
         if not self._next():
             return None
-        return self._tokens[-1], self._rows()[:, :, len(self._tokens) - 1]
-
-    def drained(self) -> DecodeResult:
-        """The result once every remaining token is generated, with no per-token rows built."""
-        while self._next():
-            pass
-        return DecodeResult(self.tokens, self.attention, self.eos_reached)
+        return self._tokens[-1], self._attention[:, :, len(self._tokens) - 1]
 
 
 class FinishedDecode(Decode):
@@ -146,9 +143,7 @@ class FinishedDecode(Decode):
     def __init__(self, result: DecodeResult, start: int):
         self._result = result
         self._tokens = list(result.tokens[:start])
-
-    def _rows(self) -> np.ndarray:
-        return self._result.attention
+        self._attention = result.attention
 
     def _next(self) -> bool:
         full = self._result.tokens
@@ -353,7 +348,10 @@ class ToyModel:
         incremental pass itself (teacher-forcing reproduces it for forced
         positions).
         """
-        return self.start_decode(enc, forced_prefix, max_new).drained()
+        decode = self.start_decode(enc, forced_prefix, max_new)
+        while decode.advance() is not None:
+            pass
+        return DecodeResult(decode.tokens, decode.attention, decode.eos_reached)
 
     def start_decode(
         self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
@@ -368,57 +366,57 @@ class ToyModel:
             if not 0 <= t < self.vocab.size:
                 raise ValueError(f"forced prefix contains unknown token id {t}")
 
-        state = _DecodeState(self, enc.states, 1 + len(prefix) + min(max_new, _INITIAL_NEW_ROWS))
-        self._advance(state, [self.vocab.bos_id] + prefix)
-        return _ToyDecode(self, state, prefix, len(prefix) + max_new)
+        decode = _ToyDecode(self, enc.states, prefix, max_new)
+        self._advance(decode, [self.vocab.bos_id] + prefix)
+        return decode
 
-    def _advance(self, state: _DecodeState, new_ids: list[int]) -> None:
-        """Run the next ``len(new_ids)`` positions through the decoder.
+    def _advance(self, decode: _ToyDecode, new_ids: list[int]) -> None:
+        """Run the next ``len(new_ids)`` positions of ``decode`` through the decoder.
 
         Their self-attention keys/values are appended to the cache, their
         cross-attention rows are captured, and the next-token logits of the
-        last one replace ``state.logits``. The math is that of ``_forward``.
+        last one replace ``decode.logits``. The math is that of ``_forward``.
         """
-        start = state.length
+        start = decode.length
         end = start + len(new_ids)
-        state.reserve(end)
+        decode.reserve(end)
         x = self._embed[new_ids] + self._pos(end)[start:]
         mask = _causal_mask(len(new_ids), end) if len(new_ids) > 1 else None
         for li, layer in enumerate(self._layers):
             y = _rms_norm(x)
-            keys, values = state.keys[li], state.values[li]
+            keys, values = decode.keys[li], decode.values[li]
             keys[start:end] = y @ layer["sk"]
             values[start:end] = y @ layer["sv"]
             keys_t = self._heads(keys[:end]).transpose(0, 2, 1)
             attn, _ = self._attend_heads(y @ layer["sq"], keys_t, self._heads(values[:end]), mask)
             x = x + attn @ layer["so"]
             y = _rms_norm(x)
-            attn, weights = self._attend_heads(y @ layer["cq"], *state.cross[li])
-            state.attention[li, :, start:end] = weights
+            attn, weights = self._attend_heads(y @ layer["cq"], *decode.cross[li])
+            decode._attention[li, :, start:end] = weights
             x = x + _CROSS_GAIN * (attn @ layer["co"])
             y = _rms_norm(x)
             x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
-        state.length = end
-        state.recent = (state.recent + tuple(new_ids))[-_REPEAT_WINDOW:]
-        state.logits = self._logits(x[-1:], [state.recent], [end - 1], state.n)[0]
+        decode.length = end
+        decode.recent = (decode.recent + tuple(new_ids))[-_REPEAT_WINDOW:]
+        decode.logits = self._logits(x[-1:], [decode.recent], [end - 1], decode.n)[0]
 
-    def _step(self, state: _DecodeState, token: int) -> None:
-        """``_advance(state, [token])`` for one generated row, in fewer NumPy calls.
+    def _step(self, decode: _ToyDecode, token: int) -> None:
+        """``_advance(decode, [token])`` for one generated row, in fewer NumPy calls.
 
         Every IEEE-754 operation is the one ``_advance`` performs, so tokens,
         attention and logits are bit-identical; only the dispatch differs: the
         row is a 1-D vector, q|k|v come from one matmul, the RMS-norm
         denominator is a Python float and the logit updates are scalar.
         """
-        start = state.length
+        start = decode.length
         end = start + 1
-        state.reserve(end)
+        decode.reserve(end)
         d, heads, head_dim = self.config.d_model, self.num_heads, self._head_dim
         x = self._embed[token] + self._pos(end)[start]
         for li, layer in enumerate(self._layers):
             y = _rms_norm_row(x)
             qkv = y @ layer["sqkv"]
-            keys, values = state.keys[li, :end], state.values[li, :end]
+            keys, values = decode.keys[li, :end], decode.values[li, :end]
             keys[start] = qkv[d : 2 * d]
             values[start] = qkv[2 * d :]
             keys_t = keys.reshape(end, heads, head_dim).transpose(1, 2, 0)
@@ -427,19 +425,19 @@ class ToyModel:
             attn = weights @ values.reshape(end, heads, head_dim).transpose(1, 0, 2)
             x = x + attn.reshape(d) @ layer["so"]
             y = _rms_norm_row(x)
-            cross_keys_t, cross_values = state.cross[li]
+            cross_keys_t, cross_values = decode.cross[li]
             scores = (y @ layer["cq"]).reshape(heads, 1, head_dim) @ cross_keys_t / self._scale
-            weights = softmax(scores, out=state.attention[li, :, start:end])
+            weights = softmax(scores, out=decode._attention[li, :, start:end])
             x = x + _CROSS_GAIN * ((weights @ cross_values).reshape(d) @ layer["co"])
             y = _rms_norm_row(x)
             x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
-        state.length = end
-        state.recent = recent = (state.recent + (token,))[-_REPEAT_WINDOW:]
+        decode.length = end
+        decode.recent = recent = (decode.recent + (token,))[-_REPEAT_WINDOW:]
         logits = _rms_norm_row(x) @ self._embed.T + self._logit_mask
         for prev in set(recent):
             logits[prev] -= _REPEAT_PENALTY
-        logits[self.vocab.eos_id] += _EOS_SLOPE * (start - _EOS_LENGTH_RATIO * state.n)
-        state.logits = logits
+        logits[self.vocab.eos_id] += _EOS_SLOPE * (start - _EOS_LENGTH_RATIO * decode.n)
+        decode.logits = logits
 
     # ------------------------------------------------------------------ CTC head
 
@@ -453,16 +451,23 @@ class ToyModel:
         return count_words_in_labels(self.frame_labels(raw_features))
 
 
-class _DecodeState:
-    """Scratch state of one incremental decode; row i of each buffer is output position i.
+class _ToyDecode(Decode):
+    """One ``ToyModel`` decode and its scratch state; buffer row i is output position i.
 
     The self-attention keys/values (L, rows, d) and the captured
     cross-attention (L, H, rows, n) share one row capacity, which doubles
-    when full. The encoder-side head views are built once per decode.
+    when full; ``length`` rows (bos included) have been through the decoder.
+    The encoder-side head views are built once per decode. ``_step`` runs on
+    a generated token only when the token after it is asked for, so a paused
+    decode has done the decoder work of the tokens it returned and no more.
     """
 
-    def __init__(self, model: ToyModel, enc: np.ndarray, capacity: int):
+    def __init__(self, model: ToyModel, enc: np.ndarray, prefix: list[int], max_new: int):
         layers, d = model.num_decoder_layers, model.config.d_model
+        capacity = 1 + len(prefix) + min(max_new, _INITIAL_NEW_ROWS)
+        self._model = model
+        self._tokens = prefix
+        self._limit = len(prefix) + max_new
         self.n = enc.shape[0]
         self.cross = [
             (model._heads(enc @ l["ck"]).transpose(0, 2, 1), model._heads(enc @ l["cv"]))
@@ -470,7 +475,7 @@ class _DecodeState:
         ]
         self.keys = np.empty((layers, capacity, d))
         self.values = np.empty((layers, capacity, d))
-        self.attention = np.empty((layers, model.num_heads, capacity, self.n))
+        self._attention = np.empty((layers, model.num_heads, capacity, self.n))
         self.length = 0
         self.recent: tuple[int, ...] = ()
         self.logits: np.ndarray | None = None
@@ -481,37 +486,19 @@ class _DecodeState:
             return
         capacity = max(rows, 2 * capacity)
         grown = []
-        for buf in (self.keys, self.values, self.attention):
+        for buf in (self.keys, self.values, self._attention):
             new = np.empty(buf.shape[:-2] + (capacity, buf.shape[-1]))
             new[..., : self.length, :] = buf[..., : self.length, :]
             grown.append(new)
-        self.keys, self.values, self.attention = grown
-
-
-class _ToyDecode(Decode):
-    """A ``ToyModel`` decode over its ``_DecodeState``.
-
-    ``_step`` runs on a generated token only when the token after it is
-    asked for, so a paused decode has done the decoder work of the tokens it
-    returned and no more.
-    """
-
-    def __init__(self, model: ToyModel, state: _DecodeState, prefix: list[int], limit: int):
-        self._model = model
-        self._state = state
-        self._tokens = prefix
-        self._limit = limit
-
-    def _rows(self) -> np.ndarray:
-        return self._state.attention
+        self.keys, self.values, self._attention = grown
 
     def _next(self) -> bool:
-        tokens, state = self._tokens, self._state
+        tokens = self._tokens
         if self.eos_reached or len(tokens) == self._limit:
             return False
-        if state.length == len(tokens):  # the last token is not in the state yet (bos is)
-            self._model._step(state, tokens[-1])
-        next_id = int(state.logits.argmax())
+        if self.length == len(tokens):  # the last token is not through the decoder yet (bos is)
+            self._model._step(self, tokens[-1])
+        next_id = int(self.logits.argmax())
         if next_id == self._model.vocab.eos_id:
             self.eos_reached = True
             return False

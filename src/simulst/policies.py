@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -144,7 +145,7 @@ def waitk_allowed(k: int, source_words_detected: int, target_words_emitted: int)
     return max(0, source_words_detected - k + 1 - target_words_emitted)
 
 
-def longest_common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
+def longest_common_prefix(a: Sequence[int], b: Iterable[int]) -> int:
     """Length of the common prefix; ``b`` is read no further than ``a`` allows."""
     length = 0
     for x, y in zip(a, b):
@@ -155,7 +156,7 @@ def longest_common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def local_agreement_prefix(
-    previous: Optional[Sequence[int]],
+    previous: Optional[Iterable[int]],
     current: Sequence[int],
     committed: int,
 ) -> PolicyDecision:
@@ -194,7 +195,7 @@ class Policy:
         being the token's (L, H, n) cross-attention, until the rule returns
         true, which it may do only at a token after which no continuation
         changes what ``decide`` commits; ``decide`` still runs on the
-        shortened decode. None drains the decode.
+        shortened decode. With None the decode is pulled to its end.
         """
         return None
 
@@ -287,58 +288,48 @@ class WaitKPolicy(Policy):
         return stop
 
 
-class _Hypothesis:
-    """A step's hypothesis, extended on demand by advancing its paused decode."""
-
-    def __init__(self, decode: Decode):
-        self._tokens = list(decode.tokens)
-        self._decode: Optional[Decode] = decode
-
-    def token(self, i: int) -> Optional[int]:
-        """Token ``i`` of the full decode, or None past its end."""
-        while i >= len(self._tokens) and self._decode is not None:
-            pulled = self._decode.advance()
-            if pulled is None:
-                self._decode = None  # ended: advance it no more
-            else:
-                self._tokens.append(pulled[0])
-        return self._tokens[i] if i < len(self._tokens) else None
-
-    def __iter__(self) -> Iterator[int]:
-        i = 0
-        while (token := self.token(i)) is not None:
-            yield token
-            i += 1
-
-
 class LocalAgreementPolicy(Policy):
-    """Commit what the previous and the current hypothesis agree on."""
+    """Commit what the previous and the current hypothesis agree on.
+
+    The previous hypothesis is the previous step's ``Decode``, which may be
+    paused where its stop rule fired. It is read through ``tokens`` and then
+    ``advance()``, only as far as a comparison reaches, and never advanced
+    again once it has ended.
+    """
 
     name = "local_agreement"
 
     def __init__(self):
-        self._previous: _Hypothesis | None = None
+        self.reset()
 
     def reset(self) -> None:
-        self._previous = None
+        self._previous: Decode | None = None
+        self._ended = False
+
+    def _hypothesis(self) -> Iterator[int]:
+        """The previous hypothesis token by token, its decode advanced as it is read."""
+        yield from self._previous.tokens
+        while not self._ended:
+            pulled = self._previous.advance()
+            self._ended = pulled is None
+            if pulled is not None:
+                yield pulled[0]
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
         current = ctx.committed + ctx.candidates
-        decision = local_agreement_prefix(self._previous, current, len(ctx.committed))
-        self._previous = _Hypothesis(ctx.decode)
+        previous = None if self._previous is None else self._hypothesis()
+        decision = local_agreement_prefix(previous, current, len(ctx.committed))
+        self._previous, self._ended = ctx.decode, False
         return decision
 
     def stop_rule(self, committed, source_words, vocab, layer):
-        previous = self._previous
-        if previous is None:
+        if self._previous is None:
             # nothing commits without a previous hypothesis: one token suffices
             return lambda token, row: True
-        position = len(committed)
+        rest = islice(self._hypothesis(), len(committed), None)
 
         def stop(token: int, row: np.ndarray) -> bool:
             # the first token past the longest common prefix ``decide`` computes
-            nonlocal position
-            position += 1
-            return previous.token(position - 1) != token
+            return next(rest, None) != token
 
         return stop

@@ -5,10 +5,11 @@ prefix, greedily extends the committed hypothesis, and hands the candidate
 tokens (with their aggregated cross-attention) to the decision policy.
 Committed output is append-only. When the source is exhausted the final
 hypothesis is committed unconditionally. Every decode is pulled one token at
-a time: the adapter's ``start_decode``, or its ``decode_greedy`` result
-replayed by ``FinishedDecode``. Before every other decode the policy may
-supply a stop rule; tokens are pulled until it fires, and the paused decode
-goes to the policy with the step's context, so it can read further.
+a time through ``advance()``: the adapter's ``start_decode``, or its
+``decode_greedy`` result replayed by ``FinishedDecode``. Before every other
+decode the policy may supply a stop rule; tokens are pulled until it fires or
+the decode ends, and the paused decode goes to the policy with the step's
+context, so it can read further.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -263,17 +264,16 @@ def run_session(
                 decode = adapter.start_decode(states, committed, max_new)
             else:
                 decode = FinishedDecode(adapter.decode_greedy(states, committed, max_new), len(committed))
-            if rule is None:
-                decode.drained()
         except Exception as exc:
             raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
-        while rule is not None:
+        # On the final flush, or with no rule, the decode is pulled to its end.
+        while True:
             try:
                 pulled = decode.advance()
             except Exception as exc:
                 raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
             try:
-                if pulled is None or rule(*pulled):
+                if pulled is None or (rule is not None and rule(*pulled)):
                     break
             except Exception as exc:
                 raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc

@@ -136,6 +136,55 @@ class TestRun:
         assert "chunk_ms takes finite numbers, got inf" in err
         assert not (tmp_path / "out").exists()
 
+    def test_config_file_that_is_not_utf8_is_usage_error(self, suite_dir, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'{"policy": "alignatt", "f": 2, "adapter": "caf\xe9"}')
+        code = run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out",
+            "--config", config_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and f"{config_path} is not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "latin1.jsonl"
+        manifest.write_bytes(b'{"id": "u1", "source": "a.sgfb", "reference": "caf\xe9"}\n')
+        code = run_cli(
+            "run", "--manifest", manifest, "--out", tmp_path / "out",
+            "--policy", "alignatt", "--f", "2",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and f"{manifest}: not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "score"])
+    @pytest.mark.parametrize("utt_id", ["../../escaped", "sub/x"])
+    def test_id_that_is_a_path_is_usage_error_before_any_file(
+        self, suite_dir, tmp_path, capsys, verb, utt_id
+    ):
+        lines = (suite_dir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [
+            {**json.loads(line), "source": str(suite_dir / json.loads(line)["source"])} for line in lines
+        ]
+        records[1]["id"] = utt_id
+        work = tmp_path / "work"
+        manifest = work / "manifest.jsonl"
+        work.mkdir()
+        manifest.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+        out = work / "deep" / "er" / "out"
+        if verb == "run":
+            code = run_cli("run", "--manifest", manifest, "--out", out, "--policy", "alignatt", "--f", "4")
+        else:
+            code = run_cli("score", "--manifest", manifest, "--logs", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{manifest}:2: id {utt_id!r} must be a file name" in err
+        # no session ran, so nothing was written inside or outside the output directory
+        assert [p.name for p in work.rglob("*")] == ["manifest.jsonl"]
+
     def test_config_file_with_flag_override(self, suite_dir, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(

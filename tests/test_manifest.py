@@ -136,6 +136,31 @@ class TestLoadManifest:
         ):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "utt_id", ["../../escaped", "sub/x", "/abs", "a/", ".", "..", "./u1"]
+    )
+    def test_id_that_is_not_a_file_name_names_the_line(self, tmp_path, utt_id):
+        path = write_lines(
+            tmp_path / "eval.jsonl",
+            json.dumps({"id": "u1", "source": "a", "reference": "r"}),
+            json.dumps({"id": utt_id, "source": "b", "reference": "r"}),
+        )
+        with pytest.raises(ManifestError, match=r"eval\.jsonl:2: id .* must be a file name"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("utt_id", ["short_suite000", "utt.1", "a b", "..x", "über"])
+    def test_file_name_ids_accepted(self, tmp_path, utt_id):
+        path = write_lines(
+            tmp_path / "eval.jsonl", json.dumps({"id": utt_id, "source": "a", "reference": "r"})
+        )
+        assert load_manifest(path)[0].id == utt_id
+
+    def test_file_that_is_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"id": "u1", "source": "a", "reference": "caf\xe9"}\n')
+        with pytest.raises(ManifestError, match=r"latin1\.jsonl: not UTF-8 text"):
+            load_manifest(path)
+
     def test_missing_source_file_is_not_checked_at_load(self, tmp_path):
         path = write_lines(
             tmp_path / "eval.jsonl",

@@ -204,19 +204,19 @@ def advance_decode(model, enc, prefix, max_new):
     Returns (tokens, eos_reached, attention, last logits row).
     """
     ids = [model.vocab.bos_id, *prefix]
-    state = model_module._DecodeState(model, enc.states, len(ids) + 1)
-    model._advance(state, ids)
+    decode = model_module._ToyDecode(model, enc.states, list(prefix), max_new)
+    model._advance(decode, ids)
     eos = False
     while True:
-        next_id = int(state.logits.argmax())
+        next_id = int(decode.logits.argmax())
         if next_id == model.vocab.eos_id:
             eos = True
             break
         ids.append(next_id)
         if len(ids) == len(prefix) + 1 + max_new:
             break
-        model._advance(state, [next_id])
-    return tuple(ids[1:]), eos, state.attention[:, :, : len(ids) - 1], state.logits
+        model._advance(decode, [next_id])
+    return tuple(ids[1:]), eos, decode._attention[:, :, : len(ids) - 1], decode.logits
 
 
 class TestIncrementalFastPath:
@@ -254,25 +254,25 @@ class TestIncrementalFastPath:
             assert result.eos_reached == eos
 
     def test_step_is_bit_exact_to_single_row_advance(self, toy_model, decodes, monkeypatch):
-        states = []
+        started = []
 
-        class RecordedState(model_module._DecodeState):
+        class RecordedDecode(model_module._ToyDecode):
             def __init__(self, *args):
                 super().__init__(*args)
-                states.append(self)
+                started.append(self)
 
         reference = [advance_decode(toy_model, enc, prefix, max_new) for enc, prefix, max_new, _ in decodes]
-        monkeypatch.setattr(model_module, "_DecodeState", RecordedState)
+        monkeypatch.setattr(model_module, "_ToyDecode", RecordedDecode)
         grown = 0
         for (enc, prefix, max_new, _), (tokens, eos, attention, logits) in zip(decodes, reference):
             result = toy_model.decode_greedy(enc, prefix, max_new)
-            state = states[-1]
+            decode = started[-1]
             assert result.tokens == tokens
             assert result.eos_reached == eos
             assert np.array_equal(result.attention, attention)
-            assert np.array_equal(state.logits, logits)
+            assert np.array_equal(decode.logits, logits)
             # buffers start at prefix + 1 + _INITIAL_NEW_ROWS rows and double when full
-            grown += state.keys.shape[1] > len(prefix) + 1 + model_module._INITIAL_NEW_ROWS
+            grown += decode.keys.shape[1] > len(prefix) + 1 + model_module._INITIAL_NEW_ROWS
         assert grown >= 2
 
     def test_attention_matches_teacher_forced_pass(self, toy_model, decodes):
@@ -449,24 +449,16 @@ class TestResume:
         assert [len(r.tokens) for r in chain] == list(range(1, 46)) + [45]
         assert_same_decode(chain[-1], full)
 
-    def test_resume_grows_the_buffers(self, toy_model, monkeypatch):
-        states = []
-
-        class RecordedState(model_module._DecodeState):
-            def __init__(self, *args):
-                super().__init__(*args)
-                states.append(self)
-
+    def test_resume_grows_the_buffers(self, toy_model):
         enc = toy_model.encode(np.random.default_rng(0).normal(size=(450, 80)))
         full = toy_model.decode_greedy(enc, [])
-        monkeypatch.setattr(model_module, "_DecodeState", RecordedState)
         decode = toy_model.start_decode(enc, [])
         decode.advance()
         paused = decode.attention
-        assert states[0].keys.shape[1] == 1 + model_module._INITIAL_NEW_ROWS
+        assert decode.keys.shape[1] == 1 + model_module._INITIAL_NEW_ROWS
         while decode.advance() is not None:
             pass
-        assert len(states) == 1 and states[0].keys.shape[1] > 1 + model_module._INITIAL_NEW_ROWS
+        assert decode.keys.shape[1] > 1 + model_module._INITIAL_NEW_ROWS
         assert len(full.tokens) > model_module._INITIAL_NEW_ROWS
         assert_same_decode(decode, full)
         # a view read while paused is not overwritten by the growth
@@ -490,7 +482,7 @@ class TestResume:
         full = toy_model.decode_greedy(enc, [], max_new=3)
         steps = []
         step = toy_model._step
-        monkeypatch.setattr(toy_model, "_step", lambda state, token: steps.append(token) or step(state, token))
+        monkeypatch.setattr(toy_model, "_step", lambda decode, token: steps.append(token) or step(decode, token))
         decode = toy_model.start_decode(enc, [], max_new=3)
         pulled = [decode.advance()[0] for _ in range(3)]
         assert tuple(pulled) == full.tokens and len(steps) == 2
@@ -543,15 +535,17 @@ class TestResume:
         for decode, full in zip(decodes, fulls):
             assert_same_decode(decode, full)
 
-    def test_decode_greedy_drains_without_per_token_rows(self, toy_model, monkeypatch):
+    def test_decode_greedy_drains_through_advance(self, toy_model, monkeypatch):
         enc = toy_model.encode(np.random.default_rng(4).normal(size=(120, 80)))
         full = toy_model.decode_greedy(enc, [])
-
-        def no_rows(self):
-            raise AssertionError("decode_greedy built a per-token row")
-
-        monkeypatch.setattr(model_module._ToyDecode, "advance", no_rows)
+        pulls = []
+        advance = model_module._ToyDecode.advance
+        monkeypatch.setattr(
+            model_module._ToyDecode, "advance", lambda self: pulls.append(1) or advance(self)
+        )
         assert_same_decode(toy_model.decode_greedy(enc, []), full)
+        # one pull per generated token, and the one that reads end-of-sequence
+        assert full.eos_reached and len(pulls) == len(full.tokens) + 1
 
 
 class TestSharedAcrossThreads:

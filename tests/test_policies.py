@@ -35,9 +35,9 @@ from conftest import alignatt_bruteforce, random_attention, waitk_walk
 
 
 def _drained(tokens, attention, eos=False):
-    """A drained decode of ``tokens``, as ``run_session`` hands it to a policy without a stop rule."""
+    """A decode of ``tokens`` pulled to its end, as ``run_session`` hands it to a policy without a stop rule."""
     decode = FinishedDecode(DecodeResult(tuple(tokens), attention, eos), len(tokens))
-    decode.drained()
+    assert decode.advance() is None
     return decode
 
 

@@ -278,6 +278,32 @@ class TestRunEval:
             assert a == b, name
 
 
+class TestDecoderWork:
+    """Decoder steps per policy on a fixed corpus, so that early stop cannot lose its savings silently."""
+
+    # ToyModel._step calls of one run_eval over the corpus below
+    STEPS = {"alignatt": 142, "edatt": 123, "waitk": 133, "local_agreement": 225}
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SessionConfig(policy="alignatt", f=4, chunk_ms=250.0),
+            SessionConfig(policy="edatt", alpha=0.6, chunk_ms=250.0),
+            SessionConfig(policy="waitk", k=3, chunk_ms=250.0),
+            SessionConfig(policy="local_agreement", t_s_ms=250.0, chunk_ms=250.0),
+        ],
+        ids=lambda config: config.policy,
+    )
+    def test_step_counts(self, tmp_path, monkeypatch, config):
+        entries = load_manifest(build_suite(tmp_path, num_utterances=4, min_frames=100, max_frames=300))
+        steps = []
+        step = ToyModel._step
+        monkeypatch.setattr(ToyModel, "_step", lambda self, *args: steps.append(1) or step(self, *args))
+        evaluation = run_eval(entries, config)
+        assert all(result.error is None for result in evaluation.results)
+        assert len(steps) == self.STEPS[config.policy]
+
+
 class TestSweep:
     def test_rows_sorted_and_deduplicated(self, small_suite):
         rows, evaluations = sweep(small_suite, ALIGNATT4, [8, 2, 8])

@@ -380,15 +380,39 @@ class _CountedDecode:
             self._adapter.decoded[self._index] += 1
         return pulled
 
-    def drained(self):
-        before = len(self._decode.tokens)
-        result = self._decode.drained()
-        self._adapter.decoded[self._index] += len(result.tokens) - before
-        return result
+
+class _FourMembers:
+    """A decode with only the four public members of the ``Decode`` contract, read from another."""
+
+    def __init__(self, decode):
+        self._decode = decode
+
+    @property
+    def tokens(self):
+        return self._decode.tokens
+
+    @property
+    def attention(self):
+        return self._decode.attention
+
+    @property
+    def eos_reached(self):
+        return self._decode.eos_reached
+
+    def advance(self):
+        return self._decode.advance()
+
+
+class _FourMemberDecodes(_Forwarding):
+    """``_Forwarding`` with a ``start_decode`` whose decodes are ``_FourMembers``."""
+
+    def start_decode(self, enc, forced_prefix, max_new=128):
+        self.calls.append("start_decode")
+        return _FourMembers(self._inner.start_decode(enc, forced_prefix, max_new))
 
 
 def _without_rule(policy):
-    """``policy`` with a ``stop_rule`` that returns None, so that every decode is drained."""
+    """``policy`` with a ``stop_rule`` that returns None, so that every decode is pulled to its end."""
     policy.stop_rule = lambda committed, source_words, vocab, layer: None
     return policy
 
@@ -633,8 +657,12 @@ class TestStopHook:
                     for x in (pulled, plain)
                 ]
                 logs.append(run_session(source, toy_model, _recording(make_policy(), seen), chunk_ms=chunk_ms))
-                assert logs[0] == logs[1] == logs[2]
+                # a decode with only the four public members serves as well
+                duck, ducks = _FourMemberDecodes(toy_model), []
+                logs.append(run_session(source, duck, _recording(make_policy(), ducks), chunk_ms=chunk_ms))
+                assert logs[0] == logs[1] == logs[2] == logs[3]
                 assert all(issubclass(kind, Decode) and holds for kind, holds in seen)
+                assert ducks and all(kind is _FourMembers and holds for kind, holds in ducks)
                 saved.append(sum(plain.decoded) - sum(pulled.decoded))
                 resumed += pulled.resumed
         local_agreement = make_policy().name == "local_agreement"
