@@ -51,11 +51,13 @@ def _build_config(args: argparse.Namespace, sweep_seed: float | None = None) -> 
     if args.config is not None:
         try:
             text = args.config.read_text(encoding="utf-8")
+            data = json.loads(text) if text.strip() else {}
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not UTF-8 text ({exc})")
-        data = json.loads(text) if text.strip() else {}
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not valid JSON ({exc})")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     for key in CONFIG_TYPES:
@@ -197,7 +199,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ManifestError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, ManifestError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

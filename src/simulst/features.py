@@ -204,7 +204,10 @@ def save_cmvn_stats(path, stats: CmvnStats) -> None:
 
 
 def load_cmvn_stats(path) -> CmvnStats:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: CMVN stats must be UTF-8 JSON ({exc})") from exc
     if not isinstance(payload, dict) or not {"mean", "var"} <= payload.keys():
         raise ValueError(f"{path}: CMVN stats must be a JSON object with 'mean' and 'var'")
     try:

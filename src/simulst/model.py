@@ -106,11 +106,12 @@ class Decode:
     """A greedy decode that yields each token when asked for it (see ``ModelAdapter``).
 
     ``tokens``, ``attention`` and ``eos_reached`` read as in ``DecodeResult``
-    for the tokens generated so far. ``advance()`` generates the next token
-    and returns it with its (layers, heads, n) cross-attention row, or None
-    once end-of-sequence was read or ``max_new`` tokens exist. These four
-    members are the whole contract: every token is read through
-    ``advance()``, and any other object with them also serves.
+    for the tokens generated so far. ``advance()`` generates the next token,
+    an id of the vocabulary other than end-of-sequence, and returns it with
+    its (layers, heads, n) cross-attention row, or None once end-of-sequence
+    was read or ``max_new`` tokens exist. These four members are the whole
+    contract: every token is read through ``advance()``, and any other
+    object with them also serves.
 
     Subclasses keep the output so far, forced prefix included, in
     ``_tokens``; row i of ``_attention`` (L, H, rows, n) is the

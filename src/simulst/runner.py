@@ -129,22 +129,14 @@ def _json_number(value: float | None) -> float | None:
     return value
 
 
-@dataclass(frozen=True)
-class _Failure:
-    """The error that stopped a session, and its log of commits so far if it had started."""
-
-    error: str
-    partial_log: EmissionLog | None = None
-
-
 def _run_one(
     entry: ManifestEntry, config: SessionConfig, adapter: ModelAdapter
-) -> EmissionLog | _Failure:
-    """One session's emission log, or the failure that stopped it."""
+) -> EmissionLog | SessionError:
+    """One session's emission log, or the error that stopped it."""
     try:
         source = load_source_features(entry.source)
     except (OSError, ValueError) as exc:
-        return _Failure(f"source unreadable: {exc}")
+        return SessionError(f"source unreadable: {exc}", None)
     clock = RealClock() if config.clock == "real" else SimulatedClock()
     try:
         return run_session(
@@ -158,9 +150,9 @@ def _run_one(
             max_new=config.max_new,
         )
     except SessionError as exc:
-        return _Failure(str(exc), exc.partial_log)
+        return exc
     except ValueError as exc:
-        return _Failure(str(exc))
+        return SessionError(str(exc), None)
 
 
 def _mean(values: list[float]) -> float:
@@ -227,7 +219,7 @@ def run_eval(
     adapter = make_adapter(config)
     outcomes = [_run_one(entry, config, adapter) for entry in entries]
     evaluation = aggregate(
-        entries, [o.error if isinstance(o, _Failure) else o for o in outcomes], config
+        entries, [str(o) if isinstance(o, SessionError) else o for o in outcomes], config
     )
 
     if out_dir is not None:
@@ -235,8 +227,8 @@ def run_eval(
         run_dir.mkdir(parents=True, exist_ok=True)
         for entry, outcome in zip(entries, outcomes):
             path = run_dir / f"{entry.id}.jsonl"
-            if isinstance(outcome, _Failure):
-                write_failed_log(path, outcome.error, outcome.partial_log)
+            if isinstance(outcome, SessionError):
+                write_failed_log(path, str(outcome), outcome.partial_log)
             else:
                 write_emission_log(path, outcome)
         write_text_atomic(

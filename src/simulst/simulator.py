@@ -9,7 +9,9 @@ a time through ``advance()``: the adapter's ``start_decode``, or its
 ``decode_greedy`` result replayed by ``FinishedDecode``. Before every other
 decode the policy may supply a stop rule; tokens are pulled until it fires or
 the decode ends, and the paused decode goes to the policy with the step's
-context, so it can read further.
+context, so it can read further. An exception from the adapter or the
+policy ends the session with a ``SessionError`` that names which failed, when
+and why, and carries the commits made so far.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -32,8 +34,9 @@ import numpy as np
 
 from .attention import aggregate_attention, compute_alignment
 from .features import FeatureMatrix
-from .model import DEFAULT_MAX_NEW, FinishedDecode, ModelAdapter
+from .model import DEFAULT_MAX_NEW, Decode, FinishedDecode, ModelAdapter
 from .policies import Policy, PolicyDecision, StepContext
+from .vocab import Vocabulary
 
 __all__ = [
     "Clock",
@@ -126,9 +129,9 @@ class EmissionLog:
 
 
 class SessionError(RuntimeError):
-    """Adapter or policy failure mid-session; carries the log of commits made so far."""
+    """A failed session; carries the log of commits made so far, None if it never started."""
 
-    def __init__(self, message: str, partial_log: EmissionLog):
+    def __init__(self, message: str, partial_log: EmissionLog | None):
         super().__init__(message)
         self.partial_log = partial_log
 
@@ -177,6 +180,17 @@ def _resolve_layer(adapter: ModelAdapter, attention_layer: int | None) -> int:
     return attention_layer
 
 
+def _pull(decode: Decode, vocab: Vocabulary) -> tuple[int, np.ndarray] | None:
+    """``decode.advance()``, whose token must be an id of ``vocab`` other than end-of-sequence."""
+    pulled = decode.advance()
+    if pulled is not None and (pulled[0] == vocab.eos_id or not 0 <= pulled[0] < vocab.size):
+        raise ValueError(
+            f"decode returned token id {pulled[0]}; tokens are ids in [0, {vocab.size}) "
+            f"other than end-of-sequence ({vocab.eos_id})"
+        )
+    return pulled
+
+
 def run_session(
     source: FeatureMatrix,
     adapter: ModelAdapter,
@@ -205,6 +219,8 @@ def run_session(
     Raises:
         SessionError: the adapter or the policy failed mid-run; the exception
             carries the partial log of everything committed before the failure.
+        ValueError: the session cannot start: ``attention_layer`` is out of
+            range, or ``chunk_ms`` is below the source's frame shift.
     """
     if clock is None:
         clock = SimulatedClock()
@@ -234,6 +250,22 @@ def run_session(
             )
             committed.append(token)
 
+    def call(failure: str, thunk):
+        """``thunk()``, any exception from which fails the session as ``failure``."""
+        try:
+            return thunk()
+        except Exception as exc:
+            # a policy fault is named by its repr: its type says where the bug is
+            detail = repr(exc) if failure == "policy failed" else str(exc)
+            raise SessionError(f"{failure} at {ideal_s:.3f}s: {detail}", partial()) from exc
+
+    def start(prefix: np.ndarray) -> Decode:
+        states = adapter.encode(prefix)
+        clock.charge(step_cost_s)
+        if hasattr(adapter, "start_decode"):
+            return adapter.start_decode(states, committed, max_new)
+        return FinishedDecode(adapter.decode_greedy(states, committed, max_new), len(committed))
+
     while not cursor.exhausted:
         prefix = cursor.read()
         ideal_s = cursor.delivered_s
@@ -242,41 +274,18 @@ def run_session(
         # greedy hypothesis is committed without consulting the policy.
         final = cursor.exhausted
         if policy.uses_word_counts and not final:
-            try:
-                words = adapter.count_source_words(prefix)
-            except Exception as exc:
-                raise SessionError(
-                    f"adapter failed counting words at {ideal_s:.3f}s: {exc}", partial()
-                ) from exc
+            words = call("adapter failed counting words", lambda: adapter.count_source_words(prefix))
             # Word detections only ratchet upward so the schedule never
             # retracts budget already granted.
             detected_words = max(detected_words, words)
-        rule = None
-        if not final:
-            try:
-                rule = policy.stop_rule(tuple(committed), detected_words, vocab, layer)
-            except Exception as exc:
-                raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc
-        try:
-            states = adapter.encode(prefix)
-            clock.charge(step_cost_s)
-            if hasattr(adapter, "start_decode"):
-                decode = adapter.start_decode(states, committed, max_new)
-            else:
-                decode = FinishedDecode(adapter.decode_greedy(states, committed, max_new), len(committed))
-        except Exception as exc:
-            raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
+        rule = None if final else call(
+            "policy failed", lambda: policy.stop_rule(tuple(committed), detected_words, vocab, layer)
+        )
+        decode = call("adapter failed", lambda: start(prefix))
         # On the final flush, or with no rule, the decode is pulled to its end.
-        while True:
-            try:
-                pulled = decode.advance()
-            except Exception as exc:
-                raise SessionError(f"adapter failed at {ideal_s:.3f}s: {exc}", partial()) from exc
-            try:
-                if pulled is None or (rule is not None and rule(*pulled)):
-                    break
-            except Exception as exc:
-                raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc
+        while (pulled := call("adapter failed", lambda: _pull(decode, vocab))) is not None:
+            if rule is not None and call("policy failed", lambda: rule(*pulled)):
+                break
         clock.charge(step_cost_s)
 
         candidates = list(decode.tokens[len(committed):])
@@ -295,10 +304,7 @@ def run_session(
             vocab=vocab,
             decode=decode,
         )
-        try:
-            decision: PolicyDecision = policy.decide(context)
-        except Exception as exc:
-            raise SessionError(f"policy failed at {ideal_s:.3f}s: {exc!r}", partial()) from exc
+        decision: PolicyDecision = call("policy failed", lambda: policy.decide(context))
         if decision.commit_count > len(candidates):
             raise SessionError(
                 f"policy committed {decision.commit_count} of {len(candidates)} candidates",
@@ -378,12 +384,16 @@ def has_json_type(value, kind: type) -> bool:
 def read_emission_log(path) -> EmissionLog:
     """Parse a log written by ``write_emission_log``.
 
-    Raises ValueError naming ``path`` when the file is empty, a line is not
-    a JSON object, a key is missing or of the wrong type, or the source
+    Raises ValueError naming ``path`` when the file is empty or not UTF-8, a
+    line is not a JSON object, a key is missing or of the wrong type, or the source
     duration is not positive. A log written by ``write_failed_log`` raises
     ValueError with the session's error message verbatim.
     """
-    lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty emission log")
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +147,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and f"{config_path} is not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_that_is_not_json_is_usage_error(self, suite_dir, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"policy": "alignatt", "f": 2,}', encoding="utf-8")
+        code = run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out",
+            "--config", config_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: config file {config_path} is not valid JSON (Expecting property name")
         assert not (tmp_path / "out").exists()
 
     def test_manifest_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
@@ -304,7 +317,8 @@ class TestScore:
 
     def test_failed_run_utterance_rescores_to_the_run_record(self, suite_dir, tmp_path, capsys):
         # run writes a failed session's log with its error, and score reads
-        # that error back, so the reports are equal
+        # that error back, so the reports are equal; a session that never
+        # started logs its error alone
         manifest = tmp_path / "mixed.jsonl"
         records = [
             {**record, "source": str(suite_dir / record["source"])}
@@ -313,19 +327,31 @@ class TestScore:
         records[1]["source"] = str(tmp_path / "missing.sgfb")
         manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         out = tmp_path / "out"
-        config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
-        assert run_cli(
-            "run", "--manifest", manifest, "--out", out,
-            "--policy", "alignatt", "--f", "4", "--chunk-ms", "500",
-        ) == 1
-        run_record = json.loads((out / config.run_id / "aggregate.json").read_text("utf-8"))
-        capsys.readouterr()
+        unreadable = "source unreadable:"
+        layer = "attention_layer=2 out of range for 2 decoder layers"  # the toy decoder has two
+        chunk = "chunk_ms=5.0 is below the frame shift (10.0 ms)"
+        cases = [
+            ([], [None, unreadable, None]),
+            (["--attention-layer", "2"], [layer, unreadable, layer]),
+            (["--chunk-ms", "5"], [chunk, unreadable, chunk]),
+        ]
+        for flags, errors in cases:
+            argv = ["--policy", "alignatt", "--f", "4", "--chunk-ms", "500", *flags]
+            assert run_cli("run", "--manifest", manifest, "--out", out, *argv) == 1
+            run_dir = Path(capsys.readouterr().out.rsplit(" -> ", 1)[1].strip())
+            run_record = json.loads((run_dir / "aggregate.json").read_text("utf-8"))
+            for utt, error in zip(run_record["utterances"], errors, strict=True):
+                if error is None:
+                    assert utt["error"] is None
+                    continue
+                assert utt["error"].startswith(error)
+                log = (run_dir / f"{utt['id']}.jsonl").read_text("utf-8")
+                assert log == json.dumps({"error": utt["error"]}, ensure_ascii=False) + "\n"
 
-        assert run_cli("score", "--manifest", manifest, "--logs", out / config.run_id) == 1
-        record = json.loads(capsys.readouterr().out)
-        del run_record["run_id"], run_record["config"]
-        assert run_record["utterances"][1]["error"].startswith("source unreadable:")
-        assert record == run_record
+            assert run_cli("score", "--manifest", manifest, "--logs", run_dir) == 1
+            record = json.loads(capsys.readouterr().out)
+            del run_record["run_id"], run_record["config"]
+            assert record == run_record
 
     def test_out_file_written(self, suite_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -415,6 +441,21 @@ class TestScore:
         assert "utt001.jsonl" in errors["utt001"] and "positive" in errors["utt001"]
         assert errors["utt002"] is None
 
+    def test_log_that_is_not_utf8_names_the_path(self, suite_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
+        run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--policy", "alignatt", "--f", "4", "--chunk-ms", "500",
+        )
+        capsys.readouterr()
+        log = out / config.run_id / "utt001.jsonl"
+        log.write_bytes(b'{"source_duration_s": 1.0, "final_text": "caf\xe9"}\n')
+        code = run_cli("score", "--manifest", suite_dir / "manifest.jsonl", "--logs", out / config.run_id)
+        record = json.loads(capsys.readouterr().out)
+        assert code == 1 and record["failed_ids"] == ["utt001"]
+        assert record["utterances"][1]["error"].startswith(f"{log}: not UTF-8 text ('utf-8' codec can't decode")
+
 
 class TestExtractFeatures:
     def make_wav(self, path, seconds=0.5, rate=16000, seed=11):
@@ -465,6 +506,21 @@ class TestExtractFeatures:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
+        assert not (tmp_path / "o.sgfb").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b'{"mean": [0.0], "var": [1.0]', b'{"mean": [0.0], "var": [1.0], "note": "caf\xe9"}'],
+        ids=["empty", "truncated", "latin1"],
+    )
+    def test_cmvn_that_is_not_utf8_json_names_the_path(self, tmp_path, capsys, content):
+        wav = self.make_wav(tmp_path / "a.wav")
+        stats_path = tmp_path / "cmvn.json"
+        stats_path.write_bytes(content)
+        code = run_cli("extract-features", wav, tmp_path / "o.sgfb", "--cmvn", stats_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {stats_path}: CMVN stats must be UTF-8 JSON (")
         assert not (tmp_path / "o.sgfb").exists()
 
     @pytest.mark.parametrize("kind", ["silent_wav", "one_frame", "zero_frames"])

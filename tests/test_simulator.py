@@ -714,6 +714,152 @@ class TestStopHook:
         assert info.value.partial_log.tokens == tuple(ids[:1])
 
 
+def _faulty_setup(site: str, error: Exception):
+    """The "early" scripted session under AlignAtt, with ``site`` raising ``error`` on the third step (1.2 s).
+
+    The adapter offers ``start_decode`` unless the site is the bridged
+    ``decode_greedy``; the policy asks for word counts, so that the
+    simulator calls ``count_source_words``; ``rule`` is the stop rule itself.
+    """
+    vocab, ids, adapter, source = scripted_setup("early")
+
+    def check(name: str, third_step: bool) -> None:
+        if name == site and third_step:
+            raise error
+
+    class Bridged(_Forwarding):
+        def encode(self, feats):
+            check("encode", len(feats) == 120)
+            return super().encode(feats)
+
+        def count_source_words(self, feats):
+            check("count_source_words", len(feats) == 120)
+            return super().count_source_words(feats)
+
+        def decode_greedy(self, enc, forced_prefix, max_new=128):
+            check("decode_greedy", enc.n == 30)
+            return super().decode_greedy(enc, forced_prefix, max_new)
+
+    class Pulled(Bridged):
+        def start_decode(self, enc, forced_prefix, max_new=128):
+            check("start_decode", enc.n == 30)
+            decode = FinishedDecode(self._inner.decode_greedy(enc, forced_prefix, max_new), len(forced_prefix))
+            advance = decode.advance
+
+            def faulty_advance():
+                check("advance", enc.n == 30)
+                return advance()
+
+            decode.advance = faulty_advance
+            return decode
+
+    class Policy(AlignAttPolicy):
+        uses_word_counts = True
+
+        def stop_rule(self, committed, source_words, vocab, layer):
+            check("stop_rule", len(committed) == 2)
+            rule = super().stop_rule(committed, source_words, vocab, layer)
+
+            def faulty_rule(token, row):
+                check("rule", len(committed) == 2)
+                return rule(token, row)
+
+            return faulty_rule
+
+        def decide(self, ctx):
+            check("decide", len(ctx.committed) == 2)
+            return super().decide(ctx)
+
+    faulty = (Bridged if site == "decode_greedy" else Pulled)(adapter)
+    return ids, source, faulty, Policy(f=2)
+
+
+class TestSessionFailures:
+    """Whatever collaborator call raises, the session fails with one exact message and its commits so far."""
+
+    @pytest.mark.parametrize(
+        "site, message",
+        [
+            ("count_source_words", "adapter failed counting words at 1.200s: 'boom'"),
+            ("stop_rule", "policy failed at 1.200s: KeyError('boom')"),
+            ("encode", "adapter failed at 1.200s: 'boom'"),
+            ("start_decode", "adapter failed at 1.200s: 'boom'"),
+            ("decode_greedy", "adapter failed at 1.200s: 'boom'"),
+            ("advance", "adapter failed at 1.200s: 'boom'"),
+            ("rule", "policy failed at 1.200s: KeyError('boom')"),
+            ("decide", "policy failed at 1.200s: KeyError('boom')"),
+        ],
+    )
+    def test_message_cause_and_partial_log(self, site, message):
+        error = KeyError("boom")
+        ids, source, adapter, policy = _faulty_setup(site, error)
+        with pytest.raises(SessionError) as info:
+            run_session(source, adapter, policy, chunk_ms=400.0)
+        assert str(info.value) == message
+        assert info.value.__cause__ is error
+        partial = info.value.partial_log
+        assert partial.tokens == tuple(ids[:2])
+        assert [e.ideal_s for e in partial.events] == [0.4, 0.8]
+        assert partial.final_text == "aa bb"
+
+    def test_missing_adapter_member_is_an_adapter_error(self):
+        vocab, ids, adapter, source = scripted_setup("early")
+
+        no_word_counts = SimpleNamespace(
+            vocab=vocab, num_decoder_layers=1, num_heads=1, encode=adapter.encode, decode_greedy=adapter.decode_greedy
+        )
+        with pytest.raises(SessionError) as info:
+            run_session(source, no_word_counts, WaitKPolicy(k=1), chunk_ms=400.0)
+        assert str(info.value) == (
+            "adapter failed counting words at 0.400s: "
+            "'types.SimpleNamespace' object has no attribute 'count_source_words'"
+        )
+        assert info.value.partial_log.events == ()
+
+    def test_without_a_fault_the_session_commits_every_token(self):
+        ids, source, adapter, policy = _faulty_setup("none", KeyError("boom"))
+        assert run_session(source, adapter, policy, chunk_ms=400.0).tokens == tuple(ids)
+
+    @staticmethod
+    def third_token_session(third: int, make_policy):
+        """Hypotheses aa, aa bb, aa bb <third>, aa bb <third> cc over four 400 ms steps, all aligned at frame 0."""
+        vocab = Vocabulary(["▁aa", "▁bb", "▁cc"])
+        aa, bb, cc = (vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc"))
+        hypothesis = (aa, bb, third, cc)
+
+        def script(n):
+            count = n // 10
+            return ScriptStep(tokens=hypothesis[:count], alignment=(0,) * count, eos=count == 4, source_words=count)
+
+        source = FeatureMatrix(frames=np.zeros((160, 80), dtype=np.float32))
+        return run_session(source, ScriptedAdapter(vocab, script), make_policy(), chunk_ms=400.0)
+
+    @pytest.mark.parametrize("third", [999, -1, Vocabulary.eos_id], ids=["unknown", "negative", "eos"])
+    @pytest.mark.parametrize(
+        "make_policy, committed",
+        # wait-k holds bb back until the word after it starts
+        [(lambda: AlignAttPolicy(f=2), "aa bb"), (lambda: WaitKPolicy(k=1), "aa")],
+        ids=["alignatt", "waitk"],
+    )
+    def test_token_outside_the_vocabulary_or_eos_is_an_adapter_error(self, third, make_policy, committed):
+        with pytest.raises(SessionError) as info:
+            self.third_token_session(third, make_policy)
+        assert str(info.value) == (
+            f"adapter failed at 1.200s: decode returned token id {third}; "
+            "tokens are ids in [0, 6) other than end-of-sequence (1)"
+        )
+        assert isinstance(info.value.__cause__, ValueError)
+        assert info.value.partial_log.final_text == committed
+
+    @pytest.mark.parametrize(
+        "make_policy", [lambda: AlignAttPolicy(f=2), lambda: WaitKPolicy(k=1)], ids=["alignatt", "waitk"]
+    )
+    def test_unknown_piece_and_bos_are_tokens(self, make_policy):
+        for third in (Vocabulary.unk_id, Vocabulary.bos_id):
+            log = self.third_token_session(third, make_policy)
+            assert log.tokens == (3, 4, third, 5) and log.final_text == "aa bb cc"
+
+
 GOLDEN_CHUNK_MS = 500.0
 GOLDEN_F = 4
 
