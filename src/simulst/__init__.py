@@ -6,169 +6,32 @@ decision policy chooses how many to commit. Emission logs feed latency
 (AL/LAAL, ideal and computational-aware) and quality (BLEU) metrics.
 """
 
-from .attention import (
-    aggregate_attention,
-    compute_alignment,
-    softmax,
-    validate_attention_matrix,
-)
-from .config import ConfigError, SessionConfig
-from .features import (
-    FRAME_SHIFT_MS,
-    FRAME_WINDOW_MS,
-    LOG_FLOOR,
-    NUM_MEL_BINS,
-    SUPPORTED_RATES,
-    CmvnStats,
-    FeatureFileError,
-    FeatureMatrix,
-    compute_cmvn_stats,
-    frame_count,
-    global_cmvn,
-    hz_to_mel,
-    load_cmvn_stats,
-    load_source_features,
-    logmel,
-    mel_center_frequencies,
-    mel_to_hz,
-    read_features,
-    read_wav,
-    save_cmvn_stats,
-    write_features,
-    write_wav,
-)
-from .manifest import ManifestEntry, ManifestError, load_manifest
-from .metrics import (
-    LatencyReport,
-    QualityReport,
-    average_lagging,
-    bleu,
-    corpus_bleu,
-    latency_report,
-    length_adaptive_average_lagging,
-    tokenize_13a,
-    word_delays,
-)
-from .model import (
-    DecodeResult,
-    EncoderStates,
-    ModelAdapter,
-    ScriptStep,
-    ScriptedAdapter,
-    ToyModel,
-    ToyModelConfig,
-    count_words_in_labels,
-)
-from .policies import (
-    AlignAttPolicy,
-    EDAttPolicy,
-    LocalAgreementPolicy,
-    Policy,
-    PolicyDecision,
-    StepContext,
-    StopReason,
-    WaitKPolicy,
-    alignatt_decide,
-    edatt_decide,
-    local_agreement_prefix,
-    longest_common_prefix,
-    waitk_allowed,
-)
-from .runner import EvalResult, UtteranceResult, make_adapter, run_eval, sweep
-from .simulator import (
-    Emission,
-    EmissionLog,
-    RealClock,
-    SessionError,
-    SimulatedClock,
-    StreamCursor,
-    read_emission_log,
-    run_session,
-    write_emission_log,
-    write_failed_log,
-)
-from .vocab import BOUNDARY_MARKER, Vocabulary, build_default_vocabulary
+# Each module declares its public names in its own __all__; the package
+# re-exports exactly those (the command line, ``cli``, stays out).
+from . import attention, config, features, manifest, metrics
+from . import model, policies, runner, simulator, vocab
+from .attention import *
+from .config import *
+from .features import *
+from .manifest import *
+from .metrics import *
+from .model import *
+from .policies import *
+from .runner import *
+from .simulator import *
+from .vocab import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignAttPolicy",
-    "BOUNDARY_MARKER",
-    "CmvnStats",
-    "ConfigError",
-    "DecodeResult",
-    "EDAttPolicy",
-    "Emission",
-    "EmissionLog",
-    "EncoderStates",
-    "EvalResult",
-    "FRAME_SHIFT_MS",
-    "FRAME_WINDOW_MS",
-    "FeatureFileError",
-    "FeatureMatrix",
-    "LOG_FLOOR",
-    "LatencyReport",
-    "LocalAgreementPolicy",
-    "ManifestEntry",
-    "ManifestError",
-    "ModelAdapter",
-    "NUM_MEL_BINS",
-    "Policy",
-    "PolicyDecision",
-    "QualityReport",
-    "RealClock",
-    "ScriptStep",
-    "ScriptedAdapter",
-    "SessionConfig",
-    "SessionError",
-    "SimulatedClock",
-    "SUPPORTED_RATES",
-    "StepContext",
-    "StopReason",
-    "StreamCursor",
-    "ToyModel",
-    "ToyModelConfig",
-    "UtteranceResult",
-    "Vocabulary",
-    "WaitKPolicy",
-    "aggregate_attention",
-    "alignatt_decide",
-    "average_lagging",
-    "bleu",
-    "build_default_vocabulary",
-    "compute_alignment",
-    "compute_cmvn_stats",
-    "corpus_bleu",
-    "count_words_in_labels",
-    "edatt_decide",
-    "frame_count",
-    "global_cmvn",
-    "hz_to_mel",
-    "latency_report",
-    "length_adaptive_average_lagging",
-    "load_cmvn_stats",
-    "load_manifest",
-    "load_source_features",
-    "local_agreement_prefix",
-    "logmel",
-    "longest_common_prefix",
-    "make_adapter",
-    "mel_center_frequencies",
-    "mel_to_hz",
-    "read_emission_log",
-    "read_features",
-    "read_wav",
-    "run_eval",
-    "save_cmvn_stats",
-    "run_session",
-    "softmax",
-    "sweep",
-    "tokenize_13a",
-    "validate_attention_matrix",
-    "waitk_allowed",
-    "word_delays",
-    "write_emission_log",
-    "write_failed_log",
-    "write_features",
-    "write_wav",
+    *attention.__all__,
+    *config.__all__,
+    *features.__all__,
+    *manifest.__all__,
+    *metrics.__all__,
+    *model.__all__,
+    *policies.__all__,
+    *runner.__all__,
+    *simulator.__all__,
+    *vocab.__all__,
 ]

@@ -15,6 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = [
+    "softmax",
+    "validate_attention_matrix",
+    "aggregate_attention",
+    "compute_alignment",
+]
+
 ROW_SUM_TOL = 1e-5
 
 

@@ -19,6 +19,31 @@ from pathlib import Path
 
 import numpy as np
 
+__all__ = [
+    "FRAME_SHIFT_MS",
+    "FRAME_WINDOW_MS",
+    "NUM_MEL_BINS",
+    "LOG_FLOOR",
+    "SUPPORTED_RATES",
+    "FeatureFileError",
+    "FeatureMatrix",
+    "hz_to_mel",
+    "mel_to_hz",
+    "mel_center_frequencies",
+    "frame_count",
+    "logmel",
+    "read_wav",
+    "write_wav",
+    "CmvnStats",
+    "compute_cmvn_stats",
+    "global_cmvn",
+    "save_cmvn_stats",
+    "load_cmvn_stats",
+    "write_features",
+    "read_features",
+    "load_source_features",
+]
+
 FRAME_SHIFT_MS = 10.0
 FRAME_WINDOW_MS = 25.0
 NUM_MEL_BINS = 80

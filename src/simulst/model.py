@@ -23,6 +23,19 @@ import numpy as np
 from .attention import softmax
 from .vocab import Vocabulary, build_default_vocabulary
 
+__all__ = [
+    "EncoderStates",
+    "DecodeResult",
+    "ModelAdapter",
+    "Decode",
+    "FinishedDecode",
+    "ToyModelConfig",
+    "ToyModel",
+    "count_words_in_labels",
+    "ScriptedAdapter",
+    "ScriptStep",
+]
+
 DEFAULT_MAX_NEW = 128
 _RMS_EPS = 1e-6
 

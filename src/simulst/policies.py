@@ -35,6 +35,22 @@ import numpy as np
 from .model import Decode
 from .vocab import Vocabulary
 
+__all__ = [
+    "StopReason",
+    "PolicyDecision",
+    "StepContext",
+    "alignatt_decide",
+    "edatt_decide",
+    "waitk_allowed",
+    "longest_common_prefix",
+    "local_agreement_prefix",
+    "Policy",
+    "AlignAttPolicy",
+    "EDAttPolicy",
+    "WaitKPolicy",
+    "LocalAgreementPolicy",
+]
+
 DEFAULT_EDATT_LAM = 2
 
 

@@ -9,8 +9,10 @@ a time through ``advance()``: the adapter's ``start_decode``, or its
 ``decode_greedy`` result replayed by ``FinishedDecode``. Before every other
 decode the policy may supply a stop rule; tokens are pulled until it fires or
 the decode ends, and the paused decode goes to the policy with the step's
-context, so it can read further. An exception from the adapter or the
-policy ends the session with a ``SessionError`` that names which failed, when
+context, so it can read further. Each pulled decode must extend the
+committed tokens and carry (layers, heads, tokens, encoder states)
+attention. An exception from the adapter or the policy, or an adapter
+breaking that contract, ends the session with a ``SessionError`` that names which failed, when
 and why, and carries the commits made so far.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
@@ -191,6 +193,20 @@ def _pull(decode: Decode, vocab: Vocabulary) -> tuple[int, np.ndarray] | None:
     return pulled
 
 
+def _check_decode(decode: Decode, committed: list[int], adapter: ModelAdapter, n: int) -> None:
+    """Hold a pulled decode to the adapter contract: its tokens extend ``committed``, and
+    its attention is (layers, heads, tokens, n) over the ``n`` encoder states decoded from."""
+    tokens = decode.tokens
+    if (head := list(tokens[: len(committed)])) != committed:
+        raise ValueError(f"decode tokens begin {head}, not with the committed {committed}")
+    expected = (adapter.num_decoder_layers, adapter.num_heads, len(tokens), n)
+    if decode.attention.shape != expected:
+        raise ValueError(
+            f"decode attention has shape {decode.attention.shape}; expected "
+            f"(layers, heads, tokens, encoder states) = {expected}"
+        )
+
+
 def run_session(
     source: FeatureMatrix,
     adapter: ModelAdapter,
@@ -220,8 +236,15 @@ def run_session(
         SessionError: the adapter or the policy failed mid-run; the exception
             carries the partial log of everything committed before the failure.
         ValueError: the session cannot start: ``attention_layer`` is out of
-            range, or ``chunk_ms`` is below the source's frame shift.
+            range, ``chunk_ms`` is below the source's frame shift,
+            ``max_new`` is below 1, or ``step_cost_s`` is negative or not finite.
     """
+    if max_new < 1:
+        raise ValueError(f"max_new must be >= 1, got {max_new}")
+    if not math.isfinite(step_cost_s):
+        raise ValueError(f"step_cost_s takes finite numbers, got {step_cost_s}")
+    if step_cost_s < 0:
+        raise ValueError(f"step_cost_s must be >= 0, got {step_cost_s}")
     if clock is None:
         clock = SimulatedClock()
     layer = _resolve_layer(adapter, attention_layer)
@@ -259,12 +282,15 @@ def run_session(
             detail = repr(exc) if failure == "policy failed" else str(exc)
             raise SessionError(f"{failure} at {ideal_s:.3f}s: {detail}", partial()) from exc
 
-    def start(prefix: np.ndarray) -> Decode:
+    def start(prefix: np.ndarray) -> tuple[Decode, int]:
+        """The decode of ``prefix`` and the number of encoder states it attends to."""
         states = adapter.encode(prefix)
         clock.charge(step_cost_s)
         if hasattr(adapter, "start_decode"):
-            return adapter.start_decode(states, committed, max_new)
-        return FinishedDecode(adapter.decode_greedy(states, committed, max_new), len(committed))
+            decode = adapter.start_decode(states, committed, max_new)
+        else:
+            decode = FinishedDecode(adapter.decode_greedy(states, committed, max_new), len(committed))
+        return decode, states.n
 
     while not cursor.exhausted:
         prefix = cursor.read()
@@ -281,11 +307,12 @@ def run_session(
         rule = None if final else call(
             "policy failed", lambda: policy.stop_rule(tuple(committed), detected_words, vocab, layer)
         )
-        decode = call("adapter failed", lambda: start(prefix))
+        decode, n = call("adapter failed", lambda: start(prefix))
         # On the final flush, or with no rule, the decode is pulled to its end.
         while (pulled := call("adapter failed", lambda: _pull(decode, vocab))) is not None:
             if rule is not None and call("policy failed", lambda: rule(*pulled)):
                 break
+        call("adapter failed", lambda: _check_decode(decode, committed, adapter, n))
         clock.charge(step_cost_s)
 
         candidates = list(decode.tokens[len(committed):])

@@ -9,6 +9,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+__all__ = [
+    "BOUNDARY_MARKER",
+    "Vocabulary",
+    "build_default_vocabulary",
+]
+
 BOUNDARY_MARKER = "▁"  # ▁
 
 _SPECIALS = ("<s>", "</s>", "<unk>")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from simulst import (
     AlignAttPolicy,
+    DecodeResult,
     EDAttPolicy,
     Emission,
     EmissionLog,
@@ -304,6 +305,25 @@ class TestRunSession:
         vocab, ids, adapter, source = scripted_setup("early")
         with pytest.raises(ValueError, match="out of range"):
             run_session(source, adapter, AlignAttPolicy(f=2), chunk_ms=400.0, attention_layer=4)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"max_new": 0}, "max_new must be >= 1, got 0"),
+            ({"step_cost_s": -1.0}, "step_cost_s must be >= 0, got -1.0"),
+            ({"step_cost_s": float("nan")}, "step_cost_s takes finite numbers, got nan"),
+            ({"step_cost_s": float("inf")}, "step_cost_s takes finite numbers, got inf"),
+        ],
+    )
+    def test_bad_engine_arguments_fail_before_the_first_step(self, toy_model, options, message):
+        vocab, ids, adapter, source = scripted_setup("early")
+        for model in (adapter, toy_model):
+            encoded = []
+            watched = _Forwarding(model)
+            watched.encode = lambda feats: encoded.append(feats) or model.encode(feats)
+            with pytest.raises(ValueError) as info:
+                run_session(source, watched, AlignAttPolicy(f=2), chunk_ms=400.0, **options)
+            assert str(info.value) == message and encoded == []
 
     def test_explicit_attention_layer_accepted(self):
         vocab, ids, adapter, source = scripted_setup("early")
@@ -858,6 +878,93 @@ class TestSessionFailures:
         for third in (Vocabulary.unk_id, Vocabulary.bos_id):
             log = self.third_token_session(third, make_policy)
             assert log.tokens == (3, 4, third, 5) and log.final_text == "aa bb cc"
+
+
+class _DecodeView(_FourMembers):
+    """``_FourMembers`` with ``tokens`` and ``attention`` read through ``edit_tokens`` and ``edit_attention``."""
+
+    def __init__(self, decode, edit_tokens=lambda t: t, edit_attention=lambda a: a):
+        super().__init__(decode)
+        self._edit_tokens = edit_tokens
+        self._edit_attention = edit_attention
+
+    @property
+    def tokens(self):
+        return self._edit_tokens(self._decode.tokens)
+
+    @property
+    def attention(self):
+        return self._edit_attention(self._decode.attention)
+
+
+class _IgnoresPrefix(_Forwarding):
+    def decode_greedy(self, enc, forced_prefix, max_new=128):
+        return super().decode_greedy(enc, (), max_new)
+
+
+class _WideAttention(_Forwarding):
+    def decode_greedy(self, enc, forced_prefix, max_new=128):
+        result = super().decode_greedy(enc, forced_prefix, max_new)
+        wide = np.pad(result.attention, ((0, 0), (0, 0), (0, 0), (0, 50)))
+        return DecodeResult(result.tokens, wide, result.eos_reached)
+
+
+class _DropsPrefixToken(_Forwarding):
+    def start_decode(self, enc, forced_prefix, max_new=128):
+        decode = self._inner.start_decode(enc, forced_prefix, max_new)
+        return _DecodeView(decode, edit_tokens=lambda t: t[1:] if forced_prefix else t)
+
+
+class _ThreeDimensionalAttention(_Forwarding):
+    def start_decode(self, enc, forced_prefix, max_new=128):
+        return _DecodeView(self._inner.start_decode(enc, forced_prefix, max_new), edit_attention=lambda a: a[0])
+
+
+class TestDecodeContract:
+    """A decode whose tokens or attention break the adapter contract fails the session as the adapter's fault."""
+
+    @pytest.mark.parametrize(
+        "breaker, message",
+        [
+            (_IgnoresPrefix, r"adapter failed at 1\.250s: decode tokens begin \[6\], not with the committed \[41\]"),
+            (
+                _WideAttention,
+                r"adapter failed at 0\.250s: decode attention has shape \(2, 4, 19, 57\); "
+                r"expected \(layers, heads, tokens, encoder states\) = \(2, 4, 19, 7\)",
+            ),
+            (_DropsPrefixToken, r"adapter failed at 1\.000s: decode tokens begin \[6\], not with the committed \[41\]"),
+            (
+                _ThreeDimensionalAttention,
+                r"adapter failed at 0\.250s: decode attention has shape \(4, 1, 7\); "
+                r"expected \(layers, heads, tokens, encoder states\) = \(2, 4, 1, 7\)",
+            ),
+        ],
+        ids=["ignores-prefix", "wide-attention", "drops-prefix-token", "3d-attention"],
+    )
+    def test_adapter_error_keeps_earlier_commits(self, toy_model, breaker, message):
+        source = FeatureMatrix(frames=np.random.default_rng(0).normal(size=(200, 80)).astype(np.float32))
+        plain = run_session(source, toy_model, AlignAttPolicy(f=4), chunk_ms=250.0)
+        assert len(plain.tokens) == 28
+        with pytest.raises(SessionError, match=f"^{message}$") as info:
+            run_session(source, breaker(toy_model), AlignAttPolicy(f=4), chunk_ms=250.0)
+        assert isinstance(info.value.__cause__, ValueError)
+        partial = info.value.partial_log.events
+        assert partial == plain.events[: len(partial)]
+
+    def test_the_final_flush_is_checked(self):
+        vocab, ids, adapter, source = scripted_setup("early")
+
+        class LastDropsPrefixToken(_Pulls):
+            def start_decode(self, enc, forced_prefix, max_new=128):
+                decode = super().start_decode(enc, forced_prefix, max_new)
+                return _DecodeView(decode, edit_tokens=lambda t: t[1:]) if enc.n == 40 else decode
+
+        with pytest.raises(SessionError) as info:
+            run_session(source, LastDropsPrefixToken(adapter), AlignAttPolicy(f=2), chunk_ms=400.0)
+        assert str(info.value) == (
+            f"adapter failed at 1.600s: decode tokens begin {ids[1:4]}, not with the committed {ids[:3]}"
+        )
+        assert info.value.partial_log.tokens == tuple(ids[:3])
 
 
 GOLDEN_CHUNK_MS = 500.0
