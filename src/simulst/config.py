@@ -24,7 +24,7 @@ from .policies import (
     Policy,
     WaitKPolicy,
 )
-from .simulator import has_json_type
+from .simulator import DEFAULT_CHUNK_MS, has_json_type
 
 __all__ = ["ConfigError", "SessionConfig", "CLOCKS", "CONFIG_TYPES", "POLICY_NAMES", "SWEEP_FIELD"]
 
@@ -59,7 +59,7 @@ class SessionConfig:
     lam: int | None = None
     k: int | None = None
     t_s_ms: float | None = None
-    chunk_ms: float = 1000.0
+    chunk_ms: float = DEFAULT_CHUNK_MS
     adapter: str = "toy"
     seed: int = 0
     attention_layer: int | None = None

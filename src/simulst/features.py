@@ -98,17 +98,21 @@ def mel_to_hz(mel):
     return 700.0 * (np.power(10.0, np.asarray(mel, dtype=float) / 2595.0) - 1.0)
 
 
-def mel_center_frequencies(num_bins: int, sample_rate: int) -> np.ndarray:
+def _mel_points(sample_rate: int) -> np.ndarray:
+    """Edge frequencies in Hz of the triangular Mel filters, evenly spaced in Mel, 0 to Nyquist."""
+    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), NUM_MEL_BINS + 2))
+
+
+def mel_center_frequencies(sample_rate: int) -> np.ndarray:
     """Center frequency in Hz of each triangular Mel filter."""
-    points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), num_bins + 2)
-    return mel_to_hz(points)[1:-1]
+    return _mel_points(sample_rate)[1:-1]
 
 
-def _mel_filterbank(num_bins: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), num_bins + 2))
+def _mel_filterbank(n_fft: int, sample_rate: int) -> np.ndarray:
+    points = _mel_points(sample_rate)
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
-    bank = np.zeros((num_bins, freqs.shape[0]))
-    for b in range(num_bins):
+    bank = np.zeros((NUM_MEL_BINS, freqs.shape[0]))
+    for b in range(NUM_MEL_BINS):
         left, center, right = points[b], points[b + 1], points[b + 2]
         rising = (freqs - left) / max(center - left, 1e-12)
         falling = (right - freqs) / max(right - center, 1e-12)
@@ -116,38 +120,40 @@ def _mel_filterbank(num_bins: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
+def _window_and_hop(sample_rate: int) -> tuple[int, int]:
+    """Samples in one analysis window and in one frame shift at ``sample_rate``."""
+    return tuple(int(round(sample_rate * ms / 1000.0)) for ms in (FRAME_WINDOW_MS, FRAME_SHIFT_MS))
+
+
 def frame_count(num_samples: int, sample_rate: int) -> int:
     """Frames produced by the 25 ms / 10 ms framing: 1 + floor((N - win) / hop)."""
-    win = int(round(sample_rate * FRAME_WINDOW_MS / 1000.0))
-    hop = int(round(sample_rate * FRAME_SHIFT_MS / 1000.0))
+    win, hop = _window_and_hop(sample_rate)
     if num_samples < win:
         raise ValueError(f"audio of {num_samples} samples is shorter than one {win}-sample window")
     return 1 + (num_samples - win) // hop
 
 
-def logmel(samples: np.ndarray, sample_rate: int, num_bins: int = NUM_MEL_BINS) -> FeatureMatrix:
+def logmel(samples: np.ndarray, sample_rate: int) -> FeatureMatrix:
     """Log-Mel filterbank features from mono PCM samples.
 
     Args:
         samples: 1-D waveform, float or integer PCM.
         sample_rate: one of SUPPORTED_RATES.
-        num_bins: Mel bins spanning 0 to Nyquist.
 
     Returns:
-        FeatureMatrix of shape (T, num_bins) with T per ``frame_count``.
+        FeatureMatrix of shape (T, NUM_MEL_BINS) with T per ``frame_count``.
     """
     if sample_rate not in SUPPORTED_RATES:
         raise ValueError(f"unsupported sample rate {sample_rate}; expected one of {SUPPORTED_RATES}")
     wav = np.asarray(samples, dtype=float).ravel()
-    win = int(round(sample_rate * FRAME_WINDOW_MS / 1000.0))
-    hop = int(round(sample_rate * FRAME_SHIFT_MS / 1000.0))
+    win, hop = _window_and_hop(sample_rate)
     num_frames = frame_count(wav.shape[0], sample_rate)
 
     n_fft = 1
     while n_fft < win:
         n_fft *= 2
     window = np.hanning(win)
-    bank = _mel_filterbank(num_bins, n_fft, sample_rate)
+    bank = _mel_filterbank(n_fft, sample_rate)
 
     idx = np.arange(win)[None, :] + hop * np.arange(num_frames)[:, None]
     spectrum = np.fft.rfft(wav[idx] * window, n=n_fft, axis=1)

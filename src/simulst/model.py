@@ -21,6 +21,7 @@ from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .attention import softmax
+from .features import NUM_MEL_BINS
 from .vocab import Vocabulary, build_default_vocabulary
 
 __all__ = [
@@ -38,6 +39,12 @@ __all__ = [
 
 DEFAULT_MAX_NEW = 128
 _RMS_EPS = 1e-6
+
+_FRAMES_PER_STATE = 4  # input frames per encoder state, in every adapter here
+_D_MODEL = 32
+_FFN_DIM = 64
+_NUM_CTC_LABELS = 8  # label 0 = blank, label _BOUNDARY_LABEL = word boundary
+_BOUNDARY_LABEL = 1
 
 # Toy-decoder output shaping. Untrained random weights fixed-point into
 # repetition under greedy decoding, so the logits carry a penalty on the two
@@ -122,9 +129,9 @@ class Decode:
     for the tokens generated so far. ``advance()`` generates the next token,
     an id of the vocabulary other than end-of-sequence, and returns it with
     its (layers, heads, n) cross-attention row, or None once end-of-sequence
-    was read or ``max_new`` tokens exist. These four members are the whole
-    contract: every token is read through ``advance()``, and any other
-    object with them also serves.
+    was read or ``max_new`` tokens exist, and on every call after that. These
+    four members are the whole contract: every token is read through
+    ``advance()``, and any other object with them also serves.
 
     Subclasses keep the output so far, forced prefix included, in
     ``_tokens``; row i of ``_attention`` (L, H, rows, n) is the
@@ -185,20 +192,13 @@ def _causal_mask(m: int, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToyModelConfig:
-    d_model: int = 32
     num_decoder_layers: int = 2
     num_heads: int = 4
-    ffn_dim: int = 64
-    feature_dim: int = 80
-    reduction: int = 4
-    num_ctc_labels: int = 8  # label 0 = blank, label 1 = word boundary
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d_model % self.num_heads != 0:
-            raise ValueError("d_model must be divisible by num_heads")
-        if self.num_ctc_labels < 3:
-            raise ValueError("need blank, boundary and at least one content label")
+        if _D_MODEL % self.num_heads != 0:
+            raise ValueError(f"the model width {_D_MODEL} must be divisible by num_heads")
 
 
 class ToyModel:
@@ -209,16 +209,16 @@ class ToyModel:
         self.vocab = vocab if vocab is not None else build_default_vocabulary()
         self.num_decoder_layers = config.num_decoder_layers
         self.num_heads = config.num_heads
-        self._head_dim = config.d_model // config.num_heads
+        self._head_dim = _D_MODEL // config.num_heads
         self._scale = np.sqrt(self._head_dim)
 
         rng = np.random.default_rng(config.seed)
-        d, v = config.d_model, self.vocab.size
+        d, v = _D_MODEL, self.vocab.size
 
         def mat(rows: int, cols: int) -> np.ndarray:
             return rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols))
 
-        self._w_in = mat(config.feature_dim, d)
+        self._w_in = mat(NUM_MEL_BINS, d)
         self._b_in = rng.normal(0.0, 0.1, size=d)
         self._w_mix = mat(d, d)
         self._b_mix = rng.normal(0.0, 0.1, size=d)
@@ -229,9 +229,9 @@ class ToyModel:
                 for name in ("sq", "sk", "sv", "so", "cq", "ck", "cv", "co")
             }
             | {
-                "f1": mat(d, config.ffn_dim),
-                "f2": mat(config.ffn_dim, d),
-                "bf1": rng.normal(0.0, 0.1, size=config.ffn_dim),
+                "f1": mat(d, _FFN_DIM),
+                "f2": mat(_FFN_DIM, d),
+                "bf1": rng.normal(0.0, 0.1, size=_FFN_DIM),
                 "bf2": rng.normal(0.0, 0.1, size=d),
             }
             for _ in range(config.num_decoder_layers)
@@ -239,20 +239,19 @@ class ToyModel:
         # q|k|v of one generated row in a single matmul (``_step``)
         for layer in self._layers:
             layer["sqkv"] = np.concatenate((layer["sq"], layer["sk"], layer["sv"]), axis=1)
-        self._w_ctc = mat(d, config.num_ctc_labels)
-        self._b_ctc = rng.normal(0.0, 0.5, size=config.num_ctc_labels)
+        self._w_ctc = mat(d, _NUM_CTC_LABELS)
+        self._b_ctc = rng.normal(0.0, 0.5, size=_NUM_CTC_LABELS)
         self._pos_cache = self._positions(512)
         # the toy decoder never generates <s> or <unk>
         self._logit_mask = np.zeros(v)
         self._logit_mask[[self.vocab.bos_id, self.vocab.unk_id]] = -np.inf
 
-    def _positions(self, length: int) -> np.ndarray:
-        d = self.config.d_model
+    @staticmethod
+    def _positions(length: int) -> np.ndarray:
         pos = np.arange(length)[:, None]
-        dim = np.arange(d)[None, :]
-        angle = pos / np.power(10000.0, (2 * (dim // 2)) / d)
-        enc = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
-        return enc
+        dim = np.arange(_D_MODEL)[None, :]
+        angle = pos / np.power(10000.0, (2 * (dim // 2)) / _D_MODEL)
+        return np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
 
     def _pos(self, length: int) -> np.ndarray:
         if length > self._pos_cache.shape[0]:
@@ -262,19 +261,17 @@ class ToyModel:
     # ------------------------------------------------------------------ encoder
 
     def encode(self, raw_features: np.ndarray) -> EncoderStates:
-        """Mean-pool the features by the reduction factor, then map and mix.
+        """Mean-pool each group of _FRAMES_PER_STATE frames, then map and mix.
 
-        n = ceil(T / reduction); each state depends only on its own pool
-        group and position, so earlier states are stable as the stream grows.
+        n = ceil(T / 4); each state depends only on its own pool group and
+        position, so earlier states are stable as the stream grows.
         """
         feats = np.asarray(raw_features, dtype=float)
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise ValueError("raw features must be a non-empty (T, F) matrix")
-        if feats.shape[1] != self.config.feature_dim:
-            raise ValueError(
-                f"expected {self.config.feature_dim} feature dims, got {feats.shape[1]}"
-            )
-        r = self.config.reduction
+        if feats.shape[1] != NUM_MEL_BINS:
+            raise ValueError(f"expected {NUM_MEL_BINS} feature dims, got {feats.shape[1]}")
+        r = _FRAMES_PER_STATE
         t, f = feats.shape
         n, full = -(-t // r), t // r
         pooled = np.empty((n, f))
@@ -300,7 +297,7 @@ class ToyModel:
         if mask is not None:
             scores = scores + mask
         weights = softmax(scores)
-        out = (weights @ values).transpose(1, 0, 2).reshape(q.shape[0], self.config.d_model)
+        out = (weights @ values).transpose(1, 0, 2).reshape(q.shape[0], _D_MODEL)
         return out, weights
 
     def _attend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool):
@@ -425,7 +422,7 @@ class ToyModel:
         start = decode.length
         end = start + 1
         decode.reserve(end)
-        d, heads, head_dim = self.config.d_model, self.num_heads, self._head_dim
+        d, heads, head_dim = _D_MODEL, self.num_heads, self._head_dim
         x = self._embed[token] + self._pos(end)[start]
         for li, layer in enumerate(self._layers):
             y = _rms_norm_row(x)
@@ -477,7 +474,7 @@ class _ToyDecode(Decode):
     """
 
     def __init__(self, model: ToyModel, enc: np.ndarray, prefix: list[int], max_new: int):
-        layers, d = model.num_decoder_layers, model.config.d_model
+        layers, d = model.num_decoder_layers, _D_MODEL
         capacity = 1 + len(prefix) + min(max_new, _INITIAL_NEW_ROWS)
         self._model = model
         self._tokens = prefix
@@ -520,15 +517,10 @@ class _ToyDecode(Decode):
         return True
 
 
-def count_words_in_labels(labels: Sequence[int], boundary: int = 1) -> int:
-    """CTC-style word count: boundary labels left after collapsing repeats."""
-    count = 0
-    previous: Optional[int] = None
-    for label in labels:
-        if label != previous and label == boundary:
-            count += 1
-        previous = label
-    return count
+def count_words_in_labels(labels: Sequence[int]) -> int:
+    """CTC-style word count: word-boundary labels (1) left after collapsing repeats."""
+    ids = np.asarray(labels).tolist()  # Python ints compare faster than NumPy scalars
+    return sum(1 for prev, label in zip([None, *ids], ids) if prev != label == _BOUNDARY_LABEL)
 
 
 class ScriptedAdapter:
@@ -549,14 +541,10 @@ class ScriptedAdapter:
         script: Callable[[int], "ScriptStep"] | dict[int, "ScriptStep"],
         num_layers: int = 1,
         num_heads: int = 1,
-        d_model: int = 8,
-        reduction: int = 4,
     ):
         self.vocab = vocab
         self.num_decoder_layers = num_layers
         self.num_heads = num_heads
-        self._d_model = d_model
-        self._reduction = reduction
         if callable(script):
             self._script = script
         else:
@@ -573,8 +561,8 @@ class ScriptedAdapter:
         feats = np.asarray(raw_features, dtype=float)
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise ValueError("raw features must be a non-empty (T, F) matrix")
-        n = -(-feats.shape[0] // self._reduction)
-        return EncoderStates(states=np.zeros((n, self._d_model)), version=feats.shape[0])
+        n = -(-feats.shape[0] // _FRAMES_PER_STATE)  # ToyModel's state count; values are unread
+        return EncoderStates(states=np.zeros((n, 8)), version=feats.shape[0])
 
     def decode_greedy(
         self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
@@ -602,10 +590,7 @@ class ScriptedAdapter:
         return DecodeResult(tokens, attn, eos)
 
     def count_source_words(self, raw_features: np.ndarray) -> int:
-        feats = np.asarray(raw_features, dtype=float)
-        n = -(-feats.shape[0] // self._reduction)
-        step = self._script(n)
-        return step.source_words
+        return self._script(self.encode(raw_features).n).source_words
 
 
 @dataclass(frozen=True)

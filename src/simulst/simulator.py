@@ -10,8 +10,8 @@ a time through ``advance()``: the adapter's ``start_decode``, or its
 decode the policy may supply a stop rule; tokens are pulled until it fires or
 the decode ends, and the paused decode goes to the policy with the step's
 context, so it can read further. Each pulled decode must extend the
-committed tokens and carry (layers, heads, tokens, encoder states)
-attention. An exception from the adapter or the policy, or an adapter
+committed tokens, carry (layers, heads, tokens, encoder states) attention,
+and keep returning None once ended. An exception from the adapter or the policy, or an adapter
 breaking that contract, ends the session with a ``SessionError`` that names which failed, when
 and why, and carries the commits made so far.
 
@@ -53,6 +53,8 @@ __all__ = [
     "write_failed_log",
     "read_emission_log",
 ]
+
+DEFAULT_CHUNK_MS = 1000.0
 
 
 @runtime_checkable
@@ -144,6 +146,8 @@ class StreamCursor:
     def __init__(self, source: FeatureMatrix, chunk_ms: float):
         if source.num_frames < 1:
             raise ValueError("source has no frames")
+        if not math.isfinite(chunk_ms):
+            raise ValueError(f"chunk_ms takes finite numbers, got {chunk_ms}")
         if chunk_ms < source.frame_shift_ms:
             raise ValueError(
                 f"chunk_ms={chunk_ms} is below the frame shift ({source.frame_shift_ms} ms)"
@@ -193,9 +197,14 @@ def _pull(decode: Decode, vocab: Vocabulary) -> tuple[int, np.ndarray] | None:
     return pulled
 
 
-def _check_decode(decode: Decode, committed: list[int], adapter: ModelAdapter, n: int) -> None:
-    """Hold a pulled decode to the adapter contract: its tokens extend ``committed``, and
-    its attention is (layers, heads, tokens, n) over the ``n`` encoder states decoded from."""
+def _check_decode(
+    decode: Decode, committed: list[int], adapter: ModelAdapter, n: int, ended: bool
+) -> None:
+    """Hold a pulled decode to the adapter contract: its tokens extend ``committed``, its
+    attention is (layers, heads, tokens, n) over the ``n`` encoder states decoded from, and
+    once ``ended`` (``advance()`` returned None) it returns None again."""
+    if ended and (pulled := decode.advance()) is not None:
+        raise ValueError(f"decode returned token id {pulled[0]} after it ended")
     tokens = decode.tokens
     if (head := list(tokens[: len(committed)])) != committed:
         raise ValueError(f"decode tokens begin {head}, not with the committed {committed}")
@@ -212,7 +221,7 @@ def run_session(
     adapter: ModelAdapter,
     policy: Policy,
     *,
-    chunk_ms: float = 1000.0,
+    chunk_ms: float = DEFAULT_CHUNK_MS,
     clock: Clock | None = None,
     attention_layer: int | None = None,
     step_cost_s: float = 0.0,
@@ -236,7 +245,7 @@ def run_session(
         SessionError: the adapter or the policy failed mid-run; the exception
             carries the partial log of everything committed before the failure.
         ValueError: the session cannot start: ``attention_layer`` is out of
-            range, ``chunk_ms`` is below the source's frame shift,
+            range, ``chunk_ms`` is not finite or is below the source's frame shift,
             ``max_new`` is below 1, or ``step_cost_s`` is negative or not finite.
     """
     if max_new < 1:
@@ -312,7 +321,7 @@ def run_session(
         while (pulled := call("adapter failed", lambda: _pull(decode, vocab))) is not None:
             if rule is not None and call("policy failed", lambda: rule(*pulled)):
                 break
-        call("adapter failed", lambda: _check_decode(decode, committed, adapter, n))
+        call("adapter failed", lambda: _check_decode(decode, committed, adapter, n, pulled is None))
         clock.charge(step_cost_s)
 
         candidates = list(decode.tokens[len(committed):])

@@ -94,18 +94,9 @@ class Vocabulary:
         return ids
 
 
-def build_default_vocabulary(size: int = 64) -> Vocabulary:
-    """Small letter-level inventory used by the toy model (default 64 ids)."""
-    pieces: list[str] = []
+def build_default_vocabulary() -> Vocabulary:
+    """The toy model's 64 ids: the specials, ``▁a``..``▁z``, ``a``..``z``, then
+    ``▁`` followed by each of ``'-.,?!012``."""
     letters = "abcdefghijklmnopqrstuvwxyz"
-    pieces.extend(BOUNDARY_MARKER + ch for ch in letters)
-    pieces.extend(letters)
-    for extra in ("'", "-", ".", ",", "?", "!", "0", "1", "2", "3", "4", "5", "6"):
-        pieces.append(BOUNDARY_MARKER + extra)
-        if len(pieces) + len(_SPECIALS) >= size:
-            break
-    pieces = pieces[: size - len(_SPECIALS)]
-    vocab = Vocabulary(pieces)
-    if vocab.size != size:
-        raise ValueError(f"cannot build a default vocabulary of size {size}")
-    return vocab
+    pieces = [BOUNDARY_MARKER + ch for ch in letters] + list(letters)
+    return Vocabulary(pieces + [BOUNDARY_MARKER + ch for ch in "'-.,?!012"])

@@ -313,6 +313,8 @@ class TestRunSession:
             ({"step_cost_s": -1.0}, "step_cost_s must be >= 0, got -1.0"),
             ({"step_cost_s": float("nan")}, "step_cost_s takes finite numbers, got nan"),
             ({"step_cost_s": float("inf")}, "step_cost_s takes finite numbers, got inf"),
+            ({"chunk_ms": float("nan")}, "chunk_ms takes finite numbers, got nan"),
+            ({"chunk_ms": float("inf")}, "chunk_ms takes finite numbers, got inf"),
         ],
     )
     def test_bad_engine_arguments_fail_before_the_first_step(self, toy_model, options, message):
@@ -322,7 +324,7 @@ class TestRunSession:
             watched = _Forwarding(model)
             watched.encode = lambda feats: encoded.append(feats) or model.encode(feats)
             with pytest.raises(ValueError) as info:
-                run_session(source, watched, AlignAttPolicy(f=2), chunk_ms=400.0, **options)
+                run_session(source, watched, AlignAttPolicy(f=2), **{"chunk_ms": 400.0} | options)
             assert str(info.value) == message and encoded == []
 
     def test_explicit_attention_layer_accepted(self):
@@ -965,6 +967,70 @@ class TestDecodeContract:
             f"adapter failed at 1.600s: decode tokens begin {ids[1:4]}, not with the committed {ids[:3]}"
         )
         assert info.value.partial_log.tokens == tuple(ids[:3])
+
+
+class _Revived(_FourMembers):
+    """A decode that returns ``token`` once more after ``advance()`` returned None."""
+
+    def __init__(self, decode, token):
+        super().__init__(decode)
+        self._token = token
+        self._ended = False
+
+    def advance(self):
+        if self._ended and self._token is not None:
+            token, self._token = self._token, None
+            layers, heads, _, n = self.attention.shape
+            return token, np.zeros((layers, heads, n))
+        pulled = self._decode.advance()
+        self._ended = pulled is None
+        return pulled
+
+
+class _RevivesAt30(_Pulls):
+    """``_Pulls`` whose decode over 30 encoder states is ``_Revived`` with ``token``."""
+
+    def __init__(self, inner, token):
+        super().__init__(inner)
+        self._token = token
+
+    def start_decode(self, enc, forced_prefix, max_new=128):
+        decode = super().start_decode(enc, forced_prefix, max_new)
+        return _Revived(decode, self._token) if enc.n == 30 else decode
+
+
+class TestEndedDecode:
+    """A decode that returns a token after it ended fails the session as the adapter's fault."""
+
+    def test_alignatt(self):
+        vocab, ids, adapter, source = scripted_setup("early")
+        # no alignment reaches the last f frames, so each decode is pulled to its end
+        assert run_session(source, adapter, AlignAttPolicy(f=2), chunk_ms=400.0).tokens == tuple(ids)
+        with pytest.raises(SessionError) as info:
+            run_session(source, _RevivesAt30(adapter, ids[3]), AlignAttPolicy(f=2), chunk_ms=400.0)
+        assert str(info.value) == f"adapter failed at 1.200s: decode returned token id {ids[3]} after it ended"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert info.value.partial_log.tokens == tuple(ids[:2])
+
+    def test_local_agreement(self):
+        # the hypothesis at 30 states repeats the one at 20, so its decode agrees to its end
+        vocab, ids, _, _ = scripted_setup("early")
+        hypotheses = {10: ids[:1], 20: ids[:2], 30: ids[:2], 40: ids[:3], 50: ids}
+        script = {
+            n: ScriptStep(tokens=tuple(tokens), alignment=(0,) * len(tokens), eos=n == 50)
+            for n, tokens in hypotheses.items()
+        }
+        adapter = ScriptedAdapter(vocab, script)
+        source = FeatureMatrix(frames=np.zeros((200, 80), dtype=np.float32))
+        log = run_session(source, adapter, LocalAgreementPolicy(), chunk_ms=400.0)
+        assert [(e.token, e.ideal_s) for e in log.events] == [
+            (ids[0], 0.8), (ids[1], 1.2), (ids[2], 2.0), (ids[3], 2.0)
+        ]
+        # unchecked, the stop rule at 40 states would read the revived token as the previous hypothesis
+        with pytest.raises(SessionError) as info:
+            run_session(source, _RevivesAt30(adapter, ids[2]), LocalAgreementPolicy(), chunk_ms=400.0)
+        assert str(info.value) == f"adapter failed at 1.200s: decode returned token id {ids[2]} after it ended"
+        assert info.value.partial_log.tokens == tuple(ids[:1])
 
 
 GOLDEN_CHUNK_MS = 500.0

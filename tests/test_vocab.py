@@ -73,6 +73,17 @@ class TestDefaultVocabulary:
         assert vocab.size == 64
         assert len({vocab.piece(i) for i in range(64)}) == 64
 
+    def test_frozen_pieces(self):
+        vocab = build_default_vocabulary()
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        expected = (
+            ["<s>", "</s>", "<unk>"]
+            + ["▁" + ch for ch in letters]
+            + list(letters)
+            + ["▁'", "▁-", "▁.", "▁,", "▁?", "▁!", "▁0", "▁1", "▁2"]
+        )
+        assert [vocab.piece(i) for i in range(vocab.size)] == expected
+
     def test_round_trip_letters(self):
         vocab = build_default_vocabulary()
         assert vocab.detokenize(vocab.tokenize("a b c")) == "a b c"
