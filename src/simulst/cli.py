@@ -111,7 +111,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args, sweep_seed=min(grid))
     entries = load_manifest(args.manifest)
     rows, evaluations = sweep(entries, config, grid, out_dir=args.out)
-    digest = hashlib.sha256((config.run_id + args.grid).encode("utf-8")).hexdigest()[:12]
+    # the curve is named by the grid's values, not by how --grid spelled them
+    canonical = ",".join(f"{v:g}" for v in sorted(set(grid)))
+    digest = hashlib.sha256((config.run_id + canonical).encode("utf-8")).hexdigest()[:12]
     curve_path = Path(args.out) / f"curve_{digest}.csv"
     write_curve_csv(curve_path, rows)
     for row in rows:

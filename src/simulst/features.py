@@ -29,11 +29,9 @@ __all__ = [
     "FeatureMatrix",
     "hz_to_mel",
     "mel_to_hz",
-    "mel_center_frequencies",
     "frame_count",
     "logmel",
     "read_wav",
-    "write_wav",
     "CmvnStats",
     "compute_cmvn_stats",
     "global_cmvn",
@@ -98,18 +96,9 @@ def mel_to_hz(mel):
     return 700.0 * (np.power(10.0, np.asarray(mel, dtype=float) / 2595.0) - 1.0)
 
 
-def _mel_points(sample_rate: int) -> np.ndarray:
-    """Edge frequencies in Hz of the triangular Mel filters, evenly spaced in Mel, 0 to Nyquist."""
-    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), NUM_MEL_BINS + 2))
-
-
-def mel_center_frequencies(sample_rate: int) -> np.ndarray:
-    """Center frequency in Hz of each triangular Mel filter."""
-    return _mel_points(sample_rate)[1:-1]
-
-
 def _mel_filterbank(n_fft: int, sample_rate: int) -> np.ndarray:
-    points = _mel_points(sample_rate)
+    """Triangular filters, their edges evenly spaced in Mel from 0 Hz to Nyquist."""
+    points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), NUM_MEL_BINS + 2))
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
     bank = np.zeros((NUM_MEL_BINS, freqs.shape[0]))
     for b in range(NUM_MEL_BINS):
@@ -177,17 +166,6 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         raise ValueError(f"{path}: malformed WAV file: {reason}") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
     return samples, rate
-
-
-def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
-    """Write mono 16-bit PCM; samples are clipped to [-1, 1]."""
-    pcm = np.clip(np.asarray(samples, dtype=float), -1.0, 1.0)
-    data = (pcm * 32767.0).astype("<i2").tobytes()
-    with wave.open(str(path), "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(sample_rate)
-        wav.writeframes(data)
 
 
 # ------------------------------------------------------------------ CMVN

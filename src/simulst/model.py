@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -33,14 +33,12 @@ __all__ = [
     "ToyModelConfig",
     "ToyModel",
     "count_words_in_labels",
-    "ScriptedAdapter",
-    "ScriptStep",
 ]
 
 DEFAULT_MAX_NEW = 128
 _RMS_EPS = 1e-6
 
-_FRAMES_PER_STATE = 4  # input frames per encoder state, in every adapter here
+_FRAMES_PER_STATE = 4  # input frames per encoder state
 _D_MODEL = 32
 _FFN_DIM = 64
 _NUM_CTC_LABELS = 8  # label 0 = blank, label _BOUNDARY_LABEL = word boundary
@@ -522,82 +520,3 @@ def count_words_in_labels(labels: Sequence[int]) -> int:
     ids = np.asarray(labels).tolist()  # Python ints compare faster than NumPy scalars
     return sum(1 for prev, label in zip([None, *ids], ids) if prev != label == _BOUNDARY_LABEL)
 
-
-class ScriptedAdapter:
-    """Adapter whose hypotheses and alignments are scripted per frame count.
-
-    The script maps the encoder length n to a step: the full hypothesis at
-    that point, one aligned source frame per token (rows become one-hot at
-    that frame across every layer and head), whether the hypothesis ended
-    with end-of-sequence, and optionally the detected source word count.
-    Useful for driving the simulator down exact decision paths; also the
-    reference full-decode adapter: it offers only ``decode_greedy``, so the
-    simulator pulls its results through ``FinishedDecode``.
-    """
-
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        script: Callable[[int], "ScriptStep"] | dict[int, "ScriptStep"],
-        num_layers: int = 1,
-        num_heads: int = 1,
-    ):
-        self.vocab = vocab
-        self.num_decoder_layers = num_layers
-        self.num_heads = num_heads
-        if callable(script):
-            self._script = script
-        else:
-            table = dict(script)
-
-            def lookup(n: int) -> ScriptStep:
-                if n not in table:
-                    raise KeyError(f"no scripted step for n={n}")
-                return table[n]
-
-            self._script = lookup
-
-    def encode(self, raw_features: np.ndarray) -> EncoderStates:
-        feats = np.asarray(raw_features, dtype=float)
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise ValueError("raw features must be a non-empty (T, F) matrix")
-        n = -(-feats.shape[0] // _FRAMES_PER_STATE)  # ToyModel's state count; values are unread
-        return EncoderStates(states=np.zeros((n, 8)), version=feats.shape[0])
-
-    def decode_greedy(
-        self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
-    ) -> DecodeResult:
-        prefix = tuple(forced_prefix)
-        if self.vocab.eos_id in prefix:
-            raise ValueError("forced prefix must not contain end-of-sequence")
-        step = self._script(enc.n)
-        tokens = tuple(step.tokens)
-        if tokens[: len(prefix)] != prefix:
-            raise ValueError(
-                f"scripted hypothesis {tokens} does not extend committed prefix {prefix}"
-            )
-        tokens = tokens[: len(prefix) + max_new]
-        alignment = list(step.alignment)[: len(tokens)]
-        if len(alignment) != len(tokens):
-            raise ValueError("script must align every token")
-        attn = np.zeros((self.num_decoder_layers, self.num_heads, len(tokens), enc.n))
-        for i, frame in enumerate(alignment):
-            if not 0 <= frame < enc.n:
-                raise ValueError(f"scripted alignment {frame} outside [0, {enc.n})")
-            attn[:, :, i, frame] = 1.0
-        # as in ToyModel, end-of-sequence is read only after fewer than max_new tokens
-        eos = step.eos and len(step.tokens) < len(prefix) + max_new
-        return DecodeResult(tokens, attn, eos)
-
-    def count_source_words(self, raw_features: np.ndarray) -> int:
-        return self._script(self.encode(raw_features).n).source_words
-
-
-@dataclass(frozen=True)
-class ScriptStep:
-    """One scripted decode outcome: hypothesis tokens, aligned frame per token."""
-
-    tokens: tuple[int, ...]
-    alignment: tuple[int, ...]
-    eos: bool = False
-    source_words: int = 0

@@ -1,0 +1,250 @@
+"""Test fixtures that the library does not run: scripted and planted adapters, WAV writing.
+
+``ScriptedAdapter`` replays hand-written hypotheses and alignments keyed by
+encoder length. ``PlantedAdapter`` decodes each utterance's reference as its
+planted source states arrive, so the attention policies' commits have closed
+forms. ``write_wav`` makes audio for the front end to read, and
+``mel_center_frequencies`` places the Mel filters from the public scale
+conversions alone.
+"""
+
+from __future__ import annotations
+
+import wave
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
+
+from simulst import (
+    NUM_MEL_BINS,
+    FeatureMatrix,
+    ManifestEntry,
+    Vocabulary,
+    hz_to_mel,
+    longest_common_prefix,
+    mel_to_hz,
+    write_features,
+)
+from simulst.model import _FRAMES_PER_STATE, DEFAULT_MAX_NEW, DecodeResult, EncoderStates
+
+
+def _encode(raw_features: np.ndarray, fill: float = 0.0) -> EncoderStates:
+    """ToyModel's state count for ``raw_features``, every state one value ``fill``."""
+    feats = np.asarray(raw_features, dtype=float)
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise ValueError("raw features must be a non-empty (T, F) matrix")
+    n = -(-feats.shape[0] // _FRAMES_PER_STATE)
+    return EncoderStates(states=np.full((n, 8), fill), version=feats.shape[0])
+
+
+def _one_hot(layers: int, heads: int, frames: Sequence[int], n: int) -> np.ndarray:
+    """(layers, heads, len(frames), n) attention, row i one-hot at ``frames[i]``."""
+    attn = np.zeros((layers, heads, len(frames), n))
+    for i, frame in enumerate(frames):
+        attn[:, :, i, frame] = 1.0
+    return attn
+
+
+class ScriptedAdapter:
+    """Adapter whose hypotheses and alignments are scripted per frame count.
+
+    The script maps the encoder length n to a step: the full hypothesis at
+    that point, one aligned source frame per token (rows become one-hot at
+    that frame across every layer and head), whether the hypothesis ended
+    with end-of-sequence, and optionally the detected source word count.
+    Useful for driving the simulator down exact decision paths; also the
+    reference full-decode adapter: it offers only ``decode_greedy``, so the
+    simulator pulls its results through ``FinishedDecode``.
+    """
+
+    def __init__(
+        self,
+        vocab: Vocabulary,
+        script: Callable[[int], "ScriptStep"] | dict[int, "ScriptStep"],
+        num_layers: int = 1,
+        num_heads: int = 1,
+    ):
+        self.vocab = vocab
+        self.num_decoder_layers = num_layers
+        self.num_heads = num_heads
+        if callable(script):
+            self._script = script
+        else:
+            table = dict(script)
+
+            def lookup(n: int) -> ScriptStep:
+                if n not in table:
+                    raise KeyError(f"no scripted step for n={n}")
+                return table[n]
+
+            self._script = lookup
+
+    def encode(self, raw_features: np.ndarray) -> EncoderStates:
+        return _encode(raw_features)  # the state values are unread
+
+    def decode_greedy(
+        self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
+    ) -> DecodeResult:
+        prefix = tuple(forced_prefix)
+        if self.vocab.eos_id in prefix:
+            raise ValueError("forced prefix must not contain end-of-sequence")
+        step = self._script(enc.n)
+        tokens = tuple(step.tokens)
+        if tokens[: len(prefix)] != prefix:
+            raise ValueError(
+                f"scripted hypothesis {tokens} does not extend committed prefix {prefix}"
+            )
+        tokens = tokens[: len(prefix) + max_new]
+        alignment = list(step.alignment)[: len(tokens)]
+        if len(alignment) != len(tokens):
+            raise ValueError("script must align every token")
+        for frame in alignment:
+            if not 0 <= frame < enc.n:
+                raise ValueError(f"scripted alignment {frame} outside [0, {enc.n})")
+        attn = _one_hot(self.num_decoder_layers, self.num_heads, alignment, enc.n)
+        # as in ToyModel, end-of-sequence is read only after fewer than max_new tokens
+        eos = step.eos and len(step.tokens) < len(prefix) + max_new
+        return DecodeResult(tokens, attn, eos)
+
+    def count_source_words(self, raw_features: np.ndarray) -> int:
+        return self._script(self.encode(raw_features).n).source_words
+
+
+@dataclass(frozen=True)
+class ScriptStep:
+    """One scripted decode outcome: hypothesis tokens, aligned frame per token."""
+
+    tokens: tuple[int, ...]
+    alignment: tuple[int, ...]
+    eos: bool = False
+    source_words: int = 0
+
+
+# Reference words are ``▁w<i>``, optionally continued by ``s``; the guess at
+# encoder length n is ``▁guess<n>``, so no guess is ever a reference token.
+PLANTED_MAX_STATES = 64
+_WORD_PIECES = [f"▁w{i}" for i in range(10)] + ["s"]
+PLANTED_VOCAB = Vocabulary(_WORD_PIECES + [f"▁guess{n}" for n in range(1, PLANTED_MAX_STATES)])
+PLANTED_WORDS = tuple(PLANTED_VOCAB.piece_id(p) for p in _WORD_PIECES)
+
+
+def guess_id(n: int) -> int:
+    """The token guessed at encoder length ``n``."""
+    return PLANTED_VOCAB.piece_id(f"▁guess{n}")
+
+
+@dataclass(frozen=True)
+class Planted:
+    """One utterance: reference tokens, the encoder state each attends to, source word ends.
+
+    ``num_frames`` input frames make ``num_states`` encoder states; every
+    planted state lies below that.
+    """
+
+    tokens: tuple[int, ...]
+    frames: tuple[int, ...]
+    boundaries: tuple[int, ...]
+    num_frames: int
+
+    def __post_init__(self) -> None:
+        if len(self.frames) != len(self.tokens):
+            raise ValueError("plant one state per reference token")
+        if not set(self.tokens) <= set(PLANTED_WORDS):
+            raise ValueError("reference tokens are the ids of PLANTED_WORDS")
+        if not 1 <= self.num_states < PLANTED_MAX_STATES:
+            raise ValueError(f"{self.num_states} encoder states: at most {PLANTED_MAX_STATES - 1}")
+        if not all(0 <= a < self.num_states for a in (*self.frames, *self.boundaries)):
+            raise ValueError(f"planted states lie in [0, {self.num_states})")
+
+    @property
+    def num_states(self) -> int:
+        return -(-self.num_frames // _FRAMES_PER_STATE)
+
+    @property
+    def reference(self) -> str:
+        return PLANTED_VOCAB.detokenize(self.tokens)
+
+
+class PlantedAdapter:
+    """Adapter whose cross-attention shows exactly which source each token has seen.
+
+    Utterance u's source is ``source(u)``, whose frames all hold the value u,
+    so each call knows its utterance. At encoder length n the hypothesis is
+    the reference up to the first token whose planted state has not arrived
+    (``frames[i] >= n``); before the full source, the guess ``guess_id(n)``
+    follows. End-of-sequence comes only with the full source. Every layer and
+    head attends one-hot to a reference token's planted state, and to state
+    n - 1 from a guess or a forced token off the reference. After a forced
+    prefix that leaves the reference, only the guess follows.
+    ``count_source_words`` counts the planted boundaries below n. It offers
+    only ``decode_greedy``.
+    """
+
+    num_decoder_layers = 2
+    num_heads = 2
+    vocab = PLANTED_VOCAB
+
+    def __init__(self, utterances: Sequence[Planted]):
+        self.utterances = tuple(utterances)
+
+    def source(self, u: int) -> FeatureMatrix:
+        return FeatureMatrix(frames=np.full((self.utterances[u].num_frames, NUM_MEL_BINS), u))
+
+    def manifest(self, directory: Path) -> list[ManifestEntry]:
+        """One entry per utterance, its source written to ``directory/utt<u>.sgfb``."""
+        entries = []
+        for u, planted in enumerate(self.utterances):
+            write_features(directory / f"utt{u}.sgfb", self.source(u))
+            entries.append(ManifestEntry(f"utt{u}", directory / f"utt{u}.sgfb", planted.reference))
+        return entries
+
+    def encode(self, raw_features: np.ndarray) -> EncoderStates:
+        return _encode(raw_features, fill=raw_features[0, 0])
+
+    def _utterance(self, enc: EncoderStates) -> Planted:
+        return self.utterances[int(enc.states[0, 0])]
+
+    def decode_greedy(
+        self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
+    ) -> DecodeResult:
+        planted, n, prefix = self._utterance(enc), enc.n, tuple(forced_prefix)
+        matched = longest_common_prefix(prefix, planted.tokens)
+        if any(a >= n for a in planted.frames[:matched]):
+            raise ValueError(f"forced prefix {prefix} holds reference tokens not arrived at n={n}")
+        tokens = prefix
+        if matched == len(prefix):
+            matched = next((i for i, a in enumerate(planted.frames) if a >= n), len(planted.frames))
+            tokens = planted.tokens[:matched]
+        full = n == planted.num_states
+        if not full:
+            tokens += (guess_id(n),)
+        capped = tokens[: len(prefix) + max_new]
+        frames = [*planted.frames[:matched], *[n - 1] * (len(tokens) - matched)]
+        attn = _one_hot(self.num_decoder_layers, self.num_heads, frames[: len(capped)], n)
+        return DecodeResult(capped, attn, full and len(tokens) < len(prefix) + max_new)
+
+    def count_source_words(self, raw_features: np.ndarray) -> int:
+        enc = self.encode(raw_features)
+        return sum(1 for b in self._utterance(enc).boundaries if b < enc.n)
+
+
+def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
+    """Write mono 16-bit PCM; samples are clipped to [-1, 1]."""
+    pcm = np.clip(np.asarray(samples, dtype=float), -1.0, 1.0)
+    data = (pcm * 32767.0).astype("<i2").tobytes()
+    with wave.open(str(path), "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(sample_rate)
+        wav.writeframes(data)
+
+
+def mel_center_frequencies(sample_rate: int) -> np.ndarray:
+    """Center frequency in Hz of each of the NUM_MEL_BINS triangular Mel filters.
+
+    The filters' edges are evenly spaced in Mel from 0 Hz to Nyquist.
+    """
+    edges = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), NUM_MEL_BINS + 2)
+    return mel_to_hz(edges)[1:-1]

@@ -16,8 +16,6 @@ import numpy as np
 from simulst import (
     AlignAttPolicy,
     FeatureMatrix,
-    ScriptStep,
-    ScriptedAdapter,
     SessionConfig,
     ToyModel,
     ToyModelConfig,
@@ -38,6 +36,7 @@ from simulst import (
 from simulst.cli import main as cli_main
 
 from conftest import alignatt_bruteforce, build_suite, random_attention
+from support import ScriptStep, ScriptedAdapter
 
 
 def _report(num: int, summary: str, passed: bool) -> None:

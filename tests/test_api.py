@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import simulst
+import support
 
 # The library modules, in the order the package root re-exports them; ``cli``
 # is the command-line entry point and stays out of the root.
@@ -28,7 +30,8 @@ LIBRARY_MODULES = (
 )
 
 # Every name the root exported before the module lists were its only source,
-# keyed by the module that defines it. None may go.
+# keyed by the module that defines it, less the four that only tests used
+# (``MOVED_TO_TESTS``). No other may go.
 PINNED = {
     "attention": [
         "aggregate_attention", "compute_alignment", "softmax", "validate_attention_matrix",
@@ -38,8 +41,7 @@ PINNED = {
         "FRAME_SHIFT_MS", "FRAME_WINDOW_MS", "LOG_FLOOR", "NUM_MEL_BINS", "SUPPORTED_RATES",
         "CmvnStats", "FeatureFileError", "FeatureMatrix", "compute_cmvn_stats", "frame_count",
         "global_cmvn", "hz_to_mel", "load_cmvn_stats", "load_source_features", "logmel",
-        "mel_center_frequencies", "mel_to_hz", "read_features", "read_wav", "save_cmvn_stats",
-        "write_features", "write_wav",
+        "mel_to_hz", "read_features", "read_wav", "save_cmvn_stats", "write_features",
     ],
     "manifest": ["ManifestEntry", "ManifestError", "load_manifest"],
     "metrics": [
@@ -47,8 +49,8 @@ PINNED = {
         "latency_report", "length_adaptive_average_lagging", "tokenize_13a", "word_delays",
     ],
     "model": [
-        "DecodeResult", "EncoderStates", "ModelAdapter", "ScriptStep", "ScriptedAdapter",
-        "ToyModel", "ToyModelConfig", "count_words_in_labels",
+        "DecodeResult", "EncoderStates", "ModelAdapter", "ToyModel", "ToyModelConfig",
+        "count_words_in_labels",
     ],
     "policies": [
         "AlignAttPolicy", "EDAttPolicy", "LocalAgreementPolicy", "Policy", "PolicyDecision",
@@ -63,15 +65,31 @@ PINNED = {
     "vocab": ["BOUNDARY_MARKER", "Vocabulary", "build_default_vocabulary"],
 }
 
+# Public names that no library path ran; they live in ``tests/support.py``.
+MOVED_TO_TESTS = ("ScriptStep", "ScriptedAdapter", "mel_center_frequencies", "write_wav")
+
+# Public names that ``src/`` may leave unused, with the reason.
+UNUSED_IN_SRC = {
+    "validate_attention_matrix": (
+        "the adapter contract's attention check, which the simulator does not run yet "
+        "(ROADMAP item 4 gives it a caller or moves it)"
+    ),
+}
+
 
 def _module(name: str):
     return importlib.import_module(f"simulst.{name}")
 
 
 class TestPinnedNames:
-    def test_seventy_nine_names(self):
+    def test_seventy_five_names(self):
         names = [name for names in PINNED.values() for name in names]
-        assert len(names) == len(set(names)) == 79
+        assert len(names) == len(set(names)) == 75
+
+    def test_test_only_names_left_the_library(self):
+        for name in MOVED_TO_TESTS:
+            assert name not in simulst.__all__ and name not in dir(simulst)
+            assert hasattr(support, name)
 
     @pytest.mark.parametrize("module", sorted(PINNED))
     def test_exported_as_the_defining_modules_object(self, module):
@@ -107,3 +125,23 @@ class TestDeclaredOnce:
         for module in LIBRARY_MODULES:
             for name in _module(module).__all__:
                 assert getattr(simulst, name) is getattr(_module(module), name)
+
+
+class TestUsedInLibrary:
+    """A public name must serve the library: a name that only tests use belongs in ``tests/support.py``."""
+
+    @staticmethod
+    def uses() -> set[str]:
+        """Names read anywhere in ``src/simulst``: loaded names and attributes, not definitions."""
+        used = set()
+        for path in Path(simulst.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        return used
+
+    def test_every_public_name_is_used_in_src(self):
+        unused = set(simulst.__all__) - self.uses()
+        assert unused == set(UNUSED_IN_SRC)

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, exit codes, artifacts."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -7,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simulst import FeatureMatrix, SessionConfig, read_features, write_features, write_wav
+from simulst import FeatureMatrix, SessionConfig, read_features, write_features
 from simulst.cli import main
 from simulst.runner import CURVE_HEADER
 
 from conftest import build_suite
+from support import write_wav
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +293,20 @@ class TestSweep:
         assert run_cli(*base, "--grid", "6") == 0
         capsys.readouterr()
         assert len(list(out.glob("curve_*.csv"))) == 2
+
+    def test_spellings_of_one_grid_write_one_curve(self, suite_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = (
+            "sweep", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--policy", "alignatt", "--chunk-ms", "500",
+        )
+        for grid in ("2,6", "6,2", "2, 6.0", "6,2,6"):
+            assert run_cli(*base, "--grid", grid) == 0
+        capsys.readouterr()
+        # the canonical spelling keeps the name it had when the raw text was hashed
+        run_id = SessionConfig(policy="alignatt", f=2, chunk_ms=500.0).run_id
+        digest = hashlib.sha256((run_id + "2,6").encode("utf-8")).hexdigest()[:12]
+        assert [p.name for p in out.glob("curve_*.csv")] == [f"curve_{digest}.csv"]
 
 
 class TestScore:

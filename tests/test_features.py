@@ -22,14 +22,14 @@ from simulst import (
     load_cmvn_stats,
     load_source_features,
     logmel,
-    mel_center_frequencies,
     mel_to_hz,
     read_features,
     read_wav,
     save_cmvn_stats,
     write_features,
-    write_wav,
 )
+
+from support import mel_center_frequencies, write_wav
 
 
 class TestFraming:

@@ -14,8 +14,6 @@ from simulst import (
     DecodeResult,
     EncoderStates,
     ModelAdapter,
-    ScriptStep,
-    ScriptedAdapter,
     ToyModel,
     ToyModelConfig,
     Vocabulary,
@@ -29,6 +27,7 @@ from simulst import model as model_module
 from simulst.model import Decode, FinishedDecode
 
 from conftest import make_source
+from support import ScriptStep, ScriptedAdapter
 
 
 class TestEncoder:

@@ -14,8 +14,6 @@ from simulst import (
     LocalAgreementPolicy,
     Policy,
     PolicyDecision,
-    ScriptStep,
-    ScriptedAdapter,
     StepContext,
     StopReason,
     Vocabulary,
@@ -32,6 +30,7 @@ from simulst import (
 from simulst.model import FinishedDecode
 
 from conftest import alignatt_bruteforce, random_attention, waitk_walk
+from support import ScriptStep, ScriptedAdapter
 
 
 def _drained(tokens, attention, eos=False):

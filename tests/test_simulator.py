@@ -17,8 +17,6 @@ from simulst import (
     LocalAgreementPolicy,
     ModelAdapter,
     RealClock,
-    ScriptStep,
-    ScriptedAdapter,
     SessionError,
     SimulatedClock,
     StreamCursor,
@@ -40,6 +38,7 @@ from simulst import simulator
 from simulst.model import Decode, FinishedDecode
 
 from conftest import build_suite, make_source
+from support import ScriptStep, ScriptedAdapter
 
 
 class TestSimulatedClock:
@@ -734,6 +733,52 @@ class TestStopHook:
             run_session(source, Lost(adapter), AlignAttPolicy(f=2), chunk_ms=400.0)
         assert str(info.value) == "adapter failed at 0.800s: device lost"
         assert info.value.partial_log.tokens == tuple(ids[:1])
+
+
+class TestSessionInvariants:
+    """What every session log obeys, whatever the adapter's hypotheses and the policy."""
+
+    POLICIES = [
+        lambda: AlignAttPolicy(f=2),
+        lambda: EDAttPolicy(alpha=0.5, lam=2),
+        lambda: WaitKPolicy(k=2),
+        lambda: LocalAgreementPolicy(),
+    ]
+
+    @classmethod
+    def assert_invariants(cls, source, adapter, chunk_ms, step_cost_s):
+        for make_policy in cls.POLICIES:
+            policy, steps = make_policy(), []
+            decide = policy.decide
+
+            def recorded(ctx):
+                decision = decide(ctx)
+                steps.append((ctx.committed, ctx.candidates, decision.commit_count))
+                return decision
+
+            policy.decide = recorded
+            log = run_session(source, adapter, policy, chunk_ms=chunk_ms, step_cost_s=step_cost_s)
+            # append-only: each step starts from all earlier commits and adds
+            # at most its candidates, from their start
+            committed = ()
+            for before, candidates, count in steps:
+                assert before == committed and 0 <= count <= len(candidates)
+                committed += candidates[:count]
+            assert log.tokens[: len(committed)] == committed
+            events = log.events
+            assert all(e.wall_s >= e.ideal_s for e in events)
+            assert all(a.ideal_s <= b.ideal_s and a.wall_s <= b.wall_s for a, b in zip(events, events[1:]))
+            assert log.final_text == adapter.vocab.detokenize(log.tokens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=random_scripts(), step_cost_s=st.sampled_from([0.0, 0.03]))
+    def test_random_scripts(self, case, step_cost_s):
+        self.assert_invariants(*case, step_cost_s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=diverging_scripts(), step_cost_s=st.sampled_from([0.0, 0.03]))
+    def test_diverging_scripts(self, case, step_cost_s):
+        self.assert_invariants(*case, step_cost_s)
 
 
 def _faulty_setup(site: str, error: Exception):
