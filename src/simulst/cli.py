@@ -28,7 +28,7 @@ from .features import (
     write_features,
 )
 from .manifest import ManifestError, load_manifest
-from .runner import aggregate, run_eval, sweep, write_curve_csv
+from .runner import aggregate, param_text, run_eval, sweep, write_curve_csv
 from .simulator import read_emission_log, write_text_atomic
 
 __all__ = ["main"]
@@ -65,10 +65,10 @@ def _build_config(args: argparse.Namespace, sweep_seed: float | None = None) -> 
         if value is not None:
             data[key] = value
     if sweep_seed is not None:
-        # a sweep supplies the policy's knob from the grid, so the base
-        # config may omit it; with_sweep_value checks and types the value
+        # a sweep sets the policy's knob from the grid, whatever a flag or the
+        # config file gave; with_sweep_value checks and types the value
         field = SWEEP_FIELD.get(data.get("policy"))
-        if field is not None and data.get(field) is None:
+        if field is not None:
             data[field] = CONFIG_TYPES[field](sweep_seed)
             return SessionConfig.from_dict(data).with_sweep_value(sweep_seed)
     return SessionConfig.from_dict(data)
@@ -112,12 +112,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     entries = load_manifest(args.manifest)
     rows, evaluations = sweep(entries, config, grid, out_dir=args.out)
     # the curve is named by the grid's values, not by how --grid spelled them
-    canonical = ",".join(f"{v:g}" for v in sorted(set(grid)))
+    canonical = ",".join(param_text(v) for v in sorted(set(grid)))
     digest = hashlib.sha256((config.run_id + canonical).encode("utf-8")).hexdigest()[:12]
     curve_path = Path(args.out) / f"curve_{digest}.csv"
     write_curve_csv(curve_path, rows)
     for row in rows:
-        print(f"param={row.param:g} bleu={row.bleu:.2f} laal_s={row.laal_s:.3f} laal_ca_s={row.laal_ca_s:.3f}")
+        print(f"param={param_text(row.param)} bleu={row.bleu:.2f} laal_s={row.laal_s:.3f} laal_ca_s={row.laal_ca_s:.3f}")
     print(f"curve -> {curve_path}")
     return 1 if any(e.num_failed for e in evaluations) else 0
 

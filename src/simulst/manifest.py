@@ -33,6 +33,32 @@ class ManifestEntry:
 _REQUIRED = ("id", "source", "reference")
 
 
+def read_json_lines(path, error: type[Exception]) -> list[tuple[int, dict]]:
+    """The line number and JSON object of each non-blank line of a UTF-8 file.
+
+    Lines end at ``"\\n"`` only, so a JSON string may hold U+2028, U+2029 or
+    U+0085 raw. Raises ``error`` naming the path, and the line where there is
+    one, for text that is not UTF-8, a line that is not JSON, or a value that
+    is not an object.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
+    records = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise error(f"{path}:{lineno}: expected a JSON object")
+        records.append((lineno, record))
+    return records
+
+
 def load_manifest(path) -> list[ManifestEntry]:
     """Parse a JSON-lines manifest into entries, in file order.
 
@@ -44,19 +70,7 @@ def load_manifest(path) -> list[ManifestEntry]:
     base = manifest_path.parent
     entries: list[ManifestEntry] = []
     seen: dict[str, int] = {}
-    try:
-        text = manifest_path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{manifest_path}: not UTF-8 text ({exc})") from exc
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{manifest_path}:{lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise ManifestError(f"{manifest_path}:{lineno}: expected a JSON object")
+    for lineno, record in read_json_lines(manifest_path, ManifestError):
         for key in _REQUIRED:
             if key not in record:
                 raise ManifestError(f"{manifest_path}:{lineno}: missing required field {key!r}")

@@ -284,8 +284,14 @@ def sweep(
     return rows, evaluations
 
 
+def param_text(value: float) -> str:
+    """``value`` as ``:g`` writes it when that reads back as the same float, else its repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def write_curve_csv(path, rows: list[CurveRow]) -> None:
     lines = [CURVE_HEADER]
     for row in rows:
-        lines.append(f"{row.param:g},{row.bleu:.4f},{row.laal_s:.4f},{row.laal_ca_s:.4f},{row.al_s:.4f}")
+        lines.append(f"{param_text(row.param)},{row.bleu:.4f},{row.laal_s:.4f},{row.laal_ca_s:.4f},{row.al_s:.4f}")
     write_text_atomic(path, "\n".join(lines) + "\n")

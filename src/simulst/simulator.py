@@ -36,6 +36,7 @@ import numpy as np
 
 from .attention import aggregate_attention, compute_alignment
 from .features import FeatureMatrix
+from .manifest import read_json_lines
 from .model import DEFAULT_MAX_NEW, Decode, FinishedDecode, ModelAdapter
 from .policies import Policy, PolicyDecision, StepContext
 from .vocab import Vocabulary
@@ -421,26 +422,14 @@ def read_emission_log(path) -> EmissionLog:
     """Parse a log written by ``write_emission_log``.
 
     Raises ValueError naming ``path`` when the file is empty or not UTF-8, a
-    line is not a JSON object, a key is missing or of the wrong type, or the source
-    duration is not positive. A log written by ``write_failed_log`` raises
-    ValueError with the session's error message verbatim.
+    line is not a JSON object (naming the line too), a key is missing or of
+    the wrong type, or the source duration is not positive. A log written by
+    ``write_failed_log`` raises ValueError with the session's error message
+    verbatim.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    records = [record for _, record in read_json_lines(path, ValueError)]
+    if not records:
         raise ValueError(f"{path}: empty emission log")
-
-    def record(line: str) -> dict:
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(value, dict):
-            raise ValueError(f"{path}: record is not a JSON object: {line!r}")
-        return value
 
     def field(rec: dict, key: str, kind: type):
         value = rec.get(key)
@@ -448,7 +437,7 @@ def read_emission_log(path) -> EmissionLog:
             raise ValueError(f"{path}: key {key!r} is missing or not {kind.__name__}")
         return kind(value)
 
-    summary = record(lines[-1])
+    *events, summary = records
     if "error" in summary:
         raise ValueError(field(summary, "error", str))
     if "source_duration_s" not in summary or "final_text" not in summary:
@@ -456,19 +445,16 @@ def read_emission_log(path) -> EmissionLog:
     duration = field(summary, "source_duration_s", float)
     if not duration > 0:
         raise ValueError(f"{path}: source duration must be positive, got {duration}")
-    events = []
-    for line in lines[:-1]:
-        event = record(line)
-        events.append(
+    return EmissionLog(
+        events=tuple(
             Emission(
                 token=field(event, "token", int),
                 text=field(event, "text", str),
                 ideal_s=field(event, "ideal_s", float),
                 wall_s=field(event, "wall_s", float),
             )
-        )
-    return EmissionLog(
-        events=tuple(events),
+            for event in events
+        ),
         source_duration_s=duration,
         final_text=field(summary, "final_text", str),
     )

@@ -35,8 +35,6 @@ class Vocabulary:
                 raise ValueError(f"invalid vocabulary piece {p!r}")
         self._pieces = list(_SPECIALS) + list(pieces)
         self._ids = {p: i for i, p in enumerate(self._pieces)}
-        # longest-first order for greedy text tokenization
-        self._by_length = sorted(pieces, key=len, reverse=True)
 
     @property
     def size(self) -> int:
@@ -74,24 +72,6 @@ class Vocabulary:
                 continue
             parts.append(self.piece(t))
         return "".join(parts).replace(BOUNDARY_MARKER, " ").strip()
-
-    def tokenize(self, text: str) -> list[int]:
-        """Greedy longest-match tokenization of whitespace-separated words."""
-        ids: list[int] = []
-        for word in text.split():
-            remaining = BOUNDARY_MARKER + word
-            while remaining:
-                for piece in self._by_length:
-                    if remaining.startswith(piece):
-                        ids.append(self._ids[piece])
-                        remaining = remaining[len(piece):]
-                        break
-                else:
-                    ids.append(self.unk_id)
-                    # skip the marker together with the unmatched character
-                    step = 2 if remaining.startswith(BOUNDARY_MARKER) and len(remaining) > 1 else 1
-                    remaining = remaining[step:]
-        return ids
 
 
 def build_default_vocabulary() -> Vocabulary:

@@ -308,6 +308,36 @@ class TestSweep:
         digest = hashlib.sha256((run_id + "2,6").encode("utf-8")).hexdigest()[:12]
         assert [p.name for p in out.glob("curve_*.csv")] == [f"curve_{digest}.csv"]
 
+    def test_grids_differing_past_six_digits_write_distinct_curves(self, suite_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = (
+            "sweep", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--policy", "edatt", "--lambda", "2", "--chunk-ms", "500",
+        )
+        printed = []
+        for grid in ("0.3,0.5000001", "0.3,0.5000002"):
+            assert run_cli(*base, "--grid", grid) == 0
+            printed.append(capsys.readouterr().out)
+        assert "param=0.5000001 " in printed[0] and "param=0.5000002 " in printed[1]
+        assert all("param=0.3 " in text for text in printed)
+        curves = sorted(out.glob("curve_*.csv"))
+        assert len(curves) == 2
+        params = {line.split(",")[0] for c in curves for line in c.read_text("utf-8").splitlines()[1:]}
+        assert params == {"0.3", "0.5000001", "0.5000002"}
+
+    def test_knob_flag_leaves_the_curve_name_alone(self, suite_dir, tmp_path, capsys):
+        # the grid sets the knob, so a --k that it overrides cannot rename the curve
+        out = tmp_path / "out"
+        base = (
+            "sweep", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--policy", "waitk", "--chunk-ms", "500", "--grid", "2,4",
+        )
+        for flags in ((), ("--k", "3"), ("--k", "5")):
+            assert run_cli(*base, *flags) == 0
+        capsys.readouterr()
+        assert len(list(out.glob("curve_*.csv"))) == 1
+        assert len([p for p in out.iterdir() if p.is_dir()]) == 2
+
 
 class TestScore:
     def test_recomputes_metrics_from_logs(self, suite_dir, tmp_path, capsys):

@@ -9,19 +9,28 @@ state has arrived and guesses, attending to the newest state, past it. On it:
 * EDAtt(alpha, lambda = f), 0 < alpha <= 1, commits exactly what AlignAtt(f)
   commits, when it commits it;
 * local agreement never commits a guess: token i commits one step after the
-  first step whose n exceeds max(a_j for j <= i), or at the final flush.
+  first step whose n exceeds max(a_j for j <= i), or at the final flush;
+* wait-k(k) scores BLEU 100, since a guess is always the last, unfinished
+  word: token i commits at the first step whose n exceeds max(a_j for j <= i)
+  and whose detected word count reaches k plus the index of token i's word,
+  or at the final flush. A leading continuation piece, in no word, needs no
+  budget.
+
+For every policy, the AL and LAAL in ``aggregate.json`` are those of the word
+delays that its closed form gives.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 from simulst import FRAME_SHIFT_MS, SessionConfig, read_emission_log, run_eval, runner
 
-from support import PLANTED_WORDS, Planted, PlantedAdapter, guess_id
+from support import PLANTED_VOCAB, PLANTED_WORDS, Planted, PlantedAdapter, guess_id
 
 
 def _planted(seed: int) -> list[Planted]:
@@ -80,6 +89,23 @@ def _commit_times(planted: Planted, chunk_ms: float, lag: int, steps_late: int) 
     for reach in seen:
         first = next((s for s, (n, _) in enumerate(steps) if n > reach + lag), len(steps) - 1)
         times.append(steps[min(first + steps_late, len(steps) - 1)][1])
+    return times
+
+
+def _waitk_commit_times(planted: Planted, chunk_ms: float, k: int) -> list[float]:
+    """When token i commits under wait-k: at the first step with n > max(a_j for j <= i)
+    and at least k + (index of token i's word) detected source words, else on the final flush."""
+    steps = _steps(planted, chunk_ms)
+    seen = np.maximum.accumulate(planted.frames)
+    # -1 for a leading continuation piece, which belongs to no word
+    word = np.cumsum([PLANTED_VOCAB.is_word_start(t) for t in planted.tokens]) - 1
+    times = []
+    for reach, w in zip(seen, word):
+        ready = (
+            s for s, (n, _) in enumerate(steps)
+            if n > reach and (w < 0 or sum(b < n for b in planted.boundaries) >= k + w)
+        )
+        times.append(steps[next(ready, len(steps) - 1)][1])
     return times
 
 
@@ -148,3 +174,68 @@ class TestPlantedAdapter:
         # off the reference only the guess follows
         assert decode(20, prefix=(guess_id(2),)) == ((guess_id(2), guess_id(5)), [4, 4], False)
         assert [adapter.count_source_words(frames[:t]) for t in (4, 8, 16, 24)] == [1, 1, 2, 2]
+
+
+class TestWaitK:
+    @pytest.mark.parametrize("chunk_ms", CHUNKS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_commits_each_word_once_k_more_source_words_are_detected(
+        self, planted, tmp_path, monkeypatch, k, chunk_ms
+    ):
+        record, logs = _evaluate(planted, tmp_path, monkeypatch, policy="waitk", k=k, chunk_ms=chunk_ms)
+        adapter, _ = planted
+        _assert_scores_100(record, logs, adapter)
+        for log, p in zip(logs, adapter.utterances):
+            assert [e.ideal_s for e in log.events] == _waitk_commit_times(p, chunk_ms, k)
+
+    def test_leading_continuation_needs_no_budget(self, tmp_path, monkeypatch):
+        # the seeded corpus opens no utterance with a continuation piece
+        s, w0, w1 = PLANTED_VOCAB.piece_id("s"), *PLANTED_WORDS[:2]
+        p = Planted(tokens=(s, w0, w1), frames=(0, 2, 5), boundaries=(20, 30, 40), num_frames=200)
+        adapter = PlantedAdapter([p])
+        record, logs = _evaluate(
+            (adapter, adapter.manifest(tmp_path)), tmp_path, monkeypatch, policy="waitk", k=2, chunk_ms=100.0
+        )
+        _assert_scores_100(record, logs, adapter)
+        times = [e.ideal_s for e in logs[0].events]
+        # "s" commits on the first step, with no source word detected yet; "▁w0" waits for
+        # two (n > 30), "▁w1" for three (n > 40)
+        assert times == _waitk_commit_times(p, 100.0, k=2) == [0.1, 1.3, 1.7]
+
+
+def _lagging(delays: list[float], duration: float, length: int) -> float:
+    """Average lagging over the words up to the first that reaches the source end."""
+    tau = next((i + 1 for i, d in enumerate(delays) if d >= duration), len(delays))
+    return sum(delays[i] - i * duration / length for i in range(tau)) / tau
+
+
+# Each policy's config and the closed-form commit times of an utterance's tokens.
+CLOSED_FORMS = {
+    "alignatt": (dict(policy="alignatt", f=2), partial(_commit_times, lag=2, steps_late=0)),
+    "edatt": (dict(policy="edatt", alpha=0.5, lam=2), partial(_commit_times, lag=2, steps_late=0)),
+    "waitk": (dict(policy="waitk", k=2), partial(_waitk_commit_times, k=2)),
+    "local_agreement": (dict(policy="local_agreement"), partial(_commit_times, lag=0, steps_late=1)),
+}
+
+
+class TestLagging:
+    @pytest.mark.parametrize("chunk_ms", CHUNKS)
+    @pytest.mark.parametrize("policy", sorted(CLOSED_FORMS))
+    def test_al_and_laal_are_those_of_the_closed_form_delays(
+        self, planted, tmp_path, monkeypatch, policy, chunk_ms
+    ):
+        config, commit_times = CLOSED_FORMS[policy]
+        timing = {"t_s_ms": chunk_ms} if policy == "local_agreement" else {"chunk_ms": chunk_ms}
+        record, _ = _evaluate(planted, tmp_path, monkeypatch, **config, **timing)
+        adapter, _ = planted
+        for utterance, p in zip(record["utterances"], adapter.utterances):
+            times = commit_times(p, chunk_ms)
+            # a word's delay is the commit time of its last piece; no guess commits,
+            # so the hypothesis has the reference's words and LAAL equals AL
+            starts = [i for i, t in enumerate(p.tokens) if i == 0 or PLANTED_VOCAB.is_word_start(t)]
+            delays = [times[end - 1] for end in [*starts[1:], len(p.tokens)]]
+            duration = p.num_frames * FRAME_SHIFT_MS / 1000.0
+            assert len(delays) == len(p.reference.split())
+            expected = _lagging(delays, duration, len(delays))
+            assert utterance["al_s"] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert utterance["laal_s"] == pytest.approx(expected, rel=1e-12, abs=1e-12)

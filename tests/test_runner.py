@@ -279,21 +279,20 @@ class TestRunEval:
 
 
 class TestDecoderWork:
-    """Decoder steps per policy on a fixed corpus, so that early stop cannot lose its savings silently."""
+    """Model work per policy on fixed corpora, so that early stop cannot lose its savings
+    silently and the growth of work with utterance length is on file."""
+
+    CONFIGS = [
+        SessionConfig(policy="alignatt", f=4, chunk_ms=250.0),
+        SessionConfig(policy="edatt", alpha=0.6, chunk_ms=250.0),
+        SessionConfig(policy="waitk", k=3, chunk_ms=250.0),
+        SessionConfig(policy="local_agreement", t_s_ms=250.0, chunk_ms=250.0),
+    ]
 
     # ToyModel._step calls of one run_eval over the corpus below
     STEPS = {"alignatt": 142, "edatt": 123, "waitk": 133, "local_agreement": 225}
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            SessionConfig(policy="alignatt", f=4, chunk_ms=250.0),
-            SessionConfig(policy="edatt", alpha=0.6, chunk_ms=250.0),
-            SessionConfig(policy="waitk", k=3, chunk_ms=250.0),
-            SessionConfig(policy="local_agreement", t_s_ms=250.0, chunk_ms=250.0),
-        ],
-        ids=lambda config: config.policy,
-    )
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.policy)
     def test_step_counts(self, tmp_path, monkeypatch, config):
         entries = load_manifest(build_suite(tmp_path, num_utterances=4, min_frames=100, max_frames=300))
         steps = []
@@ -302,6 +301,51 @@ class TestDecoderWork:
         evaluation = run_eval(entries, config)
         assert all(result.error is None for result in evaluation.results)
         assert len(steps) == self.STEPS[config.policy]
+
+    # Per utterance length in seconds: frames passed to ToyModel.encode (word
+    # counting included), rows run through ToyModel._advance (prefill) and
+    # ToyModel._step calls (generated rows) of one run_eval on that utterance.
+    # Every step re-encodes the whole delivered prefix and re-prefills the
+    # committed tokens, so from 10 s to 20 s frames grow about fourfold,
+    # prefill rows three- to fourfold and generated rows about 1.5-fold.
+    WORK = {
+        "alignatt": {5: (5250, 712, 64), 10: (20500, 2199, 84), 20: (81000, 6477, 123)},
+        "edatt": {5: (5250, 762, 64), 10: (20500, 2249, 84), 20: (81000, 6529, 123)},
+        "waitk": {5: (10000, 159, 51), 10: (40000, 701, 86), 20: (160000, 3007, 129)},
+        "local_agreement": {5: (5250, 670, 118), 10: (20500, 2120, 162), 20: (81000, 6317, 235)},
+    }
+
+    @pytest.fixture(scope="class")
+    def utterances(self, tmp_path_factory):
+        """A seeded one-utterance corpus of each length in seconds (100 frames a second)."""
+        directory = tmp_path_factory.mktemp("lengths")
+        manifests = {
+            seconds: build_suite(directory / f"{seconds}s", 1, min_frames=100 * seconds, max_frames=100 * seconds + 1)
+            for seconds in (5, 10, 20)
+        }
+        return {seconds: load_manifest(manifest) for seconds, manifest in manifests.items()}
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.policy)
+    def test_work_per_utterance_length(self, utterances, monkeypatch, config):
+        work = [0, 0, 0]
+        encode, advance, step = ToyModel.encode, ToyModel._advance, ToyModel._step
+
+        def counted(index, method, size):
+            def wrapper(self, *args):
+                work[index] += size(*args)
+                return method(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(ToyModel, "encode", counted(0, encode, len))
+        monkeypatch.setattr(ToyModel, "_advance", counted(1, advance, lambda decode, ids: len(ids)))
+        monkeypatch.setattr(ToyModel, "_step", counted(2, step, lambda decode, token: 1))
+        counts = {}
+        for seconds, entries in utterances.items():
+            work[:] = [0, 0, 0]
+            evaluation = run_eval(entries, config)
+            assert evaluation.results[0].error is None
+            counts[seconds] = tuple(work)
+        assert counts == self.WORK[config.policy]
 
 
 class TestSweep:

@@ -33,6 +33,7 @@ from simulst import (
     read_emission_log,
     run_session,
     write_emission_log,
+    write_failed_log,
 )
 from simulst import simulator
 from simulst.model import Decode, FinishedDecode
@@ -1206,3 +1207,27 @@ class TestEmissionLogIO:
         path.write_text(f"{event}\n{summary}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="bad.jsonl"):
             read_emission_log(path)
+
+    def test_malformed_line_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{self.EVENT}\n\n[3]\n{self.SUMMARY}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:3: expected a JSON object"):
+            read_emission_log(path)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_separators_survive(self, tmp_path, separator):
+        # JSON writes these raw; only "\n" ends a line of the log
+        log = EmissionLog(
+            events=(Emission(token=3, text=f"▁a{separator}b", ideal_s=0.5, wall_s=0.75),),
+            source_duration_s=1.0,
+            final_text=f"a{separator}b",
+        )
+        path = tmp_path / "session.jsonl"
+        write_emission_log(path, log)
+        assert read_emission_log(path) == log
+        error = f"adapter failed at 0.5s: bad{separator}piece"
+        for partial in (log, None):
+            write_failed_log(path, error, partial)
+            with pytest.raises(ValueError) as info:
+                read_emission_log(path)
+            assert str(info.value) == error
