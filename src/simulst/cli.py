@@ -27,9 +27,9 @@ from .features import (
     save_cmvn_stats,
     write_features,
 )
-from .manifest import ManifestError, load_manifest
+from .manifest import ManifestError, load_manifest, write_bytes_atomic
 from .runner import aggregate, param_text, run_eval, sweep, write_curve_csv
-from .simulator import read_emission_log, write_text_atomic
+from .simulator import read_emission_log
 
 __all__ = ["main"]
 
@@ -133,7 +133,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     evaluation = aggregate(entries, outcomes)
     text = json.dumps(evaluation.to_record(), indent=2, sort_keys=True)
     if args.out is not None:
-        write_text_atomic(args.out, text + "\n")
+        write_bytes_atomic(args.out, (text + "\n").encode("utf-8"))
     print(text)
     return 1 if evaluation.num_failed else 0
 

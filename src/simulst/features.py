@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .manifest import write_bytes_atomic
+
 __all__ = [
     "FRAME_SHIFT_MS",
     "FRAME_WINDOW_MS",
@@ -209,7 +211,7 @@ def global_cmvn(features: FeatureMatrix, stats: CmvnStats) -> FeatureMatrix:
 
 def save_cmvn_stats(path, stats: CmvnStats) -> None:
     payload = {"mean": stats.mean.tolist(), "var": stats.var.tolist()}
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_bytes_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
 def load_cmvn_stats(path) -> CmvnStats:
@@ -236,7 +238,7 @@ def write_features(path, features: FeatureMatrix) -> None:
         features.frame_shift_ms,
     )
     body = np.ascontiguousarray(features.frames, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + body)
+    write_bytes_atomic(path, header + body)
 
 
 def read_features(path) -> FeatureMatrix:

@@ -5,11 +5,16 @@ Each line carries an ``id``, a ``source`` audio or feature path, and a
 utterance's log file, so it must be a plain file name. Relative source paths
 are resolved against the manifest's own directory. Whether a source file
 exists is checked when a run touches it, not at load time.
+
+This module imports nothing from the package, so it also holds the two file
+helpers every other module shares: the JSON-lines reader and the atomic
+writer.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +62,23 @@ def read_json_lines(path, error: type[Exception]) -> list[tuple[int, dict]]:
             raise error(f"{path}:{lineno}: expected a JSON object")
         records.append((lineno, record))
     return records
+
+
+def write_bytes_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` all at once.
+
+    The bytes go to a temporary file in the same directory, which is then
+    renamed over ``path``; a write that fails midway leaves any earlier file
+    intact and removes its temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_manifest(path) -> list[ManifestEntry]:

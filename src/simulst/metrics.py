@@ -4,8 +4,9 @@ Latency follows the average-lagging family, measured over output words of the
 detokenized text: AL subtracts an oracle that finishes in reference length,
 LAAL divides by max(hypothesis, reference) length so over-generation cannot
 be rewarded. Both use the cutoff tau = first word whose delay reaches the
-source duration. Words are what the boundary marker delimits; a word's delay
-is the delay of the event that completed it.
+source duration. There is one delay per whitespace-separated word of
+``final_text``, the text the committed pieces write (special tokens write
+nothing): the delay of the event that wrote the word's last character.
 
 BLEU is a compatible reimplementation of the common corpus metric:
 case-sensitive, 13a-style tokenization, up to 4-grams, exponential smoothing
@@ -16,13 +17,15 @@ than smoothed, so a hypothesis identical to its reference always scores 100.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 from .simulator import EmissionLog
-from .vocab import BOUNDARY_MARKER
+from .vocab import piece_text
 
 __all__ = [
     "LatencyReport",
@@ -44,29 +47,15 @@ MAX_NGRAM_ORDER = 4
 def word_delays(log: EmissionLog) -> tuple[list[float], list[float]]:
     """Per-word (ideal, wallclock) delays from an emission log.
 
-    A new word starts at each piece carrying the boundary marker (or at the
-    first piece); its delay is taken from the event that carried its final
-    piece. Pieces that detokenize to nothing (bare markers) yield no word.
+    One delay per whitespace-separated word of the text the events' pieces
+    write (``piece_text``), which is ``final_text``: the delay of the event
+    that wrote the word's last character.
     """
-    ideal: list[float] = []
-    wall: list[float] = []
-    current_text = ""
-    current_event: tuple[float, float] | None = None
-
-    def flush() -> None:
-        if current_event is not None and current_text.strip():
-            ideal.append(current_event[0])
-            wall.append(current_event[1])
-
-    for event in log.events:
-        piece = event.text
-        if piece.startswith(BOUNDARY_MARKER) and current_event is not None:
-            flush()
-            current_text = ""
-        current_text += piece.replace(BOUNDARY_MARKER, " ")
-        current_event = (event.ideal_s, event.wall_s)
-    flush()
-    return ideal, wall
+    texts = [piece_text(event.text) for event in log.events]
+    ends = list(itertools.accumulate(map(len, texts)))  # characters written up to each event
+    words = re.finditer(r"\S+", "".join(texts))
+    writers = [log.events[bisect.bisect_left(ends, word.end())] for word in words]
+    return [e.ideal_s for e in writers], [e.wall_s for e in writers]
 
 
 def _cutoff(delays_s, source_duration_s: float) -> int:
@@ -112,8 +101,6 @@ class LatencyReport:
     laal_s: float
     al_ca_s: float
     laal_ca_s: float
-    delays_s: tuple[float, ...]
-    tau: int
 
 
 def latency_report(log: EmissionLog, reference: str) -> LatencyReport:
@@ -127,8 +114,6 @@ def latency_report(log: EmissionLog, reference: str) -> LatencyReport:
         laal_s=length_adaptive_average_lagging(ideal, duration, ref_len, hyp_len),
         al_ca_s=average_lagging(wall, duration, ref_len),
         laal_ca_s=length_adaptive_average_lagging(wall, duration, ref_len, hyp_len),
-        delays_s=tuple(ideal),
-        tau=_cutoff(ideal, duration),
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import ConfigError, SessionConfig
 from .features import load_source_features
-from .manifest import ManifestEntry
+from .manifest import ManifestEntry, write_bytes_atomic
 from .metrics import LatencyReport, bleu, corpus_bleu, latency_report
 from .model import ModelAdapter, ToyModel, ToyModelConfig
 from .simulator import (
@@ -28,7 +28,6 @@ from .simulator import (
     run_session,
     write_emission_log,
     write_failed_log,
-    write_text_atomic,
 )
 from .vocab import build_default_vocabulary
 
@@ -231,9 +230,9 @@ def run_eval(
                 write_failed_log(path, str(outcome), outcome.partial_log)
             else:
                 write_emission_log(path, outcome)
-        write_text_atomic(
+        write_bytes_atomic(
             run_dir / "aggregate.json",
-            json.dumps(evaluation.to_record(), indent=2, sort_keys=True) + "\n",
+            (json.dumps(evaluation.to_record(), indent=2, sort_keys=True) + "\n").encode("utf-8"),
         )
     return evaluation
 
@@ -294,4 +293,4 @@ def write_curve_csv(path, rows: list[CurveRow]) -> None:
     lines = [CURVE_HEADER]
     for row in rows:
         lines.append(f"{param_text(row.param)},{row.bleu:.4f},{row.laal_s:.4f},{row.laal_ca_s:.4f},{row.al_s:.4f}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -11,9 +11,10 @@ decode the policy may supply a stop rule; tokens are pulled until it fires or
 the decode ends, and the paused decode goes to the policy with the step's
 context, so it can read further. Each pulled decode must extend the
 committed tokens, carry (layers, heads, tokens, encoder states) attention,
-and keep returning None once ended. An exception from the adapter or the policy, or an adapter
-breaking that contract, ends the session with a ``SessionError`` that names which failed, when
-and why, and carries the commits made so far.
+and keep returning None once ended; a word count must be an integer >= 0, and a commit count
+an integer in [0, candidates]. An exception from the adapter or the policy, or either breaking
+its contract, ends the session with a ``SessionError`` that names which failed, when and why,
+and carries the commits made so far.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -26,19 +27,18 @@ from __future__ import annotations
 
 import json
 import math
-import os
+import operator
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .attention import aggregate_attention, compute_alignment
 from .features import FeatureMatrix
-from .manifest import read_json_lines
+from .manifest import read_json_lines, write_bytes_atomic
 from .model import DEFAULT_MAX_NEW, Decode, FinishedDecode, ModelAdapter
-from .policies import Policy, PolicyDecision, StepContext
+from .policies import Policy, StepContext
 from .vocab import Vocabulary
 
 __all__ = [
@@ -198,6 +198,23 @@ def _pull(decode: Decode, vocab: Vocabulary) -> tuple[int, np.ndarray] | None:
     return pulled
 
 
+def _count_words(adapter: ModelAdapter, prefix: np.ndarray) -> int:
+    """``adapter.count_source_words(prefix)``, which must be an integer >= 0."""
+    words = operator.index(adapter.count_source_words(prefix))
+    if words < 0:
+        raise ValueError(f"counted {words} source words; counts are integers >= 0")
+    return words
+
+
+def _decide(policy: Policy, context: StepContext) -> int:
+    """The commit count of ``policy.decide(context)``, which must be an integer in
+    ``[0, len(context.candidates)]``."""
+    count = operator.index(policy.decide(context).commit_count)
+    if not 0 <= count <= len(context.candidates):
+        raise ValueError(f"policy committed {count} of {len(context.candidates)} candidates")
+    return count
+
+
 def _check_decode(
     decode: Decode, committed: list[int], adapter: ModelAdapter, n: int, ended: bool
 ) -> None:
@@ -310,7 +327,7 @@ def run_session(
         # greedy hypothesis is committed without consulting the policy.
         final = cursor.exhausted
         if policy.uses_word_counts and not final:
-            words = call("adapter failed counting words", lambda: adapter.count_source_words(prefix))
+            words = call("adapter failed counting words", lambda: _count_words(adapter, prefix))
             # Word detections only ratchet upward so the schedule never
             # retracts budget already granted.
             detected_words = max(detected_words, words)
@@ -341,13 +358,8 @@ def run_session(
             vocab=vocab,
             decode=decode,
         )
-        decision: PolicyDecision = call("policy failed", lambda: policy.decide(context))
-        if decision.commit_count > len(candidates):
-            raise SessionError(
-                f"policy committed {decision.commit_count} of {len(candidates)} candidates",
-                partial(),
-            )
-        commit(candidates[: decision.commit_count], ideal_s)
+        count = call("policy failed", lambda: _decide(policy, context))
+        commit(candidates[:count], ideal_s)
 
     return partial()
 
@@ -379,24 +391,7 @@ def _write_log(path, log: EmissionLog | None, extra: dict) -> None:
         summary = {"source_duration_s": log.source_duration_s, "final_text": log.final_text}
     records.append(summary | extra)
     lines = [json.dumps(record, ensure_ascii=False) for record in records]
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8) all at once.
-
-    The text goes to a temporary file in the same directory, which is then
-    renamed over ``path``; a write that fails midway leaves any earlier file
-    intact and removes its temporary file.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 _JSON_KINDS = {int: (int,), float: (int, float), str: (str,)}

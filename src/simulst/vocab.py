@@ -2,7 +2,8 @@
 
 Pieces that begin with ``BOUNDARY_MARKER`` ("▁") start a new word; all other
 pieces continue the previous word, SentencePiece-style. Token ids 0..2 are
-reserved for ``<s>``, ``</s>`` and ``<unk>``.
+reserved for ``<s>``, ``</s>`` and ``<unk>``, which write no text;
+``piece_text`` is the one rule for the text a piece writes.
 """
 
 from __future__ import annotations
@@ -62,16 +63,13 @@ class Vocabulary:
         return sum(1 for t in token_ids if self.is_word_start(t))
 
     def detokenize(self, token_ids: Iterable[int]) -> str:
-        """Join pieces into text, turning boundary markers into spaces.
+        """The ``piece_text`` of each token joined and stripped; an unknown id is an error."""
+        return "".join(piece_text(self.piece(t)) for t in token_ids).strip()
 
-        Special tokens contribute nothing; an unknown id is an error.
-        """
-        parts = []
-        for t in token_ids:
-            if self.is_special(t):
-                continue
-            parts.append(self.piece(t))
-        return "".join(parts).replace(BOUNDARY_MARKER, " ").strip()
+
+def piece_text(piece: str) -> str:
+    """The text a piece writes: nothing for a special, else the piece with each marker a space."""
+    return "" if piece in _SPECIALS else piece.replace(BOUNDARY_MARKER, " ")
 
 
 def build_default_vocabulary() -> Vocabulary:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,20 @@ class TestFeatureMatrix:
         assert feats.duration_s == pytest.approx(0.6)
 
 
+def write_half_then_fail(monkeypatch):
+    """From here on, ``Path.write_bytes`` and ``Path.write_text`` write half their data, then raise."""
+
+    def half(path, data, encoding=None, **_):
+        if isinstance(data, str):
+            data = data.encode(encoding or "utf-8")
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", half)
+    monkeypatch.setattr(Path, "write_text", half)
+
+
 class TestCmvn:
     def test_hand_oracle_3x2(self):
         feats = FeatureMatrix(frames=np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 8.0]], dtype=np.float32))
@@ -191,6 +206,16 @@ class TestCmvn:
         assert np.array_equal(loaded.mean, stats.mean)
         assert np.array_equal(loaded.var, stats.var)
 
+    def test_failed_write_keeps_earlier_stats(self, tmp_path, monkeypatch):
+        path = tmp_path / "cmvn.json"
+        save_cmvn_stats(path, CmvnStats(mean=np.zeros(2), var=np.ones(2)))
+        before = path.read_bytes()
+        write_half_then_fail(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_cmvn_stats(path, CmvnStats(mean=np.full(2, 7.0), var=np.full(2, 3.0)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cmvn.json"]
+
     @pytest.mark.parametrize("payload", ['[0.0, 1.0]', '{"mean": [0.0]}'])
     def test_load_rejects_payload_without_both_keys(self, tmp_path, payload):
         path = tmp_path / "cmvn.json"
@@ -217,6 +242,16 @@ class TestFeatureFiles:
         assert loaded.frames.dtype == np.float32
         for name, value in metadata.items():
             assert getattr(loaded, name) == value, name
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "utt.sgfb"
+        write_features(path, FeatureMatrix(frames=np.zeros((2, 2), dtype=np.float32)))
+        before = path.read_bytes()
+        write_half_then_fail(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            write_features(path, FeatureMatrix(frames=np.ones((40, 80), dtype=np.float32)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["utt.sgfb"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sgfb"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from simulst import (
     Emission,
     EmissionLog,
+    Vocabulary,
     average_lagging,
     bleu,
     corpus_bleu,
@@ -51,6 +52,51 @@ class TestWordDelays:
     def test_marker_only_piece_yields_no_word(self):
         ideal, _ = word_delays(make_log([("▁", 0.5, 0.5)]))
         assert ideal == []
+
+
+def vocab_log(vocab, tokens, delays, duration):
+    """The log of ``tokens`` committed at ``delays`` (ideal and wall alike), as a session writes it."""
+    events = tuple(
+        Emission(token=t, text=vocab.piece(t), ideal_s=d, wall_s=d) for t, d in zip(tokens, delays)
+    )
+    return EmissionLog(events=events, source_duration_s=duration, final_text=vocab.detokenize(tokens))
+
+
+@st.composite
+def vocab_logs(draw):
+    """A log over a random vocabulary whose pieces may hold inner markers or whitespace."""
+    piece = st.text(st.sampled_from("ab▁ \t\n\u3000\u2028"), min_size=1, max_size=4)
+    vocab = Vocabulary(draw(st.lists(piece, unique=True, max_size=8)))
+    tokens = draw(st.lists(st.integers(0, vocab.size - 1), max_size=12))
+    delays = sorted(draw(st.lists(st.floats(0.0, 5.0), min_size=len(tokens), max_size=len(tokens))))
+    return vocab_log(vocab, tokens, delays, duration=5.0)
+
+
+class TestFinalTextWords:
+    """AL/LAAL count the words of ``final_text``, whatever pieces wrote them."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(log=vocab_logs())
+    def test_one_delay_per_word_of_final_text(self, log):
+        ideal, wall = word_delays(log)
+        assert len(ideal) == len(wall) == len(log.final_text.split())
+
+    def test_special_tokens_write_no_word(self):
+        vocab = Vocabulary(["▁a", "▁b"])
+        tokens = [vocab.unk_id, vocab.piece_id("▁a"), vocab.piece_id("▁b")]
+        log = vocab_log(vocab, tokens, [1.0, 2.0, 3.0], duration=3.0)
+        assert log.final_text == "a b"
+        assert word_delays(log) == ([2.0, 3.0], [2.0, 3.0])
+        # two words at 2 and 3 s, oracle rate 1.5 s per word: ((2 - 0) + (3 - 1.5)) / 2
+        report = latency_report(log, "a b")
+        assert report.al_s == pytest.approx(1.75)
+        assert report.laal_s == pytest.approx(1.75)
+
+    def test_inner_marker_ends_a_word(self):
+        vocab = Vocabulary(["▁a▁", "b"])
+        log = vocab_log(vocab, [vocab.piece_id("▁a▁"), vocab.piece_id("b")], [1.0, 2.0], duration=3.0)
+        assert log.final_text == "a b"
+        assert word_delays(log) == ([1.0, 2.0], [1.0, 2.0])
 
 
 class TestLaggingWorkedExamples:
@@ -147,19 +193,24 @@ class TestLatencyReport:
         )
         assert report.al_ca_s >= report.al_s
         assert report.laal_ca_s >= report.laal_s
-        assert report.delays_s == (0.5, 1.0, 2.0)
-        assert report.tau == 3
+        assert word_delays(log) == ([0.5, 1.0, 2.0], [0.7, 1.3, 2.4])
+        # tau = 3: every word counts, at the oracle rate 2/3 s per word
+        assert report.al_s == pytest.approx((0.5 + (1.0 - 2 / 3) + (2.0 - 4 / 3)) / 3)
 
     def test_tau_counts_first_delay_reaching_duration(self):
         log = make_log(
             [("▁a", 1.0, 1.0), ("▁b", 2.0, 2.0), ("▁c", 2.0, 2.0)], duration=2.0
         )
-        assert latency_report(log, "x y z").tau == 2
+        report = latency_report(log, "x y z")
+        # tau = 2: the third word, also at 2 s, is cut off
+        assert report.al_s == pytest.approx(((1.0 - 0) + (2.0 - 2 / 3)) / 2)
+        assert report.laal_s == pytest.approx(report.al_s)
 
     def test_empty_log_gives_nan(self):
-        report = latency_report(make_log([]), "x y")
-        assert math.isnan(report.al_s) and math.isnan(report.laal_ca_s)
-        assert report.tau == 0
+        log = make_log([])
+        report = latency_report(log, "x y")
+        assert word_delays(log) == ([], [])
+        assert all(math.isnan(v) for v in (report.al_s, report.laal_s, report.al_ca_s, report.laal_ca_s))
 
     def test_empty_reference_clamped_to_one_word(self):
         log = make_log([("▁a", 1.0, 1.0)], duration=2.0)

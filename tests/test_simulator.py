@@ -16,9 +16,11 @@ from simulst import (
     FeatureMatrix,
     LocalAgreementPolicy,
     ModelAdapter,
+    PolicyDecision,
     RealClock,
     SessionError,
     SimulatedClock,
+    StopReason,
     StreamCursor,
     ToyModel,
     ToyModelConfig,
@@ -887,6 +889,58 @@ class TestSessionFailures:
     def test_without_a_fault_the_session_commits_every_token(self):
         ids, source, adapter, policy = _faulty_setup("none", KeyError("boom"))
         assert run_session(source, adapter, policy, chunk_ms=400.0).tokens == tuple(ids)
+
+    @pytest.mark.parametrize(
+        "decision, detail",
+        [
+            (PolicyDecision(-1, StopReason.EXHAUSTED), r"ValueError\('policy committed -1 of 1 candidates'\)"),
+            (None, r"AttributeError\(\"'NoneType' object has no attribute 'commit_count'\"\)"),
+            (PolicyDecision(1.0, StopReason.EXHAUSTED), r"TypeError\(\"'float' object cannot be interpreted as an integer\"\)"),
+        ],
+        ids=["negative", "none", "float"],
+    )
+    def test_decision_outside_the_contract_fails_the_session(self, decision, detail):
+        vocab, ids, adapter, source = scripted_setup("early")
+
+        class Faulty(AlignAttPolicy):
+            def decide(self, ctx):
+                return decision if len(ctx.committed) == 2 else super().decide(ctx)
+
+        with pytest.raises(SessionError, match=rf"^policy failed at 1\.200s: {detail}$") as info:
+            run_session(source, adapter, Faulty(f=2), chunk_ms=400.0)
+        assert info.value.partial_log.tokens == tuple(ids[:2])
+
+    @staticmethod
+    def counting(adapter, third):
+        """``adapter`` counting one source word per 400 ms chunk, and ``third`` on the third chunk."""
+
+        class Counting(_Forwarding):
+            def count_source_words(self, feats):
+                return third if len(feats) == 120 else len(feats) // 40
+
+        return Counting(adapter)
+
+    @pytest.mark.parametrize(
+        "words, detail",
+        [
+            (None, "'NoneType' object cannot be interpreted as an integer"),
+            ("3", "'str' object cannot be interpreted as an integer"),
+            (-1, "counted -1 source words; counts are integers >= 0"),
+        ],
+        ids=["none", "str", "negative"],
+    )
+    def test_word_count_outside_the_contract_fails_the_session(self, words, detail):
+        vocab, ids, adapter, source = scripted_setup("early")
+        with pytest.raises(SessionError) as info:
+            run_session(source, self.counting(adapter, words), WaitKPolicy(k=1), chunk_ms=400.0)
+        assert str(info.value) == f"adapter failed counting words at 1.200s: {detail}"
+        # wait-1 allowed one word by 0.8 s, when two source words were counted
+        assert info.value.partial_log.tokens == tuple(ids[:1])
+
+    def test_numpy_word_counts_are_integers(self):
+        vocab, ids, adapter, source = scripted_setup("early")
+        counted = run_session(source, self.counting(adapter, np.int64(3)), WaitKPolicy(k=1), chunk_ms=400.0)
+        assert counted == run_session(source, self.counting(adapter, 3), WaitKPolicy(k=1), chunk_ms=400.0)
 
     @staticmethod
     def third_token_session(third: int, make_policy):
