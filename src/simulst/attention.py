@@ -1,4 +1,4 @@
-"""Attention softmax, validation, head aggregation and argmax alignment.
+"""Attention softmax, head aggregation and argmax alignment.
 
 All functions here are pure and operate on plain numpy arrays:
 
@@ -17,12 +17,9 @@ import numpy as np
 
 __all__ = [
     "softmax",
-    "validate_attention_matrix",
     "aggregate_attention",
     "compute_alignment",
 ]
-
-ROW_SUM_TOL = 1e-5
 
 
 def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -34,27 +31,6 @@ def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     exp = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     return np.divide(exp, np.add.reduce(exp, axis=-1, keepdims=True), out=out)
-
-
-def validate_attention_matrix(weights: np.ndarray) -> np.ndarray:
-    """Check that ``weights`` is a valid row-stochastic attention matrix.
-
-    Entries must lie in [0, 1] and every row must sum to 1 within
-    ``ROW_SUM_TOL``. Returns the input as a float array.
-    """
-    a = np.asarray(weights, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"attention matrix must be 2-D, got shape {a.shape}")
-    m, n = a.shape
-    if m >= 1 and n == 0:
-        raise ValueError("attention matrix with target rows needs at least one source column")
-    if a.size:
-        if a.min() < -ROW_SUM_TOL or a.max() > 1.0 + ROW_SUM_TOL:
-            raise ValueError("attention weights must lie in [0, 1]")
-        worst = np.abs(a.sum(axis=1) - 1.0).max()
-        if worst > ROW_SUM_TOL:
-            raise ValueError(f"attention rows must sum to 1 (worst deviation {worst:.2e})")
-    return a
 
 
 def aggregate_attention(tensor: np.ndarray, layer: int) -> np.ndarray:

@@ -47,8 +47,8 @@ _BOUNDARY_LABEL = 1
 # Toy-decoder output shaping. Untrained random weights fixed-point into
 # repetition under greedy decoding, so the logits carry a penalty on the two
 # preceding tokens and an end-of-sequence drive that grows with the
-# output/source length ratio. Both are part of the model definition and
-# apply identically in full and incremental passes.
+# output/source length ratio. Both are part of the model definition; one
+# method, ``ToyModel._set_logits``, applies them after every decoder row.
 _REPEAT_PENALTY = 12.0
 _REPEAT_WINDOW = 2
 _EOS_SLOPE = 0.75
@@ -286,65 +286,19 @@ class ToyModel:
         """Split (s, d) into per-head (H, s, head_dim) views."""
         return x.reshape(x.shape[0], self.num_heads, self._head_dim).transpose(1, 0, 2)
 
-    def _attend_heads(self, q: np.ndarray, keys_t: np.ndarray, values: np.ndarray, mask=None):
+    def _attend_heads(
+        self, q: np.ndarray, keys_t: np.ndarray, values: np.ndarray, mask=None, weights=None
+    ) -> np.ndarray:
         """Attention of q (m, d) over head-split keys (H, hd, s) and values (H, s, hd).
 
-        Returns (out (m, d), weights (H, m, s)).
+        Returns the (m, d) output; the (H, m, s) softmax weights are written
+        to ``weights`` if given.
         """
         scores = self._heads(q) @ keys_t / self._scale
         if mask is not None:
             scores = scores + mask
-        weights = softmax(scores)
-        out = (weights @ values).transpose(1, 0, 2).reshape(q.shape[0], _D_MODEL)
-        return out, weights
-
-    def _attend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool):
-        """Multi-head attention; q is (m, d), k/v are (s, d). Returns (out, weights(H, m, s))."""
-        mask = _causal_mask(q.shape[0], k.shape[0]) if causal else None
-        return self._attend_heads(q, self._heads(k).transpose(0, 2, 1), self._heads(v), mask)
-
-    def _logits(self, x: np.ndarray, prev_ids, positions, n_frames: int) -> np.ndarray:
-        """Next-token logits per query row.
-
-        ``prev_ids[i]`` holds the (up to) _REPEAT_WINDOW token ids preceding
-        row i's prediction; ``positions[i]`` is its 0-based output position.
-        """
-        logits = _rms_norm(x) @ self._embed.T + self._logit_mask
-        eos_offset = _EOS_LENGTH_RATIO * n_frames
-        # Scalar updates: a single decode row makes array indexing cost more
-        # than the arithmetic. A repeated id is penalised once.
-        for row, (recent, position) in enumerate(zip(prev_ids, positions)):
-            for token in set(recent):
-                logits[row, token] -= _REPEAT_PENALTY
-            logits[row, self.vocab.eos_id] += _EOS_SLOPE * (position - eos_offset)
-        return logits
-
-    @staticmethod
-    def _recent_window(ids: Sequence[int], end: int) -> tuple[int, ...]:
-        """The last _REPEAT_WINDOW ids of ids[:end], bos included."""
-        return tuple(ids[max(0, end - _REPEAT_WINDOW): end])
-
-    def _forward(self, ids: Sequence[int], enc: np.ndarray):
-        """Full teacher-forced pass. Returns (logits (m, V), cross (L, H, m, n)).
-
-        Not used for decoding: it is the reference that tests hold the
-        incremental pass of ``decode_greedy`` to.
-        """
-        x = self._embed[np.asarray(ids, dtype=np.int64)] + self._pos(len(ids))
-        cross_layers = []
-        for layer in self._layers:
-            y = _rms_norm(x)
-            attn, _ = self._attend(y @ layer["sq"], y @ layer["sk"], y @ layer["sv"], causal=True)
-            x = x + attn @ layer["so"]
-            y = _rms_norm(x)
-            attn, weights = self._attend(y @ layer["cq"], enc @ layer["ck"], enc @ layer["cv"], causal=False)
-            cross_layers.append(weights)
-            x = x + _CROSS_GAIN * (attn @ layer["co"])
-            y = _rms_norm(x)
-            x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
-        recent = [self._recent_window(ids, i + 1) for i in range(len(ids))]
-        logits = self._logits(x, recent, np.arange(len(ids)), enc.shape[0])
-        return logits, np.stack(cross_layers)
+        weights = softmax(scores, out=weights)
+        return (weights @ values).transpose(1, 0, 2).reshape(q.shape[0], _D_MODEL)
 
     def decode_greedy(
         self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW
@@ -384,7 +338,7 @@ class ToyModel:
 
         Their self-attention keys/values are appended to the cache, their
         cross-attention rows are captured, and the next-token logits of the
-        last one replace ``decode.logits``. The math is that of ``_forward``.
+        last one replace ``decode.logits``.
         """
         start = decode.length
         end = start + len(new_ids)
@@ -397,25 +351,25 @@ class ToyModel:
             keys[start:end] = y @ layer["sk"]
             values[start:end] = y @ layer["sv"]
             keys_t = self._heads(keys[:end]).transpose(0, 2, 1)
-            attn, _ = self._attend_heads(y @ layer["sq"], keys_t, self._heads(values[:end]), mask)
+            attn = self._attend_heads(y @ layer["sq"], keys_t, self._heads(values[:end]), mask)
             x = x + attn @ layer["so"]
             y = _rms_norm(x)
-            attn, weights = self._attend_heads(y @ layer["cq"], *decode.cross[li])
-            decode._attention[li, :, start:end] = weights
+            cross = decode._attention[li, :, start:end]
+            attn = self._attend_heads(y @ layer["cq"], *decode.cross[li], weights=cross)
             x = x + _CROSS_GAIN * (attn @ layer["co"])
             y = _rms_norm(x)
             x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
         decode.length = end
         decode.recent = (decode.recent + tuple(new_ids))[-_REPEAT_WINDOW:]
-        decode.logits = self._logits(x[-1:], [decode.recent], [end - 1], decode.n)[0]
+        self._set_logits(decode, x[-1])
 
     def _step(self, decode: _ToyDecode, token: int) -> None:
         """``_advance(decode, [token])`` for one generated row, in fewer NumPy calls.
 
         Every IEEE-754 operation is the one ``_advance`` performs, so tokens,
         attention and logits are bit-identical; only the dispatch differs: the
-        row is a 1-D vector, q|k|v come from one matmul, the RMS-norm
-        denominator is a Python float and the logit updates are scalar.
+        row is a 1-D vector, q|k|v come from one matmul and the RMS-norm
+        denominator is a Python float.
         """
         start = decode.length
         end = start + 1
@@ -441,11 +395,21 @@ class ToyModel:
             y = _rms_norm_row(x)
             x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
         decode.length = end
-        decode.recent = recent = (decode.recent + (token,))[-_REPEAT_WINDOW:]
+        decode.recent = (decode.recent + (token,))[-_REPEAT_WINDOW:]
+        self._set_logits(decode, x)
+
+    def _set_logits(self, decode: _ToyDecode, x: np.ndarray) -> None:
+        """Set ``decode.logits`` from ``x`` (d,), the decoder output of its last row.
+
+        A repeated id is penalised once, and the end-of-sequence drive grows
+        with that row's 0-based position. The updates are scalar: on one row
+        array indexing costs more than the arithmetic.
+        """
         logits = _rms_norm_row(x) @ self._embed.T + self._logit_mask
-        for prev in set(recent):
+        for prev in set(decode.recent):
             logits[prev] -= _REPEAT_PENALTY
-        logits[self.vocab.eos_id] += _EOS_SLOPE * (start - _EOS_LENGTH_RATIO * decode.n)
+        position = decode.length - 1
+        logits[self.vocab.eos_id] += _EOS_SLOPE * (position - _EOS_LENGTH_RATIO * decode.n)
         decode.logits = logits
 
     # ------------------------------------------------------------------ CTC head

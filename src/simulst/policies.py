@@ -83,7 +83,8 @@ class StepContext:
     ``eos_reached`` tells whether the decode ended at end-of-sequence,
     ``vocab`` is the adapter's vocabulary, and ``decode`` is the step's
     ``Decode`` of ``committed + candidates``, paused where the stop rule
-    fired (a ``FinishedDecode`` replay for a ``decode_greedy``-only adapter).
+    fired (a ``FinishedDecode`` replay for a ``decode_greedy``-only adapter),
+    seen through the simulator's view: its ``advance()`` is an adapter call.
     """
 
     candidates: tuple[int, ...]

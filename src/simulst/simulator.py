@@ -9,7 +9,8 @@ a time through ``advance()``: the adapter's ``start_decode``, or its
 ``decode_greedy`` result replayed by ``FinishedDecode``. Before every other
 decode the policy may supply a stop rule; tokens are pulled until it fires or
 the decode ends, and the paused decode goes to the policy with the step's
-context, so it can read further. Each pulled decode must extend the
+context, so it can read further; those reads are adapter calls, checked as
+the simulator's pulls are. Each pulled decode must extend the
 committed tokens, carry (layers, heads, tokens, encoder states) attention,
 and keep returning None once ended; a word count must be an integer >= 0, and a commit count
 an integer in [0, candidates]. An exception from the adapter or the policy, or either breaking
@@ -198,6 +199,43 @@ def _pull(decode: Decode, vocab: Vocabulary) -> tuple[int, np.ndarray] | None:
     return pulled
 
 
+class _AdapterFault(Exception):
+    """An adapter fault met inside a policy call; ``run_session`` reports its cause as the adapter's."""
+
+
+class _PolicyView:
+    """The decode as ``StepContext.decode`` hands it to a policy.
+
+    A policy may read a paused decode past where the simulator stopped
+    pulling it, as local agreement reads the previous hypothesis. Those
+    reads are adapter calls: ``advance()`` is ``_pull``, and what it raises
+    comes out as ``_AdapterFault``. The simulator's own pulls go to the
+    decode itself, so they pay nothing for this.
+    """
+
+    def __init__(self, decode: Decode, vocab: Vocabulary):
+        self._decode = decode
+        self._vocab = vocab
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        return self._decode.tokens
+
+    @property
+    def attention(self) -> np.ndarray:
+        return self._decode.attention
+
+    @property
+    def eos_reached(self) -> bool:
+        return self._decode.eos_reached
+
+    def advance(self) -> tuple[int, np.ndarray] | None:
+        try:
+            return _pull(self._decode, self._vocab)
+        except Exception as exc:
+            raise _AdapterFault from exc
+
+
 def _count_words(adapter: ModelAdapter, prefix: np.ndarray) -> int:
     """``adapter.count_source_words(prefix)``, which must be an integer >= 0."""
     words = operator.index(adapter.count_source_words(prefix))
@@ -305,6 +343,8 @@ def run_session(
         try:
             return thunk()
         except Exception as exc:
+            if isinstance(exc, _AdapterFault):  # a policy's read of a paused decode
+                failure, exc = "adapter failed", exc.__cause__
             # a policy fault is named by its repr: its type says where the bug is
             detail = repr(exc) if failure == "policy failed" else str(exc)
             raise SessionError(f"{failure} at {ideal_s:.3f}s: {detail}", partial()) from exc
@@ -356,7 +396,7 @@ def run_session(
             committed=tuple(committed),
             eos_reached=decode.eos_reached,
             vocab=vocab,
-            decode=decode,
+            decode=_PolicyView(decode, vocab),
         )
         count = call("policy failed", lambda: _decide(policy, context))
         commit(candidates[:count], ideal_s)

@@ -1,11 +1,13 @@
-"""Test fixtures that the library does not run: scripted and planted adapters, WAV writing.
+"""Test fixtures and references that the library does not run.
 
 ``ScriptedAdapter`` replays hand-written hypotheses and alignments keyed by
 encoder length. ``PlantedAdapter`` decodes each utterance's reference as its
 planted source states arrive, so the attention policies' commits have closed
-forms. ``write_wav`` makes audio for the front end to read, and
-``mel_center_frequencies`` places the Mel filters from the public scale
-conversions alone.
+forms. ``teacher_forced`` is ToyModel's full-pass decoder, the reference for
+its incremental decode, and ``validate_attention_matrix`` checks that
+attention rows are distributions. ``write_wav`` makes audio for the front end
+to read, and ``mel_center_frequencies`` places the Mel filters from the
+public scale conversions alone.
 """
 
 from __future__ import annotations
@@ -21,13 +23,28 @@ from simulst import (
     NUM_MEL_BINS,
     FeatureMatrix,
     ManifestEntry,
+    ToyModel,
     Vocabulary,
     hz_to_mel,
     longest_common_prefix,
     mel_to_hz,
     write_features,
 )
-from simulst.model import _FRAMES_PER_STATE, DEFAULT_MAX_NEW, DecodeResult, EncoderStates
+from simulst.model import (
+    _CROSS_GAIN,
+    _EOS_LENGTH_RATIO,
+    _EOS_SLOPE,
+    _FRAMES_PER_STATE,
+    _REPEAT_PENALTY,
+    _REPEAT_WINDOW,
+    DEFAULT_MAX_NEW,
+    DecodeResult,
+    EncoderStates,
+    _causal_mask,
+    _rms_norm,
+)
+
+ROW_SUM_TOL = 1e-5
 
 
 def _encode(raw_features: np.ndarray, fill: float = 0.0) -> EncoderStates:
@@ -228,6 +245,58 @@ class PlantedAdapter:
     def count_source_words(self, raw_features: np.ndarray) -> int:
         enc = self.encode(raw_features)
         return sum(1 for b in self._utterance(enc).boundaries if b < enc.n)
+
+
+def teacher_forced(model: ToyModel, ids: Sequence[int], enc: np.ndarray):
+    """``model``'s full teacher-forced pass over ``ids``, bos first, attending to encoder states ``enc``.
+
+    Returns (logits (m, V), cross-attention (L, H, m, n)); logits row i
+    predicts the token after ``ids[i]``. The program decodes incrementally
+    instead; this is the reference the tests hold that decode to.
+    """
+    m, n = len(ids), enc.shape[0]
+    x = model._embed[np.asarray(ids, dtype=np.int64)] + model._pos(m)
+    mask = _causal_mask(m, m)
+    cross = np.empty((model.num_decoder_layers, model.num_heads, m, n))
+    for layer, weights in zip(model._layers, cross):
+        y = _rms_norm(x)
+        keys_t = model._heads(y @ layer["sk"]).transpose(0, 2, 1)
+        attn = model._attend_heads(y @ layer["sq"], keys_t, model._heads(y @ layer["sv"]), mask)
+        x = x + attn @ layer["so"]
+        y = _rms_norm(x)
+        keys_t = model._heads(enc @ layer["ck"]).transpose(0, 2, 1)
+        attn = model._attend_heads(y @ layer["cq"], keys_t, model._heads(enc @ layer["cv"]), weights=weights)
+        x = x + _CROSS_GAIN * (attn @ layer["co"])
+        y = _rms_norm(x)
+        x = x + (np.tanh(y @ layer["f1"] + layer["bf1"]) @ layer["f2"] + layer["bf2"])
+    logits = _rms_norm(x) @ model._embed.T + model._logit_mask
+    for i in range(m):
+        # the ids of the repeat window ending at row i, bos included; a repeat is penalised once
+        for token in set(ids[max(0, i + 1 - _REPEAT_WINDOW) : i + 1]):
+            logits[i, token] -= _REPEAT_PENALTY
+        logits[i, model.vocab.eos_id] += _EOS_SLOPE * (i - _EOS_LENGTH_RATIO * n)
+    return logits, cross
+
+
+def validate_attention_matrix(weights: np.ndarray) -> np.ndarray:
+    """Check that ``weights`` is a valid row-stochastic attention matrix.
+
+    Entries must lie in [0, 1] and every row must sum to 1 within
+    ``ROW_SUM_TOL``. Returns the input as a float array.
+    """
+    a = np.asarray(weights, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"attention matrix must be 2-D, got shape {a.shape}")
+    m, n = a.shape
+    if m >= 1 and n == 0:
+        raise ValueError("attention matrix with target rows needs at least one source column")
+    if a.size:
+        if a.min() < -ROW_SUM_TOL or a.max() > 1.0 + ROW_SUM_TOL:
+            raise ValueError("attention weights must lie in [0, 1]")
+        worst = np.abs(a.sum(axis=1) - 1.0).max()
+        if worst > ROW_SUM_TOL:
+            raise ValueError(f"attention rows must sum to 1 (worst deviation {worst:.2e})")
+    return a
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:

@@ -30,12 +30,10 @@ LIBRARY_MODULES = (
 )
 
 # Every name the root exported before the module lists were its only source,
-# keyed by the module that defines it, less the four that only tests used
+# keyed by the module that defines it, less the five that only tests used
 # (``MOVED_TO_TESTS``). No other may go.
 PINNED = {
-    "attention": [
-        "aggregate_attention", "compute_alignment", "softmax", "validate_attention_matrix",
-    ],
+    "attention": ["aggregate_attention", "compute_alignment", "softmax"],
     "config": ["ConfigError", "SessionConfig"],
     "features": [
         "FRAME_SHIFT_MS", "FRAME_WINDOW_MS", "LOG_FLOOR", "NUM_MEL_BINS", "SUPPORTED_RATES",
@@ -66,15 +64,9 @@ PINNED = {
 }
 
 # Public names that no library path ran; they live in ``tests/support.py``.
-MOVED_TO_TESTS = ("ScriptStep", "ScriptedAdapter", "mel_center_frequencies", "write_wav")
-
-# Public names that ``src/`` may leave unused, with the reason.
-UNUSED_IN_SRC = {
-    "validate_attention_matrix": (
-        "the adapter contract's attention check, which the simulator does not run yet "
-        "(ROADMAP item 4 gives it a caller or moves it)"
-    ),
-}
+MOVED_TO_TESTS = (
+    "ScriptStep", "ScriptedAdapter", "mel_center_frequencies", "validate_attention_matrix", "write_wav",
+)
 
 
 def _module(name: str):
@@ -82,9 +74,9 @@ def _module(name: str):
 
 
 class TestPinnedNames:
-    def test_seventy_five_names(self):
+    def test_seventy_four_names(self):
         names = [name for names in PINNED.values() for name in names]
-        assert len(names) == len(set(names)) == 75
+        assert len(names) == len(set(names)) == 74
 
     def test_test_only_names_left_the_library(self):
         for name in MOVED_TO_TESTS:
@@ -127,6 +119,13 @@ class TestDeclaredOnce:
                 assert getattr(simulst, name) is getattr(_module(module), name)
 
 
+def _src_trees() -> list[ast.Module]:
+    return [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(simulst.__file__).parent.glob("*.py"))
+    ]
+
+
 class TestUsedInLibrary:
     """A public name must serve the library: a name that only tests use belongs in ``tests/support.py``."""
 
@@ -134,8 +133,8 @@ class TestUsedInLibrary:
     def uses() -> set[str]:
         """Names read anywhere in ``src/simulst``: loaded names and attributes, not definitions."""
         used = set()
-        for path in Path(simulst.__file__).parent.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for tree in _src_trees():
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
@@ -143,5 +142,25 @@ class TestUsedInLibrary:
         return used
 
     def test_every_public_name_is_used_in_src(self):
-        unused = set(simulst.__all__) - self.uses()
-        assert unused == set(UNUSED_IN_SRC)
+        assert set(simulst.__all__) - self.uses() == set()
+
+
+class TestPrivateNamesRead:
+    """A private function, method or module constant must be read in ``src/simulst``, not only by tests."""
+
+    @staticmethod
+    def defined() -> set[str]:
+        """Private (single-underscore) functions, methods and module constants of ``src/simulst``."""
+        names = set()
+        for tree in _src_trees():
+            for node in tree.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(node.name)
+        return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+    def test_every_private_definition_is_read_in_src(self):
+        assert self.defined() - TestUsedInLibrary.uses() == set()

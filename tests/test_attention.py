@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simulst import (
-    aggregate_attention,
-    compute_alignment,
-    softmax,
-    validate_attention_matrix,
-)
-from simulst.attention import ROW_SUM_TOL
+from simulst import aggregate_attention, compute_alignment, softmax
 
 from conftest import random_attention
+from support import ROW_SUM_TOL, validate_attention_matrix
 
 
 class TestSoftmax:

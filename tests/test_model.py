@@ -20,14 +20,13 @@ from simulst import (
     aggregate_attention,
     build_default_vocabulary,
     count_words_in_labels,
-    validate_attention_matrix,
 )
 
 from simulst import model as model_module
 from simulst.model import Decode, FinishedDecode
 
 from conftest import make_source
-from support import ScriptStep, ScriptedAdapter
+from support import ScriptStep, ScriptedAdapter, teacher_forced, validate_attention_matrix
 
 
 class TestEncoder:
@@ -157,7 +156,7 @@ class TestDecode:
         # incremental loop picked there, including the final end-of-sequence
         enc = toy_model.encode(golden_source)
         ids = [toy_model.vocab.bos_id, *golden_decode.tokens]
-        logits, _ = toy_model._forward(ids, enc.states)
+        logits, _ = teacher_forced(toy_model, ids, enc.states)
         for i, token in enumerate(golden_decode.tokens):
             assert int(np.argmax(logits[i])) == token
         assert int(np.argmax(logits[len(golden_decode.tokens)])) == toy_model.vocab.eos_id
@@ -190,7 +189,7 @@ def reference_decode(model, enc, prefix, max_new):
     """Greedy decoding that re-runs the full teacher-forced pass for every token."""
     ids = [model.vocab.bos_id, *prefix]
     for _ in range(max_new):
-        logits, _ = model._forward(ids, enc.states)
+        logits, _ = teacher_forced(model, ids, enc.states)
         next_id = int(np.argmax(logits[-1]))
         if next_id == model.vocab.eos_id:
             return tuple(ids[1:]), True
@@ -220,7 +219,7 @@ def advance_decode(model, enc, prefix, max_new):
 
 
 class TestIncrementalFastPath:
-    """The incremental pass captures the attention that ``_forward`` computes."""
+    """The incremental pass captures the attention that ``teacher_forced`` computes."""
 
     # (rng seed, frames, share of the free decode forced, max_new)
     CASES = [
@@ -278,7 +277,7 @@ class TestIncrementalFastPath:
     def test_attention_matches_teacher_forced_pass(self, toy_model, decodes):
         for enc, prefix, max_new, result in decodes:
             m = len(result.tokens)
-            _, cross = toy_model._forward([toy_model.vocab.bos_id, *result.tokens], enc.states)
+            _, cross = teacher_forced(toy_model, [toy_model.vocab.bos_id, *result.tokens], enc.states)
             assert result.attention.shape == (2, 4, m, enc.n)
             assert np.allclose(result.attention, cross[:, :, :m], rtol=0.0, atol=1e-12)
             assert np.array_equal(result.attention.argmax(axis=-1), cross[:, :, :m].argmax(axis=-1))

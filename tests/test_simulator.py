@@ -442,11 +442,13 @@ def _without_rule(policy):
 
 
 def _recording(policy, seen):
-    """``policy`` appending, at each ``decide``, its decode's type and whether it holds the hypothesis."""
+    """``policy`` appending, at each ``decide``, the type of the decode its view reads and whether
+    it holds the hypothesis."""
     decide = policy.decide
 
     def recorded(ctx):
-        seen.append((type(ctx.decode), ctx.decode.tokens == ctx.committed + ctx.candidates))
+        assert type(ctx.decode) is simulator._PolicyView
+        seen.append((type(ctx.decode._decode), ctx.decode.tokens == ctx.committed + ctx.candidates))
         return decide(ctx)
 
     policy.decide = recorded
@@ -980,6 +982,43 @@ class TestSessionFailures:
         for third in (Vocabulary.unk_id, Vocabulary.bos_id):
             log = self.third_token_session(third, make_policy)
             assert log.tokens == (3, 4, third, 5) and log.final_text == "aa bb cc"
+
+    @staticmethod
+    def stale_read_session(stale):
+        """The "late" scripted session under local agreement, whose second decode calls ``stale()`` for
+        ``advance()`` once the third has started: the rules and decisions of the third step read it so."""
+        vocab, ids, adapter, source = scripted_setup("late")
+
+        class Stale(_Pulls):
+            def start_decode(self, enc, forced_prefix, max_new=128):
+                decode = super().start_decode(enc, forced_prefix, max_new)
+                if len(self.calls) == 2:
+                    advance = decode.advance
+                    decode.advance = lambda: stale() if len(self.calls) > 2 else advance()
+                return decode
+
+        with pytest.raises(SessionError) as info:
+            run_session(source, Stale(adapter), LocalAgreementPolicy(), chunk_ms=400.0)
+        # local agreement committed aa at 0.8 s from the first two hypotheses
+        assert info.value.partial_log.tokens == tuple(ids[:1])
+        return info.value
+
+    def test_policys_later_read_of_a_decode_is_an_adapter_call(self):
+        def lost():
+            raise error
+
+        error = RuntimeError("device lost")
+        failed = self.stale_read_session(lost)
+        assert str(failed) == "adapter failed at 1.200s: device lost"
+        assert failed.__cause__ is error
+
+    def test_token_outside_the_vocabulary_in_a_later_read_is_an_adapter_error(self):
+        failed = self.stale_read_session(lambda: (999, np.full((1, 1, 20), 0.05)))
+        assert str(failed) == (
+            "adapter failed at 1.200s: decode returned token id 999; "
+            "tokens are ids in [0, 7) other than end-of-sequence (1)"
+        )
+        assert isinstance(failed.__cause__, ValueError)
 
 
 class _DecodeView(_FourMembers):
