@@ -105,6 +105,12 @@ class ModelAdapter(Protocol):
     ``decode_greedy``'s result; several may be live, each advancing on its
     own. Any other adapter is bridged by ``FinishedDecode``, so every adapter
     gets stop rules.
+
+    An adapter may also declare the class attribute ``forkable = True``
+    (optional, false when absent): a forked copy of it runs sessions exactly
+    as the original does, so ``run_eval`` may run a run's sessions in forked
+    worker processes. An adapter that holds OS resources (a subprocess, a
+    socket) or records into its process's memory must not declare it.
     """
 
     num_decoder_layers: int
@@ -201,6 +207,8 @@ class ToyModelConfig:
 
 class ToyModel:
     """Fixed-seed encoder-decoder exercising the full adapter contract."""
+
+    forkable = True
 
     def __init__(self, config: ToyModelConfig = ToyModelConfig(), vocab: Optional[Vocabulary] = None):
         self.config = config

@@ -141,6 +141,10 @@ class SessionError(RuntimeError):
         super().__init__(message)
         self.partial_log = partial_log
 
+    def __reduce__(self):
+        # Exceptions pickle as ``cls(*args)``; keep the log, so a session run in a worker reports it.
+        return type(self), (str(self), self.partial_log)
+
 
 class StreamCursor:
     """Delivers a FeatureMatrix as a growing prefix, one chunk per read."""

@@ -1,10 +1,14 @@
 """Batch evaluation over manifests: aggregation, failures, sweeps, CSV."""
 
 import dataclasses
+import gc
 import json
 import math
+import multiprocessing
 import os
 import struct
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,8 @@ from simulst import (
     SessionConfig,
     StopReason,
     ToyModel,
+    ToyModelConfig,
+    build_default_vocabulary,
     load_manifest,
     read_emission_log,
     read_features,
@@ -244,6 +250,8 @@ class TestRunEval:
             return policy
 
         monkeypatch.setattr(SessionConfig, "make_policy", make_policy)
+        # ``made`` counts policies in this process; a forked worker would count its own.
+        monkeypatch.setattr(ToyModel, "forkable", False)
         evaluation = run_eval(small_suite[:2], ALIGNATT4)
         assert [r.failed for r in evaluation.results] == [False, True]
         assert "policy failed" in evaluation.results[1].error
@@ -298,6 +306,8 @@ class TestDecoderWork:
         steps = []
         step = ToyModel._step
         monkeypatch.setattr(ToyModel, "_step", lambda self, *args: steps.append(1) or step(self, *args))
+        # ``steps`` counts calls in this process; a forked worker would count its own.
+        monkeypatch.setattr(ToyModel, "forkable", False)
         evaluation = run_eval(entries, config)
         assert all(result.error is None for result in evaluation.results)
         assert len(steps) == self.STEPS[config.policy]
@@ -346,6 +356,153 @@ class TestDecoderWork:
             assert evaluation.results[0].error is None
             counts[seconds] = tuple(work)
         assert counts == self.WORK[config.policy]
+
+
+class _SerialToy(ToyModel):
+    forkable = False
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestWorkerPool:
+    """Sessions run in forked workers give exactly the serial outputs and leave no process behind."""
+
+    CONFIGS = TestDecoderWork.CONFIGS
+
+    @pytest.fixture(scope="class")
+    def suite(self, tmp_path_factory):
+        manifest = build_suite(tmp_path_factory.mktemp("pool"), num_utterances=5, min_frames=80, max_frames=240)
+        return load_manifest(manifest)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Start methods of the pools ``run_eval`` starts."""
+        started = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method=None: started.append(method) or get_context(method)
+        )
+        return started
+
+    def _serial(self, monkeypatch, call):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                runner,
+                "make_adapter",
+                lambda config: _SerialToy(ToyModelConfig(seed=config.seed), build_default_vocabulary()),
+            )
+            return call()
+
+    def _pooled(self, monkeypatch, cpus, call):
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_available_cpus", lambda: cpus)
+            return call()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.policy)
+    def test_run_eval_tree_equals_serial(self, suite, tmp_path, monkeypatch, pools, config, cpus):
+        serial = self._serial(monkeypatch, lambda: run_eval(suite, config, out_dir=tmp_path / "serial"))
+        assert pools == []
+        pooled = self._pooled(monkeypatch, cpus, lambda: run_eval(suite, config, out_dir=tmp_path / "pooled"))
+        assert pools == ["fork"]
+        assert pooled == serial
+        assert _files(tmp_path / "pooled") == _files(tmp_path / "serial")
+        assert len(_files(tmp_path / "serial")) == len(suite) + 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_sweep_tree_and_curve_equal_serial(self, suite, tmp_path, monkeypatch, pools, cpus):
+        base = SessionConfig(policy="waitk", k=3, chunk_ms=250.0, step_cost_s=0.05)
+
+        def run(out_dir):
+            rows, evaluations = sweep(suite, base, [2, 4, 6], out_dir=out_dir)
+            write_curve_csv(out_dir / "curve.csv", rows)
+            return evaluations
+
+        serial = self._serial(monkeypatch, lambda: run(tmp_path / "serial"))
+        pooled = self._pooled(monkeypatch, cpus, lambda: run(tmp_path / "pooled"))
+        assert pools == ["fork"] * 3
+        assert pooled == serial
+        assert _files(tmp_path / "pooled") == _files(tmp_path / "serial")
+        assert "curve.csv" in _files(tmp_path / "serial")
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_word_count_failure_fails_only_its_utterance(self, small_suite, monkeypatch, pools, cpus):
+        doomed = read_features(small_suite[1].source).frames[0]
+
+        class WordCountFails(ToyModel):
+            def count_source_words(self, raw_features):
+                if np.array_equal(raw_features[0], doomed):
+                    raise KeyError("no scripted step")
+                return super().count_source_words(raw_features)
+
+        config = SessionConfig(policy="waitk", k=2, chunk_ms=500.0)
+        monkeypatch.setattr(runner, "make_adapter", lambda config: WordCountFails())
+        pooled = self._pooled(monkeypatch, cpus, lambda: run_eval(small_suite, config))
+        assert pools == ["fork"]
+        monkeypatch.setattr(WordCountFails, "forkable", False)
+        serial = run_eval(small_suite, config)
+        assert [r.failed for r in pooled.results] == [False, True, False]
+        assert "counting words" in pooled.results[1].error
+        assert pooled == serial
+
+    def test_no_process_or_warning_left_after_return(self, small_suite, tmp_path, monkeypatch, pools):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._pooled(monkeypatch, 2, lambda: run_eval(small_suite, ALIGNATT4, out_dir=tmp_path))
+            gc.collect()
+        assert pools == ["fork"]
+        assert multiprocessing.active_children() == []
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_no_process_or_warning_left_after_a_worker_raises(self, small_suite, tmp_path, monkeypatch, pools):
+        load = runner.load_source_features
+
+        def load_or_raise(path):
+            if Path(path).name == small_suite[1].source.name:
+                raise RuntimeError("worker fault")
+            return load(path)
+
+        monkeypatch.setattr(runner, "load_source_features", load_or_raise)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="worker fault"):
+                self._pooled(monkeypatch, 2, lambda: run_eval(small_suite, ALIGNATT4, out_dir=tmp_path))
+            gc.collect()
+        assert pools == ["fork"]
+        assert multiprocessing.active_children() == []
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert not (tmp_path / ALIGNATT4.run_id).exists()
+
+    def test_worker_death_raises_instead_of_waiting(self, small_suite, tmp_path, monkeypatch, pools):
+        load = runner.load_source_features
+
+        def load_or_exit(path):
+            if Path(path).name == small_suite[1].source.name:
+                os._exit(3)
+            return load(path)
+
+        monkeypatch.setattr(runner, "load_source_features", load_or_exit)
+        with pytest.raises(BrokenProcessPool):
+            self._pooled(monkeypatch, 2, lambda: run_eval(small_suite, ALIGNATT4, out_dir=tmp_path))
+        assert pools == ["fork"]
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / ALIGNATT4.run_id).exists()
+
+    def test_available_cpus_is_the_affinity_set_else_the_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert runner._available_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert runner._available_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert runner._available_cpus() == 1
+
+    def test_one_utterance_or_one_cpu_runs_in_this_process(self, small_suite, monkeypatch, pools):
+        self._pooled(monkeypatch, 4, lambda: run_eval(small_suite[:1], ALIGNATT4))
+        self._pooled(monkeypatch, 1, lambda: run_eval(small_suite, ALIGNATT4))
+        assert pools == []
 
 
 class TestSweep:

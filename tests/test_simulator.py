@@ -1,5 +1,6 @@
 """Streaming session driver: clocks, chunked delivery, commit timing, JSONL."""
 
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -873,6 +874,18 @@ class TestSessionFailures:
         assert partial.tokens == tuple(ids[:2])
         assert [e.ideal_s for e in partial.events] == [0.4, 0.8]
         assert partial.final_text == "aa bb"
+
+    def test_pickle_round_trip_keeps_message_and_partial_log(self):
+        # A session run in a worker process comes back to the runner pickled.
+        ids, source, adapter, policy = _faulty_setup("decide", KeyError("boom"))
+        with pytest.raises(SessionError) as info:
+            run_session(source, adapter, policy, chunk_ms=400.0)
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is SessionError
+        assert str(copy) == str(info.value) == "policy failed at 1.200s: KeyError('boom')"
+        assert copy.partial_log == info.value.partial_log
+        assert copy.partial_log.tokens == tuple(ids[:2])
+        assert pickle.loads(pickle.dumps(SessionError("m", None))).partial_log is None
 
     def test_missing_adapter_member_is_an_adapter_error(self):
         vocab, ids, adapter, source = scripted_setup("early")
