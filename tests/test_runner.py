@@ -6,7 +6,13 @@ import json
 import math
 import multiprocessing
 import os
+import select
+import signal
 import struct
+import subprocess
+import sys
+import threading
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -366,6 +372,48 @@ def _files(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+# Runs a 3-utterance manifest on 2 workers; each worker writes its pid to the
+# pipe fd argv[1] when it starts, and the first utterance's load never returns,
+# so one worker stays busy while the other goes idle waiting for a task.
+_POOLED_PARENT = """
+import os, sys, time, types
+from simulst import SessionConfig, load_manifest, runner
+
+report, entries = int(sys.argv[1]), load_manifest(sys.argv[2])
+if sys.argv[3] != "linux":  # take the portable path on Linux too
+    runner.sys = types.SimpleNamespace(platform=sys.argv[3])
+start, load = runner._start_worker, runner.load_source_features
+
+def start_and_report(*args):
+    start(*args)
+    os.write(report, b"%d\\n" % os.getpid())
+
+def load_or_stall(path):
+    if path == entries[0].source:
+        time.sleep(600)
+    return load(path)
+
+runner._start_worker, runner.load_source_features = start_and_report, load_or_stall
+runner._available_cpus = lambda: 2
+runner.run_eval(entries, SessionConfig(policy="alignatt", f=4))
+"""
+
+
+def _read_pipe(fd: int, timeout_s: float, enough=lambda data: False) -> tuple[bytes, bool]:
+    """What the pipe gives until ``enough`` holds, end-of-file or the timeout; and whether it ended."""
+    data = b""
+    deadline = time.monotonic() + timeout_s
+    while not enough(data):
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            return data, False
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            return data, True
+        data += chunk
+    return data, False
+
+
 class TestWorkerPool:
     """Sessions run in forked workers give exactly the serial outputs and leave no process behind."""
 
@@ -489,6 +537,58 @@ class TestWorkerPool:
         assert pools == ["fork"]
         assert multiprocessing.active_children() == []
         assert not (tmp_path / ALIGNATT4.run_id).exists()
+
+    def test_real_clock_runs_in_this_process(self, small_suite, monkeypatch, pools):
+        real = dataclasses.replace(ALIGNATT4, clock="real")
+        evaluation = self._pooled(monkeypatch, 2, lambda: run_eval(small_suite, real))
+        assert pools == []
+        assert evaluation.num_failed == 0
+
+    def test_other_threads_keep_the_run_in_this_process(self, small_suite, monkeypatch, pools):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            self._pooled(monkeypatch, 2, lambda: run_eval(small_suite, ALIGNATT4))
+        finally:
+            release.set()
+            other.join()
+        assert pools == []
+        self._pooled(monkeypatch, 2, lambda: run_eval(small_suite, ALIGNATT4))
+        assert pools == ["fork"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs fork")
+    @pytest.mark.parametrize("platform", ["linux", "darwin"])
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path, platform):
+        if platform == "linux" and sys.platform != "linux":
+            pytest.skip("PR_SET_PDEATHSIG is Linux's")
+        manifest = build_suite(tmp_path, num_utterances=3, min_frames=80, max_frames=160)
+        src = str(Path(runner.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        read_end, write_end = os.pipe()
+        try:
+            parent = subprocess.Popen(
+                [sys.executable, "-c", _POOLED_PARENT, str(write_end), str(manifest), platform],
+                pass_fds=(write_end,), env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            os.close(write_end)
+            try:
+                reported, _ = _read_pipe(read_end, 60, lambda data: data.count(b"\n") == 2)
+                workers = [int(pid) for pid in reported.split()]
+                assert len(workers) == 2
+                parent.send_signal(signal.SIGTERM)
+                assert parent.wait(10) == -signal.SIGTERM
+                # The workers hold the pipe's write end: it ends when the last of them is gone.
+                _, ended = _read_pipe(read_end, 10)
+                if not ended:
+                    for pid in workers:
+                        os.kill(pid, signal.SIGKILL)
+                assert ended
+            finally:
+                parent.kill()
+                parent.wait()
+        finally:
+            os.close(read_end)
 
     def test_available_cpus_is_the_affinity_set_else_the_cpu_count(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
