@@ -153,13 +153,9 @@ class SessionConfig:
         unknown = set(data) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "policy" not in data:
+        if data.get("policy") is None:
             raise ConfigError("config requires a 'policy' key")
-        kwargs = {known[key]: value for key, value in data.items() if value is not None}
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**{known[key]: value for key, value in data.items() if value is not None})
 
     @property
     def run_id(self) -> str:

@@ -110,7 +110,8 @@ class ModelAdapter(Protocol):
     (optional, false when absent): a forked copy of it runs sessions exactly
     as the original does, so ``run_eval`` may run a run's sessions in forked
     worker processes. An adapter that holds OS resources (a subprocess, a
-    socket) or records into its process's memory must not declare it.
+    socket) or records into its process's memory must not declare it. The
+    pool runs on Linux only, so elsewhere the attribute changes nothing.
     """
 
     num_decoder_layers: int

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .model import Decode
-from .vocab import Vocabulary
+from .vocab import Vocabulary, WordTally
 
 __all__ = [
     "StopReason",
@@ -266,8 +266,9 @@ class WaitKPolicy(Policy):
 
     The word budget comes from the detected source word count; a candidate
     word is committed only when complete, i.e. followed in the candidate
-    stream by the next word's start or by end-of-sequence. Leading
-    continuation pieces extend the last committed word and cost no budget.
+    stream by whitespace or by end-of-sequence. Words are those of the text
+    the tokens write, so a leading continuation extends the last committed
+    word and costs no budget.
     """
 
     name = "waitk"
@@ -279,28 +280,31 @@ class WaitKPolicy(Policy):
         self.k = k
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
-        allowed = waitk_allowed(self.k, ctx.source_words, ctx.vocab.count_words(ctx.committed))
-        # Cut i commits the leading continuation plus i complete words: each
-        # word start ends the word before it, and EOS ends the last one.
-        cuts = [i for i, t in enumerate(ctx.candidates) if ctx.vocab.is_word_start(t)]
-        if ctx.eos_reached:
-            cuts.append(len(ctx.candidates))
-        commit = cuts[min(allowed, len(cuts) - 1)] if cuts else 0
+        tally = WordTally(ctx.vocab, ctx.committed)
+        budget = tally.words + waitk_allowed(self.k, ctx.source_words, tally.words)
+        # The last cut within the budget: a cut before token i commits the
+        # tokens before it when no word goes on across it.
+        commit = 0
+        for i, token in enumerate(ctx.candidates):
+            if not tally.add(token):
+                commit = i
+            if tally.words > budget:
+                break
+        else:
+            if ctx.eos_reached or not tally.open:
+                commit = len(ctx.candidates)
         if commit < len(ctx.candidates):
             return PolicyDecision(commit, StopReason.SCHEDULE)
         return PolicyDecision(commit, StopReason.EXHAUSTED)
 
     def stop_rule(self, committed, source_words, vocab, layer):
-        allowed = waitk_allowed(self.k, source_words, vocab.count_words(committed))
-        starts = 0
+        tally = WordTally(vocab, committed)
+        budget = tally.words + waitk_allowed(self.k, source_words, tally.words)
 
         def stop(token: int, row: np.ndarray) -> bool:
-            # the word start at cuts[allowed], the commit point ``decide`` picks
-            nonlocal starts
-            if not vocab.is_word_start(token):
-                return False
-            starts += 1
-            return starts > allowed
+            # the token that goes over the budget, where ``decide`` stops reading
+            tally.add(token)
+            return tally.words > budget
 
         return stop
 

@@ -2,16 +2,16 @@
 
 Each utterance runs as an independent session with its own clock. One
 adapter, immutable by the ``ModelAdapter`` contract, is built per run and
-shared by every session. When the adapter is ``forkable``, more than one CPU
-is available, the clock is simulated and this process runs no other thread,
-the sessions run in a pool of forked worker processes, one per available CPU
-(at most one per utterance); otherwise they run one after another in this
-process, so a real clock times each session's compute on its own. Either way
-the outcomes come back in manifest order and this process scores them and
-writes every file, so the output bytes do not depend on the worker count.
-Per-utterance
-failures (unreadable source file, adapter fault) are recorded and skipped;
-corpus BLEU pools n-gram counts over the successful sessions and latency is
+shared by every session. On Linux, when the adapter is ``forkable``, more
+than one CPU is in this process's affinity set, the clock is simulated and
+this process runs no other thread, the sessions run in a pool of forked
+worker processes, one per available CPU (at most one per utterance);
+otherwise they run one after another in this process, so a real clock times
+each session's compute on its own. Either way the outcomes come back in
+manifest order and this process scores them and writes every file, so the
+output bytes do not depend on the worker count. Per-utterance failures
+(unreadable source file, adapter fault) are recorded and skipped; corpus
+BLEU pools n-gram counts over the successful sessions and latency is
 macro-averaged over them (sessions with empty output contribute no latency).
 """
 
@@ -23,7 +23,6 @@ import os
 import signal
 import sys
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,47 +166,30 @@ def _run_one(
 
 
 def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    """CPUs this process may run on: its affinity set."""
+    return len(os.sched_getaffinity(0))
 
 
 # The config and adapter of the run whose sessions this worker process runs.
 _worker_run: tuple[SessionConfig, ModelAdapter] | None = None
 
-
-def _start_worker(config: SessionConfig, adapter: ModelAdapter, parent_pid: int) -> None:
-    global _worker_run
-    _exit_with_parent(parent_pid)
-    _worker_run = (config, adapter)
-
-
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-def _exit_with_parent(parent_pid: int) -> None:
-    """End this worker as soon as the process that forked it dies, however it dies.
+def _start_worker(config: SessionConfig, adapter: ModelAdapter, parent_pid: int) -> None:
+    """Keep the run for this worker, which ends as soon as the process that forked it dies.
 
     An idle worker waits on a queue whose write end it holds itself, so it
-    would never see end-of-file: without this, a run killed by SIGTERM or
-    SIGKILL would leave its workers waiting forever.
+    would never see end-of-file: without the death signal, a run killed by
+    SIGTERM or SIGKILL would leave its workers waiting forever.
     """
-    if sys.platform == "linux":
-        import ctypes
+    global _worker_run
+    import ctypes
 
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent_pid:  # the parent died before the request
-            os._exit(1)
-    else:
-        threading.Thread(target=_watch_parent, args=(parent_pid,), daemon=True).start()
-
-
-def _watch_parent(parent_pid: int) -> None:
-    while os.getppid() == parent_pid:
-        time.sleep(0.5)
-    os._exit(1)
+    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent_pid:  # the parent died before the request
+        os._exit(1)
+    _worker_run = (config, adapter)
 
 
 def _run_in_worker(entry: ManifestEntry) -> EmissionLog | SessionError:
@@ -223,15 +205,15 @@ def _run_all(
     and each runs a session's NumPy calls exactly as this process would. A
     worker that dies mid-session (killed, out of memory) raises
     ``BrokenProcessPool`` here instead of leaving the run waiting for it.
-    Sessions run serially under a real clock, whose step times would grow
-    with the sessions sharing cores, and when this process runs other
-    threads, since a fork copies only the calling one.
+    Sessions run serially on platforms other than Linux, where a forked
+    child may crash; under a real clock, whose step times would grow with
+    the sessions sharing cores; and when this process runs other threads,
+    since a fork copies only the calling one.
     """
-    workers = min(_available_cpus(), len(entries))
+    workers = min(_available_cpus(), len(entries)) if sys.platform == "linux" else 1
     if (
         workers < 2
         or not getattr(adapter, "forkable", False)
-        or not hasattr(os, "fork")
         or config.clock == "real"
         or threading.active_count() > 1
     ):

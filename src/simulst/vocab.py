@@ -1,9 +1,9 @@
 """Subword vocabulary with an explicit word-boundary convention.
 
-Pieces that begin with ``BOUNDARY_MARKER`` ("▁") start a new word; all other
-pieces continue the previous word, SentencePiece-style. Token ids 0..2 are
-reserved for ``<s>``, ``</s>`` and ``<unk>``, which write no text;
-``piece_text`` is the one rule for the text a piece writes.
+Each ``BOUNDARY_MARKER`` ("▁") in a piece writes a space, SentencePiece-style.
+Token ids 0..2 are reserved for ``<s>``, ``</s>`` and ``<unk>``, which write
+no text; ``piece_text`` is the one rule for the text a piece writes, and
+words are that text split on whitespace.
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ class Vocabulary:
         except KeyError:
             raise ValueError(f"unknown piece {piece!r}") from None
 
-    def is_special(self, token_id: int) -> bool:
-        return 0 <= token_id < len(_SPECIALS)
-
-    def is_word_start(self, token_id: int) -> bool:
-        return not self.is_special(token_id) and self.piece(token_id).startswith(BOUNDARY_MARKER)
-
-    def count_words(self, token_ids: Iterable[int]) -> int:
-        """Number of words started by the given token sequence."""
-        return sum(1 for t in token_ids if self.is_word_start(t))
-
     def detokenize(self, token_ids: Iterable[int]) -> str:
         """The ``piece_text`` of each token joined and stripped; an unknown id is an error."""
         return "".join(piece_text(self.piece(t)) for t in token_ids).strip()
@@ -70,6 +60,31 @@ class Vocabulary:
 def piece_text(piece: str) -> str:
     """The text a piece writes: nothing for a special, else the piece with each marker a space."""
     return "" if piece in _SPECIALS else piece.replace(BOUNDARY_MARKER, " ")
+
+
+class WordTally:
+    """Words of the text a token stream writes, counted token by token.
+
+    The stream starts inside a word, so text before its first whitespace
+    starts none, as a continuation after committed tokens extends their
+    last word (``final_text`` does count it as a word).
+    """
+
+    def __init__(self, vocab: Vocabulary, tokens: Iterable[int] = ()):
+        self.vocab = vocab
+        self.words = 0
+        self.open = True  # the last word may go on
+        for token in tokens:
+            self.add(token)
+
+    def add(self, token_id: int) -> bool:
+        """Count the token's text; return whether it goes on with the open word."""
+        text = piece_text(self.vocab.piece(token_id))
+        joins = self.open and not text[:1].isspace()
+        self.words += len(text.split()) - (joins and text != "")
+        if text:
+            self.open = not text[-1].isspace()
+        return joins
 
 
 def build_default_vocabulary() -> Vocabulary:

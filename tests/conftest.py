@@ -17,6 +17,8 @@ from simulst import (
     build_default_vocabulary,
     write_features,
 )
+from simulst.policies import waitk_allowed
+from simulst.vocab import piece_text
 
 
 @pytest.fixture(scope="session")
@@ -62,38 +64,30 @@ def alignatt_bruteforce(alignment, n_frames: int, f: int, num_candidates: int) -
     return commit
 
 
-def waitk_walk(candidates, allowed: int, eos_reached: bool, vocab: Vocabulary):
-    """Segment-walk form of the wait-k commit rule, used as an oracle.
+def waitk_bruteforce(committed, candidates, k: int, source_words: int, eos_reached: bool, vocab: Vocabulary):
+    """Brute-force form of the wait-k commit rule, used as an oracle.
 
-    Split the candidates into words and commit complete words in order while
-    the budget of ``allowed`` words lasts. A leading continuation extends the
-    last committed word and costs no budget; the last word is complete only
-    at end-of-sequence. Returns (commit count, stop reason).
+    Words are the text the tokens write split on whitespace, with the output
+    taken to start inside a word, so a leading continuation starts none.
+    Commit the longest candidate prefix that adds at most the allowed words
+    and ends no word early: whitespace comes right before or after it, or it
+    is every candidate at end-of-sequence. Returns (commit count, stop reason).
     """
-    if not candidates:
-        return 0, StopReason.EXHAUSTED
 
-    # segment candidates into words; segment 0 may be a continuation of
-    # the previously committed word and consumes no word budget
-    starts = [i for i, t in enumerate(candidates) if vocab.is_word_start(t)]
-    boundaries = ([0] if not starts or starts[0] != 0 else []) + starts
-    segments = [
-        candidates[b:e]
-        for b, e in zip(boundaries, boundaries[1:] + [len(candidates)])
-    ]
-    glue = 0 if (starts and starts[0] == 0) else 1  # segments costing no budget
+    def text(tokens) -> str:
+        return "".join(piece_text(vocab.piece(t)) for t in tokens)
 
-    commit = 0
-    words_taken = 0
-    for idx, seg in enumerate(segments):
-        complete = idx < len(segments) - 1 or eos_reached
-        if not complete:
-            break
-        if idx >= glue:
-            if words_taken >= allowed:
-                break
-            words_taken += 1
-        commit += len(seg)
+    def words(tokens) -> int:
+        return len(("x" + text(tokens)).split()) - 1
+
+    allowed = waitk_allowed(k, source_words, words(committed))
+
+    def fits(c: int) -> bool:
+        head, rest = "x" + text([*committed, *candidates[:c]]), text(candidates[c:])
+        ends = head[-1].isspace() or (rest[0].isspace() if rest else eos_reached)
+        return ends and words([*committed, *candidates[:c]]) - words(committed) <= allowed
+
+    commit = max((c for c in range(len(candidates) + 1) if fits(c)), default=0)
     if commit < len(candidates):
         return commit, StopReason.SCHEDULE
     return commit, StopReason.EXHAUSTED

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from simulst import (
+    BOUNDARY_MARKER,
     AlignAttPolicy,
     FeatureMatrix,
     SessionConfig,
@@ -167,8 +168,9 @@ def test_04_lagging_oracles_and_ordering():
 def test_05_waitk_schedule_law():
     rng = np.random.default_rng(105)
     vocab = build_default_vocabulary()
-    starts = [t for t in range(vocab.size) if vocab.is_word_start(t) and not vocab.is_special(t)]
-    pieces = [t for t in range(vocab.size) if not vocab.is_word_start(t) and not vocab.is_special(t)]
+    ordinary = range(vocab.unk_id + 1, vocab.size)
+    starts = [t for t in ordinary if vocab.piece(t).startswith(BOUNDARY_MARKER)]
+    pieces = [t for t in ordinary if not vocab.piece(t).startswith(BOUNDARY_MARKER)]
     violations = 0
     checked = 0
     for trial in range(30):
@@ -198,7 +200,7 @@ def test_05_waitk_schedule_law():
             for s in range(num_steps - 1):  # flush step exempt by design
                 instant = 0.4 * (s + 1) + 1e-9
                 committed = [e.token for e in log.events if e.ideal_s <= instant]
-                emitted = vocab.count_words(committed)
+                emitted = len(vocab.detokenize(committed).split())
                 budget = max(0, int(detected[s]) - k + 1)
                 checked += 1
                 violations += emitted > budget

@@ -163,6 +163,35 @@ class TestRun:
         assert err.startswith(f"error: config file {config_path} is not valid JSON (Expecting property name")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ('{"policy": null, "f": 2}', "error: config requires a 'policy' key\n"),
+            ('[{"policy": "alignatt", "f": 2}]', "error: config file must hold a JSON object\n"),
+        ],
+        ids=["null_policy", "array"],
+    )
+    def test_config_file_without_a_policy_object_is_usage_error(self, suite_dir, tmp_path, capsys, content, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content, encoding="utf-8")
+        code = run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out",
+            "--config", config_path,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    def test_config_path_that_is_a_directory_is_usage_error(self, suite_dir, tmp_path, capsys):
+        code = run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path / "out",
+            "--config", tmp_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read config file: ") and str(tmp_path) in err
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         manifest = tmp_path / "latin1.jsonl"
         manifest.write_bytes(b'{"id": "u1", "source": "a.sgfb", "reference": "caf\xe9"}\n')

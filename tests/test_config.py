@@ -93,6 +93,12 @@ class TestJson:
         with pytest.raises(ConfigError, match="requires a 'policy' key"):
             SessionConfig.from_dict({"f": 2})
 
+    @pytest.mark.parametrize("data", [{"policy": None}, {"policy": None, "f": 2}])
+    def test_null_policy_is_a_missing_policy(self, data):
+        with pytest.raises(ConfigError) as caught:
+            SessionConfig.from_dict(data)
+        assert str(caught.value) == "config requires a 'policy' key"
+
     def test_null_values_mean_unset(self):
         config = SessionConfig.from_dict({"policy": "alignatt", "f": 2, "alpha": None})
         assert config.alpha is None

@@ -283,6 +283,14 @@ class TestFeatureFiles:
         with pytest.raises(FeatureFileError, match="expected .* bytes"):
             read_features(path)
 
+    def test_non_finite_frames_name_the_file(self, tmp_path):
+        path = tmp_path / "nan.sgfb"
+        write_features(path, FeatureMatrix(frames=np.zeros((2, 2), dtype=np.float32)))
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).astype("<f4").tobytes())
+        with pytest.raises(FeatureFileError) as caught:
+            read_features(path)
+        assert str(caught.value) == f"{path}: feature matrix contains non-finite values"
+
 
 class TestWav:
     def test_round_trip(self, tmp_path):

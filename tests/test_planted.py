@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from simulst import FRAME_SHIFT_MS, SessionConfig, read_emission_log, run_eval, runner
+from simulst import BOUNDARY_MARKER, FRAME_SHIFT_MS, SessionConfig, read_emission_log, run_eval, runner
 
 from support import PLANTED_VOCAB, PLANTED_WORDS, Planted, PlantedAdapter, guess_id
 
@@ -73,6 +73,10 @@ def _evaluate(planted, tmp_path, monkeypatch, **config):
     return record, logs
 
 
+def _starts_word(token: int) -> bool:
+    return PLANTED_VOCAB.piece(token).startswith(BOUNDARY_MARKER)
+
+
 def _steps(planted: Planted, chunk_ms: float) -> list[tuple[int, float]]:
     """(encoder length, delivered seconds) of each step of a session."""
     chunk = max(1, round(chunk_ms / FRAME_SHIFT_MS))
@@ -98,7 +102,7 @@ def _waitk_commit_times(planted: Planted, chunk_ms: float, k: int) -> list[float
     steps = _steps(planted, chunk_ms)
     seen = np.maximum.accumulate(planted.frames)
     # -1 for a leading continuation piece, which belongs to no word
-    word = np.cumsum([PLANTED_VOCAB.is_word_start(t) for t in planted.tokens]) - 1
+    word = np.cumsum([_starts_word(t) for t in planted.tokens]) - 1
     times = []
     for reach, w in zip(seen, word):
         ready = (
@@ -232,7 +236,7 @@ class TestLagging:
             times = commit_times(p, chunk_ms)
             # a word's delay is the commit time of its last piece; no guess commits,
             # so the hypothesis has the reference's words and LAAL equals AL
-            starts = [i for i, t in enumerate(p.tokens) if i == 0 or PLANTED_VOCAB.is_word_start(t)]
+            starts = [i for i, t in enumerate(p.tokens) if i == 0 or _starts_word(t)]
             delays = [times[end - 1] for end in [*starts[1:], len(p.tokens)]]
             duration = p.num_frames * FRAME_SHIFT_MS / 1000.0
             assert len(delays) == len(p.reference.split())

@@ -29,7 +29,7 @@ from simulst import (
 
 from simulst.model import FinishedDecode
 
-from conftest import alignatt_bruteforce, random_attention, waitk_walk
+from conftest import alignatt_bruteforce, random_attention, waitk_bruteforce
 from support import ScriptStep, ScriptedAdapter
 
 
@@ -271,6 +271,8 @@ def _waitk_context(vocab: Vocabulary, committed, candidates, source_words, eos=F
 
 
 _WAITK_VOCAB = Vocabulary(["▁an", "▁be", "▁ce", "de", "fe"])
+# _WAITK_VOCAB's pieces, then pieces whose markers are not only at the front
+_SPACED_VOCAB = Vocabulary(["▁an", "▁be", "▁ce", "de", "fe", "▁", "g▁h", "▁i▁"])
 
 
 class TestWaitKPolicy:
@@ -319,21 +321,41 @@ class TestWaitKPolicy:
 
     @settings(max_examples=1000, deadline=None)
     @given(
-        # ids 2..7: <unk> (a continuation), three word starts, two continuations
-        candidates=st.lists(st.integers(2, 7), max_size=12),
-        committed=st.lists(st.integers(2, 7), max_size=8),
+        # ids 2..10: <unk> (writes nothing), three word starts, two continuations,
+        # a bare marker, a piece with an inner marker and one with a trailing marker
+        candidates=st.lists(st.integers(2, 10), max_size=12),
+        committed=st.lists(st.integers(2, 10), max_size=8),
         k=st.integers(1, 6),
         source_words=st.integers(0, 14),
         eos=st.booleans(),
     )
     def test_matches_segment_walk_oracle(self, candidates, committed, k, source_words, eos):
-        vocab = _WAITK_VOCAB
+        vocab = _SPACED_VOCAB
         ctx = _waitk_context(vocab, committed, candidates, source_words, eos=eos)
-        allowed = waitk_allowed(k, source_words, vocab.count_words(committed))
         decision = WaitKPolicy(k).decide(ctx)
-        assert (decision.commit_count, decision.stopped_by) == waitk_walk(
-            tuple(candidates), allowed, eos, vocab
+        assert (decision.commit_count, decision.stopped_by) == waitk_bruteforce(
+            committed, candidates, k, source_words, eos, vocab
         )
+
+    @pytest.mark.parametrize(
+        "pieces,committed,words,candidates,source_words,eos,commit",
+        [
+            # "a b": two words, one more allowed; " a b a b" goes over it at its second word
+            (["▁a▁", "b"], ["▁a▁", "b"], 2, ["▁a▁", "b", "▁a▁", "b"], 3, False, 1),
+            # " a  " is one word, one more allowed; " a" and a bare marker commit, the next " a" does not
+            (["▁", "▁a"], ["▁a", "▁", "▁"], 1, ["▁a", "▁", "▁a"], 2, True, 2),
+        ],
+        ids=["inner_and_trailing_marker", "bare_marker"],
+    )
+    def test_words_are_those_of_the_text(self, pieces, committed, words, candidates, source_words, eos, commit):
+        vocab = Vocabulary(pieces)
+        committed, candidates = [[vocab.piece_id(p) for p in ps] for ps in (committed, candidates)]
+        assert len(vocab.detokenize(committed).split()) == words
+        policy = WaitKPolicy(k=1)
+        decision = policy.decide(_waitk_context(vocab, committed, candidates, source_words, eos=eos))
+        assert (decision.commit_count, decision.stopped_by) == (commit, StopReason.SCHEDULE)
+        stop = policy.stop_rule(tuple(committed), source_words, vocab, 0)
+        assert [stop(t, None) for t in candidates[: commit + 1]] == [False] * commit + [True]
 
     def test_uses_word_counts_flag(self):
         assert WaitKPolicy(k=2).uses_word_counts

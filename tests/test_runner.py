@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -376,12 +377,10 @@ def _files(root: Path) -> dict[str, bytes]:
 # pipe fd argv[1] when it starts, and the first utterance's load never returns,
 # so one worker stays busy while the other goes idle waiting for a task.
 _POOLED_PARENT = """
-import os, sys, time, types
+import os, sys, time
 from simulst import SessionConfig, load_manifest, runner
 
 report, entries = int(sys.argv[1]), load_manifest(sys.argv[2])
-if sys.argv[3] != "linux":  # take the portable path on Linux too
-    runner.sys = types.SimpleNamespace(platform=sys.argv[3])
 start, load = runner._start_worker, runner.load_source_features
 
 def start_and_report(*args):
@@ -397,6 +396,14 @@ runner._start_worker, runner.load_source_features = start_and_report, load_or_st
 runner._available_cpus = lambda: 2
 runner.run_eval(entries, SessionConfig(policy="alignatt", f=4))
 """
+
+
+_LINUX_ONLY = pytest.mark.skipif(sys.platform != "linux", reason="the pool runs on Linux only")
+# The environment of a child Python that imports simulst from this source tree.
+_SRC_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join([str(Path(runner.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]),
+)
 
 
 def _read_pipe(fd: int, timeout_s: float, enough=lambda data: False) -> tuple[bytes, bool]:
@@ -557,19 +564,23 @@ class TestWorkerPool:
         self._pooled(monkeypatch, 2, lambda: run_eval(small_suite, ALIGNATT4))
         assert pools == ["fork"]
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs fork")
-    @pytest.mark.parametrize("platform", ["linux", "darwin"])
-    def test_workers_exit_when_the_parent_is_killed(self, tmp_path, platform):
-        if platform == "linux" and sys.platform != "linux":
-            pytest.skip("PR_SET_PDEATHSIG is Linux's")
+    def test_other_platforms_run_in_this_process(self, suite, monkeypatch, pools):
+        pooled = self._pooled(monkeypatch, 2, lambda: run_eval(suite, ALIGNATT4))
+        assert pools == ["fork"]
+        pools.clear()
+        monkeypatch.setattr(runner, "sys", types.SimpleNamespace(platform="darwin"))
+        elsewhere = self._pooled(monkeypatch, 2, lambda: run_eval(suite, ALIGNATT4))
+        assert pools == []
+        assert elsewhere == pooled
+
+    @_LINUX_ONLY
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
         manifest = build_suite(tmp_path, num_utterances=3, min_frames=80, max_frames=160)
-        src = str(Path(runner.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         read_end, write_end = os.pipe()
         try:
             parent = subprocess.Popen(
-                [sys.executable, "-c", _POOLED_PARENT, str(write_end), str(manifest), platform],
-                pass_fds=(write_end,), env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                [sys.executable, "-c", _POOLED_PARENT, str(write_end), str(manifest)],
+                pass_fds=(write_end,), env=_SRC_ENV, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
             os.close(write_end)
             try:
@@ -590,14 +601,18 @@ class TestWorkerPool:
         finally:
             os.close(read_end)
 
-    def test_available_cpus_is_the_affinity_set_else_the_cpu_count(self, monkeypatch):
-        if hasattr(os, "sched_getaffinity"):
-            assert runner._available_cpus() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert runner._available_cpus() == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert runner._available_cpus() == 1
+    @_LINUX_ONLY
+    def test_a_worker_whose_parent_is_gone_exits(self):
+        # the worker's own pid stands for a parent that died before the death signal was requested
+        started = subprocess.run(
+            [sys.executable, "-c", "import os; from simulst import runner; runner._start_worker(None, None, os.getpid())"],
+            env=_SRC_ENV, capture_output=True, timeout=60,
+        )
+        assert (started.returncode, started.stderr) == (1, b"")
+
+    @_LINUX_ONLY
+    def test_available_cpus_is_the_affinity_set(self):
+        assert runner._available_cpus() == len(os.sched_getaffinity(0))
 
     def test_one_utterance_or_one_cpu_runs_in_this_process(self, small_suite, monkeypatch, pools):
         self._pooled(monkeypatch, 4, lambda: run_eval(small_suite[:1], ALIGNATT4))

@@ -3,6 +3,7 @@
 import pytest
 
 from simulst import BOUNDARY_MARKER, Vocabulary, build_default_vocabulary
+from simulst.vocab import WordTally
 
 
 @pytest.fixture()
@@ -14,8 +15,6 @@ class TestVocabulary:
     def test_special_ids(self, vocab):
         assert vocab.bos_id == 0 and vocab.eos_id == 1 and vocab.unk_id == 2
         assert vocab.piece(0) == "<s>" and vocab.piece(1) == "</s>" and vocab.piece(2) == "<unk>"
-        assert all(vocab.is_special(t) for t in (0, 1, 2))
-        assert not vocab.is_special(3)
 
     def test_piece_round_trip(self, vocab):
         for piece in ("▁Ich", "te", "▁sprechen"):
@@ -33,9 +32,22 @@ class TestVocabulary:
 
     def test_word_starts_and_counts(self, vocab):
         ids = [vocab.piece_id(p) for p in ("▁Ich", "▁werde", "▁heu", "te")]
-        assert [vocab.is_word_start(t) for t in ids] == [True, True, True, False]
-        assert vocab.count_words(ids) == 3
-        assert not vocab.is_word_start(vocab.eos_id)
+        tally = WordTally(vocab)
+        # add() tells whether a token goes on with the open word
+        assert [tally.add(t) for t in ids] == [False, False, False, True]
+        assert tally.words == 3
+        assert tally.add(vocab.eos_id) and tally.words == 3
+        # a leading continuation starts no word
+        assert WordTally(vocab, ids[3:]).words == 0
+
+    @pytest.mark.parametrize(
+        "pieces,words,open_word",
+        [(["▁a▁", "b"], 2, True), (["▁a▁"], 1, False), (["▁"], 0, False), (["a▁b", "▁"], 1, False)],
+    )
+    def test_words_are_those_the_text_splits_into(self, pieces, words, open_word):
+        vocab = Vocabulary(sorted(set(pieces)))
+        tally = WordTally(vocab, [vocab.piece_id(p) for p in pieces])
+        assert (tally.words, tally.open) == (words, open_word)
 
     def test_detokenize_joins_pieces(self, vocab):
         ids = [vocab.piece_id(p) for p in ("▁Ich", "▁werde", "▁heu", "te")]
