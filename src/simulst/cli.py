@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import CONFIG_TYPES, SWEEP_FIELD, ConfigError, SessionConfig
+from .config import CONFIG_TYPES, SWEEP_FIELD, ConfigError, SessionConfig, sweep_number
 from .features import (
     global_cmvn,
     load_cmvn_stats,
@@ -64,13 +64,12 @@ def _build_config(args: argparse.Namespace, sweep_seed: float | None = None) -> 
         value = getattr(args, f"cfg_{key}")
         if value is not None:
             data[key] = value
-    if sweep_seed is not None:
+    policy = data.get("policy")
+    if sweep_seed is not None and isinstance(policy, str) and policy in SWEEP_FIELD:
         # a sweep sets the policy's knob from the grid, whatever a flag or the
-        # config file gave; with_sweep_value checks and types the value
-        field = SWEEP_FIELD.get(data.get("policy"))
-        if field is not None:
-            data[field] = CONFIG_TYPES[field](sweep_seed)
-            return SessionConfig.from_dict(data).with_sweep_value(sweep_seed)
+        # config file gave; a policy that is not a known name fails in from_dict
+        field = SWEEP_FIELD[policy]
+        data[field] = sweep_number(field, sweep_seed)
     return SessionConfig.from_dict(data)
 
 

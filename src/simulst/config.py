@@ -127,17 +127,9 @@ class SessionConfig:
         return LocalAgreementPolicy()
 
     def with_sweep_value(self, value) -> "SessionConfig":
-        """This config with the policy's sweep knob set to ``value``.
-
-        Raises ConfigError for a non-integral value of an integer knob.
-        """
+        """This config with the policy's sweep knob set to ``sweep_number(field, value)``."""
         field = SWEEP_FIELD[self.policy]
-        number = float(value)
-        if CONFIG_TYPES[field] is int:
-            if not number.is_integer():
-                raise ConfigError(f"{field} takes whole numbers, got {value}")
-            number = int(number)
-        return dataclasses.replace(self, **{field: number})
+        return dataclasses.replace(self, **{field: sweep_number(field, value)})
 
     # -------------------------------------------------------------- JSON
 
@@ -161,6 +153,20 @@ class SessionConfig:
     def run_id(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
+def sweep_number(field: str, value) -> int | float:
+    """``value`` as a number of the sweep knob ``field``'s type.
+
+    Raises ConfigError for a value of an integer knob that is not a whole
+    number, infinities and NaN included.
+    """
+    number = float(value)
+    if CONFIG_TYPES[field] is int:
+        if not number.is_integer():
+            raise ConfigError(f"{field} takes whole numbers, got {value}")
+        number = int(number)
+    return number
 
 
 def _value_type(hint) -> type:

@@ -1,7 +1,7 @@
 """Evaluation manifests: one JSON object per line describing an utterance.
 
 Each line carries an ``id``, a ``source`` audio or feature path, and a
-``reference`` translation; ``transcript`` is optional. An id names the
+``reference`` translation; other keys are ignored. An id names the
 utterance's log file, so it must be a plain file name. Relative source paths
 are resolved against the manifest's own directory. Whether a source file
 exists is checked when a run touches it, not at load time.
@@ -32,7 +32,6 @@ class ManifestEntry:
     id: str
     source: Path
     reference: str
-    transcript: str | None = None
 
 
 _REQUIRED = ("id", "source", "reference")
@@ -100,9 +99,6 @@ def load_manifest(path) -> list[ManifestEntry]:
                 raise ManifestError(
                     f"{manifest_path}:{lineno}: field {key!r} must be a non-empty string"
                 )
-        transcript = record.get("transcript")
-        if transcript is not None and not isinstance(transcript, str):
-            raise ManifestError(f"{manifest_path}:{lineno}: field 'transcript' must be a string")
         utt_id = record["id"]
         if Path(utt_id).name != utt_id or utt_id in (".", ".."):
             raise ManifestError(
@@ -116,12 +112,5 @@ def load_manifest(path) -> list[ManifestEntry]:
         source = Path(record["source"])
         if not source.is_absolute():
             source = base / source
-        entries.append(
-            ManifestEntry(
-                id=utt_id,
-                source=source,
-                reference=record["reference"],
-                transcript=transcript,
-            )
-        )
+        entries.append(ManifestEntry(id=utt_id, source=source, reference=record["reference"]))
     return entries

@@ -84,13 +84,9 @@ def average_lagging(delays_s, source_duration_s: float, ref_len: int) -> float:
     return _lagging(delays_s, source_duration_s, ref_len)
 
 
-def length_adaptive_average_lagging(
-    delays_s, source_duration_s: float, ref_len: int, hyp_len: int | None = None
-) -> float:
-    """LAAL in seconds: AL with max(hyp_len, ref_len) in the oracle rate."""
-    if hyp_len is None:
-        hyp_len = len(delays_s)
-    return _lagging(delays_s, source_duration_s, max(ref_len, hyp_len))
+def length_adaptive_average_lagging(delays_s, source_duration_s: float, ref_len: int) -> float:
+    """LAAL in seconds: AL with max(len(delays_s), ref_len) in the oracle rate."""
+    return _lagging(delays_s, source_duration_s, max(ref_len, len(delays_s)))
 
 
 @dataclass(frozen=True)
@@ -107,13 +103,12 @@ def latency_report(log: EmissionLog, reference: str) -> LatencyReport:
     """Latency metrics of one session against its reference translation."""
     ideal, wall = word_delays(log)
     ref_len = max(len(reference.split()), 1)
-    hyp_len = len(ideal)
     duration = log.source_duration_s
     return LatencyReport(
         al_s=average_lagging(ideal, duration, ref_len),
-        laal_s=length_adaptive_average_lagging(ideal, duration, ref_len, hyp_len),
+        laal_s=length_adaptive_average_lagging(ideal, duration, ref_len),
         al_ca_s=average_lagging(wall, duration, ref_len),
-        laal_ca_s=length_adaptive_average_lagging(wall, duration, ref_len, hyp_len),
+        laal_ca_s=length_adaptive_average_lagging(wall, duration, ref_len),
     )
 
 
@@ -166,9 +161,8 @@ def _ngram_counts(tokens: list[str], order: int) -> Counter:
     return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
 
 
-def _score(
-    matched: list[int], totals: list[int], ref_attested: list[bool], hyp_len: int, ref_len: int
-) -> QualityReport:
+def _score(matched: list[int], totals: list[int], ref_attested: list[bool], ref_len: int) -> QualityReport:
+    hyp_len = totals[0]  # the hypothesis unigrams are its tokens
     if hyp_len == 0:
         return QualityReport(
             bleu=0.0,
@@ -216,12 +210,10 @@ def corpus_bleu(hypotheses, references) -> QualityReport:
     matched = [0] * MAX_NGRAM_ORDER
     totals = [0] * MAX_NGRAM_ORDER
     ref_attested = [False] * MAX_NGRAM_ORDER
-    hyp_len = 0
     ref_len = 0
     for hyp_text, ref_text in zip(hyps, refs):
         hyp = tokenize_13a(hyp_text)
         ref = tokenize_13a(ref_text)
-        hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, MAX_NGRAM_ORDER + 1):
             if len(ref) >= n:
@@ -232,4 +224,4 @@ def corpus_bleu(hypotheses, references) -> QualityReport:
             matched[n - 1] += sum(
                 min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
             )
-    return _score(matched, totals, ref_attested, hyp_len, ref_len)
+    return _score(matched, totals, ref_attested, ref_len)

@@ -97,62 +97,49 @@ class StepContext:
     decode: Decode = field(compare=False, repr=False)
 
 
-def alignatt_decide(
-    alignment: Sequence[int] | np.ndarray,
-    n_frames: int,
-    f: int,
-    num_candidates: int,
-) -> PolicyDecision:
+def alignatt_decide(alignment: Sequence[int] | np.ndarray, n_frames: int, f: int) -> PolicyDecision:
     """Commit the longest candidate prefix that avoids the last ``f`` frames.
 
-    A candidate whose most-attended frame falls in the inaccessible band
-    {n-f, ..., n-1} stops the emission there. With ``f >= n_frames`` every
-    frame is inaccessible and nothing commits (not an error).
+    ``alignment`` holds each candidate's most-attended frame. A candidate
+    whose frame falls in the inaccessible band {n-f, ..., n-1} stops the
+    emission there. With ``f >= n_frames`` every frame is inaccessible and
+    nothing commits (not an error).
     """
     if f < 1:
         raise ValueError("f must be at least 1")
     align = np.asarray(alignment, dtype=np.int64)
-    if align.ndim != 1 or align.shape[0] < num_candidates:
-        raise ValueError("alignment must cover every candidate")
-    if num_candidates == 0:
+    if align.ndim != 1:
+        raise ValueError(f"alignment must be 1-D, got shape {align.shape}")
+    if align.size == 0:
         return PolicyDecision(0, StopReason.EXHAUSTED)
-    head = align[:num_candidates]
-    if head.min() < 0 or head.max() >= n_frames:
+    if align.min() < 0 or align.max() >= n_frames:
         raise ValueError("alignment indices must lie in [0, n_frames)")
     band_start = n_frames - f  # may be <= 0: the whole input is inaccessible
-    hits = np.nonzero(head >= band_start)[0]
+    hits = np.nonzero(align >= band_start)[0]
     if hits.size:
         return PolicyDecision(int(hits[0]), StopReason.INACCESSIBLE_FRAME)
-    return PolicyDecision(num_candidates, StopReason.EXHAUSTED)
+    return PolicyDecision(align.size, StopReason.EXHAUSTED)
 
 
-def edatt_decide(
-    attention: np.ndarray,
-    alpha: float,
-    lam: int,
-    num_candidates: int,
-) -> PolicyDecision:
+def edatt_decide(attention: np.ndarray, alpha: float, lam: int) -> PolicyDecision:
     """Commit candidates while the attention mass on the last ``lam`` frames is below ``alpha``.
 
-    ``attention`` holds one row per candidate (at least ``num_candidates``
-    rows). With ``lam >= n`` the sum covers the whole row, which is
-    degenerate but well defined.
+    ``attention`` holds one row per candidate. With ``lam >= n`` the sum
+    covers the whole row, which is degenerate but well defined.
     """
     if lam < 1:
         raise ValueError("lam must be at least 1")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     a = np.asarray(attention, dtype=float)
-    if a.ndim != 2 or a.shape[0] < num_candidates:
-        raise ValueError("attention must have one row per candidate")
-    if num_candidates == 0:
-        return PolicyDecision(0, StopReason.EXHAUSTED)
+    if a.ndim != 2:
+        raise ValueError(f"attention must be 2-D, got shape {a.shape}")
     n = a.shape[1]
-    recent = a[:num_candidates, max(0, n - lam):].sum(axis=1)
+    recent = a[:, max(0, n - lam):].sum(axis=1)
     hits = np.nonzero(recent >= alpha)[0]
     if hits.size:
         return PolicyDecision(int(hits[0]), StopReason.THRESHOLD)
-    return PolicyDecision(num_candidates, StopReason.EXHAUSTED)
+    return PolicyDecision(a.shape[0], StopReason.EXHAUSTED)
 
 
 def waitk_allowed(k: int, source_words_detected: int, target_words_emitted: int) -> int:
@@ -226,14 +213,14 @@ class AlignAttPolicy(Policy):
         self.f = f
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
-        return alignatt_decide(ctx.alignment, ctx.attention.shape[1], self.f, len(ctx.candidates))
+        return alignatt_decide(ctx.alignment, ctx.attention.shape[1], self.f)
 
     def stop_rule(self, committed, source_words, vocab, layer):
         def stop(token: int, row: np.ndarray) -> bool:
             # the token that ``decide`` stops at: aligned to an inaccessible frame
             mean = row[layer].mean(axis=0)
             aligned = mean.argmax(keepdims=True)
-            return alignatt_decide(aligned, mean.shape[0], self.f, 1).commit_count == 0
+            return alignatt_decide(aligned, mean.shape[0], self.f).commit_count == 0
 
         return stop
 
@@ -250,13 +237,13 @@ class EDAttPolicy(Policy):
         self.lam = lam
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
-        return edatt_decide(ctx.attention, self.alpha, self.lam, len(ctx.candidates))
+        return edatt_decide(ctx.attention, self.alpha, self.lam)
 
     def stop_rule(self, committed, source_words, vocab, layer):
         def stop(token: int, row: np.ndarray) -> bool:
             # the token that ``decide`` stops at: its recent-frame mass reaches alpha
             mean = row[layer].mean(axis=0)
-            return edatt_decide(mean[None], self.alpha, self.lam, 1).commit_count == 0
+            return edatt_decide(mean[None], self.alpha, self.lam).commit_count == 0
 
         return stop
 

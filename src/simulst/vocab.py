@@ -22,7 +22,7 @@ _SPECIALS = ("<s>", "</s>", "<unk>")
 
 
 class Vocabulary:
-    """Maps token ids to surface pieces and back."""
+    """Maps token ids to surface pieces."""
 
     bos_id = 0
     eos_id = 1
@@ -35,7 +35,6 @@ class Vocabulary:
             if not p or p in _SPECIALS:
                 raise ValueError(f"invalid vocabulary piece {p!r}")
         self._pieces = list(_SPECIALS) + list(pieces)
-        self._ids = {p: i for i, p in enumerate(self._pieces)}
 
     @property
     def size(self) -> int:
@@ -45,12 +44,6 @@ class Vocabulary:
         if not 0 <= token_id < len(self._pieces):
             raise ValueError(f"unknown token id {token_id}")
         return self._pieces[token_id]
-
-    def piece_id(self, piece: str) -> int:
-        try:
-            return self._ids[piece]
-        except KeyError:
-            raise ValueError(f"unknown piece {piece!r}") from None
 
     def detokenize(self, token_ids: Iterable[int]) -> str:
         """The ``piece_text`` of each token joined and stripped; an unknown id is an error."""

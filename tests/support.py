@@ -5,9 +5,10 @@ encoder length. ``PlantedAdapter`` decodes each utterance's reference as its
 planted source states arrive, so the attention policies' commits have closed
 forms. ``teacher_forced`` is ToyModel's full-pass decoder, the reference for
 its incremental decode, and ``validate_attention_matrix`` checks that
-attention rows are distributions. ``write_wav`` makes audio for the front end
-to read, and ``mel_center_frequencies`` places the Mel filters from the
-public scale conversions alone.
+attention rows are distributions. ``piece_id`` looks up a piece's token id.
+``write_wav`` makes audio for the front end to read, and
+``mel_center_frequencies`` places the Mel filters from the public scale
+conversions alone.
 """
 
 from __future__ import annotations
@@ -139,17 +140,25 @@ class ScriptStep:
     source_words: int = 0
 
 
+def piece_id(vocab: Vocabulary, piece: str) -> int:
+    """The id of ``piece`` in ``vocab``; ValueError for a piece it does not hold."""
+    for token_id in range(vocab.size):
+        if vocab.piece(token_id) == piece:
+            return token_id
+    raise ValueError(f"unknown piece {piece!r}")
+
+
 # Reference words are ``▁w<i>``, optionally continued by ``s``; the guess at
 # encoder length n is ``▁guess<n>``, so no guess is ever a reference token.
 PLANTED_MAX_STATES = 64
 _WORD_PIECES = [f"▁w{i}" for i in range(10)] + ["s"]
 PLANTED_VOCAB = Vocabulary(_WORD_PIECES + [f"▁guess{n}" for n in range(1, PLANTED_MAX_STATES)])
-PLANTED_WORDS = tuple(PLANTED_VOCAB.piece_id(p) for p in _WORD_PIECES)
+PLANTED_WORDS = tuple(piece_id(PLANTED_VOCAB, p) for p in _WORD_PIECES)
 
 
 def guess_id(n: int) -> int:
     """The token guessed at encoder length ``n``."""
-    return PLANTED_VOCAB.piece_id(f"▁guess{n}")
+    return piece_id(PLANTED_VOCAB, f"▁guess{n}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ spot values, and the attention-layer consumption convention.
 import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from simulst import (
 from simulst.cli import main as cli_main
 
 from conftest import alignatt_bruteforce, build_suite, random_attention
-from support import ScriptStep, ScriptedAdapter
+from support import ScriptStep, ScriptedAdapter, piece_id
 
 
 def _report(num: int, summary: str, passed: bool) -> None:
@@ -55,7 +56,7 @@ def test_01_stopping_rule_matches_bruteforce_oracle():
         f = int(rng.integers(1, n + 4))
         num = int(rng.integers(0, 16))
         alignment = rng.integers(0, n, size=num)
-        got = alignatt_decide(alignment, n, f, num).commit_count
+        got = alignatt_decide(alignment, n, f).commit_count
         want = alignatt_bruteforce(alignment, n, f, num)
         mismatches += got != want
     elapsed = time.monotonic() - start
@@ -73,7 +74,7 @@ def test_02_two_timestep_golden_scenario():
     vocab = Vocabulary(
         ["▁Ich", "▁werde", "▁heu", "te", "▁darüber", "▁über", "▁Klima", "▁sprechen"]
     )
-    pid = vocab.piece_id
+    pid = partial(piece_id, vocab)
     t1_tokens = (pid("▁Ich"), pid("▁werde"), pid("▁heu"), pid("te"), pid("▁darüber"))
     t2_tokens = (
         pid("▁Ich"), pid("▁werde"), pid("▁heu"), pid("te"),
@@ -111,7 +112,7 @@ def test_03_monotonicity_suites():
         num = int(rng.integers(0, 12))
         alignment = rng.integers(0, n, size=num)
         counts = [
-            alignatt_decide(alignment, n, f, num).commit_count for f in range(1, n + 2)
+            alignatt_decide(alignment, n, f).commit_count for f in range(1, n + 2)
         ]
         f_violations += any(a < b for a, b in zip(counts, counts[1:]))
 
@@ -122,7 +123,7 @@ def test_03_monotonicity_suites():
         n = int(rng.integers(1, 16))
         lam = int(rng.integers(1, n + 3))
         attn = random_attention(rng, m, n)
-        counts = [edatt_decide(attn, a, lam, m).commit_count for a in alpha_grid]
+        counts = [edatt_decide(attn, a, lam).commit_count for a in alpha_grid]
         a_violations += any(a > b for a, b in zip(counts, counts[1:]))
     _report(
         3,
@@ -144,7 +145,7 @@ def test_04_lagging_oracles_and_ordering():
     delays = [0.5, 1.0, 1.5, 2.0]
     ok &= abs(average_lagging(delays, 2.0, ref_len=2) - (-0.25)) < tol
     ok &= (
-        abs(length_adaptive_average_lagging(delays, 2.0, ref_len=2, hyp_len=4) - 0.5)
+        abs(length_adaptive_average_lagging(delays, 2.0, ref_len=2) - 0.5)
         < tol
     )
 
@@ -156,7 +157,7 @@ def test_04_lagging_oracles_and_ordering():
         duration = float(rng.uniform(0.5, 20.0))
         d = np.sort(rng.uniform(0.0, duration * 1.2, size=hyp_len)).tolist()
         al = average_lagging(d, duration, ref_len)
-        laal = length_adaptive_average_lagging(d, duration, ref_len, hyp_len)
+        laal = length_adaptive_average_lagging(d, duration, ref_len)
         violations += laal < al - 1e-12
     _report(
         4,

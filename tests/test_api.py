@@ -127,7 +127,7 @@ def _src_trees() -> list[ast.Module]:
 
 
 class TestUsedInLibrary:
-    """A public name must serve the library: a name that only tests use belongs in ``tests/support.py``."""
+    """A public name or method must serve the library: one that only tests use belongs in ``tests/support.py``."""
 
     @staticmethod
     def uses() -> set[str]:
@@ -143,6 +143,18 @@ class TestUsedInLibrary:
 
     def test_every_public_name_is_used_in_src(self):
         assert set(simulst.__all__) - self.uses() == set()
+
+    def test_every_public_method_is_read_in_src(self):
+        methods = {
+            (cls.name, node.name)
+            for tree in _src_trees()
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+        }
+        uses = self.uses()
+        assert {f"{cls}.{name}" for cls, name in methods if name not in uses} == set()
 
 
 class TestPrivateNamesRead:

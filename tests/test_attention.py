@@ -100,6 +100,10 @@ class TestAggregateAttention:
         with pytest.raises(ValueError, match="4-D"):
             aggregate_attention(np.zeros((2, 2)), 0)
 
+    def test_rejects_zero_heads(self):
+        with pytest.raises(ValueError, match="at least one head"):
+            aggregate_attention(np.zeros((2, 0, 1, 1)), 0)
+
 
 class TestComputeAlignment:
     def test_unique_row_maxima(self):
@@ -126,6 +130,10 @@ class TestComputeAlignment:
     def test_rejects_zero_columns_with_rows(self):
         with pytest.raises(ValueError, match="zero source frames"):
             compute_alignment(np.zeros((2, 0)))
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            compute_alignment(np.zeros(3))
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -283,6 +283,31 @@ class TestSweep:
         assert "f takes whole numbers, got 2.5" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_grid_value_of_integer_knob_is_usage_error(self, suite_dir, tmp_path, capsys, grid):
+        out = tmp_path / "out"
+        code = run_cli(
+            "sweep", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--policy", "alignatt", f"--grid={grid}",  # "=": argparse takes "-inf" for a flag
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "f takes whole numbers, got" in err
+        assert not out.exists()
+
+    def test_config_file_policy_of_wrong_type_is_usage_error(self, suite_dir, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"policy": ["alignatt"]}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli(
+            "sweep", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--config", config_path, "--grid", "2",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "policy takes strings" in err
+        assert not out.exists()
+
     def test_empty_grid_is_usage_error(self, suite_dir, tmp_path, capsys):
         code = run_cli(
             "sweep", "--manifest", suite_dir / "manifest.jsonl", "--out", tmp_path,

@@ -20,6 +20,8 @@ from simulst import (
     word_delays,
 )
 
+from support import piece_id
+
 
 def make_log(pieces_with_delays, duration=2.0):
     """pieces_with_delays: list of (piece_text, ideal_s, wall_s)."""
@@ -83,7 +85,7 @@ class TestFinalTextWords:
 
     def test_special_tokens_write_no_word(self):
         vocab = Vocabulary(["▁a", "▁b"])
-        tokens = [vocab.unk_id, vocab.piece_id("▁a"), vocab.piece_id("▁b")]
+        tokens = [vocab.unk_id, piece_id(vocab, "▁a"), piece_id(vocab, "▁b")]
         log = vocab_log(vocab, tokens, [1.0, 2.0, 3.0], duration=3.0)
         assert log.final_text == "a b"
         assert word_delays(log) == ([2.0, 3.0], [2.0, 3.0])
@@ -94,7 +96,7 @@ class TestFinalTextWords:
 
     def test_inner_marker_ends_a_word(self):
         vocab = Vocabulary(["▁a▁", "b"])
-        log = vocab_log(vocab, [vocab.piece_id("▁a▁"), vocab.piece_id("b")], [1.0, 2.0], duration=3.0)
+        log = vocab_log(vocab, [piece_id(vocab, "▁a▁"), piece_id(vocab, "b")], [1.0, 2.0], duration=3.0)
         assert log.final_text == "a b"
         assert word_delays(log) == ([1.0, 2.0], [1.0, 2.0])
 
@@ -118,9 +120,7 @@ class TestLaggingWorkedExamples:
         # (0.5-0) + (1.0-1) + (1.5-2) + (2.0-3) = -1 -> /4 = -0.25
         assert average_lagging(delays, 2.0, ref_len=2) == pytest.approx(-0.25, abs=1e-9)
         # LAAL rate T/max(2,4) = 0.5: (0.5) + (0.5) + (0.5) + (0.5) = 2 -> 0.5
-        assert length_adaptive_average_lagging(
-            delays, 2.0, ref_len=2, hyp_len=4
-        ) == pytest.approx(0.5, abs=1e-9)
+        assert length_adaptive_average_lagging(delays, 2.0, ref_len=2) == pytest.approx(0.5, abs=1e-9)
 
     def test_cutoff_excludes_words_after_source_end(self):
         # third word already reaches T=2; later words are excluded
@@ -153,7 +153,7 @@ class TestLaggingProperties:
         rng = np.random.default_rng(seed)
         delays = sorted(rng.uniform(0.0, duration, size=hyp_len).tolist())
         al = average_lagging(delays, duration, ref_len)
-        laal = length_adaptive_average_lagging(delays, duration, ref_len, hyp_len)
+        laal = length_adaptive_average_lagging(delays, duration, ref_len)
         assert laal >= al - 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -175,7 +175,7 @@ class TestLaggingProperties:
         delays = sorted(rng.uniform(0.0, duration, size=n).tolist())
         ref_len = n + int(rng.integers(0, 4))  # ref at least as long as hyp
         al = average_lagging(delays, duration, ref_len)
-        laal = length_adaptive_average_lagging(delays, duration, ref_len, n)
+        laal = length_adaptive_average_lagging(delays, duration, ref_len)
         assert laal == pytest.approx(al, abs=1e-12)
 
 

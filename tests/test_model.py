@@ -26,7 +26,7 @@ from simulst import model as model_module
 from simulst.model import Decode, FinishedDecode
 
 from conftest import make_source
-from support import ScriptStep, ScriptedAdapter, teacher_forced, validate_attention_matrix
+from support import ScriptStep, ScriptedAdapter, piece_id, teacher_forced, validate_attention_matrix
 
 
 class TestEncoder:
@@ -353,7 +353,7 @@ class TestStopHook:
 
     def test_scripted_adapter_truncates_at_first_firing(self):
         vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "dd"])
-        a, b, c, d = (vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "dd"))
+        a, b, c, d = (piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "dd"))
         adapter = ScriptedAdapter(
             vocab, {4: ScriptStep(tokens=(a, b, c, d), alignment=(0, 3, 1, 3), eos=True)}
         )
@@ -495,7 +495,7 @@ class TestResume:
     def test_resumed_scripted_decode_equals_the_uninterrupted_one(self, max_new, eos):
         # the scripted result replayed by FinishedDecode
         vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "dd"])
-        a, b, c, d = (vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "dd"))
+        a, b, c, d = (piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "dd"))
         adapter = ScriptedAdapter(
             vocab, {4: ScriptStep(tokens=(a, b, c, d), alignment=(0, 3, 1, 2), eos=eos)},
             num_layers=2, num_heads=3,
@@ -663,7 +663,7 @@ class TestScriptedAdapter:
             adapter.encode(np.zeros((0, 80)))
 
     def test_decode_follows_script(self, vocab):
-        a, b = vocab.piece_id("▁aa"), vocab.piece_id("▁bb")
+        a, b = piece_id(vocab, "▁aa"), piece_id(vocab, "▁bb")
         adapter = ScriptedAdapter(
             vocab, {2: ScriptStep(tokens=(a, b), alignment=(0, 1), eos=True)}
         )
@@ -675,7 +675,7 @@ class TestScriptedAdapter:
         assert res.attention[0, 0].sum() == 2.0
 
     def test_prefix_must_match_script(self, vocab):
-        a, b = vocab.piece_id("▁aa"), vocab.piece_id("▁bb")
+        a, b = piece_id(vocab, "▁aa"), piece_id(vocab, "▁bb")
         adapter = ScriptedAdapter(vocab, {2: ScriptStep(tokens=(a, b), alignment=(0, 1))})
         enc = adapter.encode(np.zeros((8, 80)))
         assert adapter.decode_greedy(enc, [a]).tokens == (a, b)
@@ -685,7 +685,7 @@ class TestScriptedAdapter:
             adapter.decode_greedy(enc, [vocab.eos_id])
 
     def test_truncation_suppresses_eos(self, vocab):
-        a, b = vocab.piece_id("▁aa"), vocab.piece_id("▁bb")
+        a, b = piece_id(vocab, "▁aa"), piece_id(vocab, "▁bb")
         adapter = ScriptedAdapter(
             vocab, {2: ScriptStep(tokens=(a, b), alignment=(0, 1), eos=True)}
         )
@@ -696,7 +696,7 @@ class TestScriptedAdapter:
     def test_eos_is_not_read_after_max_new_tokens(self, vocab, toy_model):
         # as in ToyModel, a decode that generates max_new tokens never reads
         # end-of-sequence, even where the script ends right there
-        a, b = vocab.piece_id("▁aa"), vocab.piece_id("▁bb")
+        a, b = piece_id(vocab, "▁aa"), piece_id(vocab, "▁bb")
         adapter = ScriptedAdapter(
             vocab, {2: ScriptStep(tokens=(a, b), alignment=(0, 1), eos=True)}
         )
@@ -710,7 +710,7 @@ class TestScriptedAdapter:
         assert not toy_model.decode_greedy(toy_enc, [], max_new=len(free.tokens)).eos_reached
 
     def test_alignment_validation(self, vocab):
-        a = vocab.piece_id("▁aa")
+        a = piece_id(vocab, "▁aa")
         adapter = ScriptedAdapter(vocab, {2: ScriptStep(tokens=(a,), alignment=(5,))})
         with pytest.raises(ValueError, match="outside"):
             adapter.decode_greedy(adapter.encode(np.zeros((8, 80))), [])
@@ -724,7 +724,7 @@ class TestScriptedAdapter:
             adapter.decode_greedy(adapter.encode(np.zeros((8, 80))), [])
 
     def test_callable_script_and_word_counts(self, vocab):
-        a = vocab.piece_id("▁aa")
+        a = piece_id(vocab, "▁aa")
 
         def script(n):
             return ScriptStep(tokens=(a,) * n, alignment=tuple(range(n)), source_words=n * 2)

@@ -30,7 +30,7 @@ import pytest
 
 from simulst import BOUNDARY_MARKER, FRAME_SHIFT_MS, SessionConfig, read_emission_log, run_eval, runner
 
-from support import PLANTED_VOCAB, PLANTED_WORDS, Planted, PlantedAdapter, guess_id
+from support import PLANTED_VOCAB, PLANTED_WORDS, Planted, PlantedAdapter, guess_id, piece_id
 
 
 def _planted(seed: int) -> list[Planted]:
@@ -194,7 +194,7 @@ class TestWaitK:
 
     def test_leading_continuation_needs_no_budget(self, tmp_path, monkeypatch):
         # the seeded corpus opens no utterance with a continuation piece
-        s, w0, w1 = PLANTED_VOCAB.piece_id("s"), *PLANTED_WORDS[:2]
+        s, w0, w1 = piece_id(PLANTED_VOCAB, "s"), *PLANTED_WORDS[:2]
         p = Planted(tokens=(s, w0, w1), frames=(0, 2, 5), boundaries=(20, 30, 40), num_frames=200)
         adapter = PlantedAdapter([p])
         record, logs = _evaluate(

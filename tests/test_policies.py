@@ -30,7 +30,7 @@ from simulst import (
 from simulst.model import FinishedDecode
 
 from conftest import alignatt_bruteforce, random_attention, waitk_bruteforce
-from support import ScriptStep, ScriptedAdapter
+from support import ScriptStep, ScriptedAdapter, piece_id
 
 
 def _drained(tokens, attention, eos=False):
@@ -42,45 +42,45 @@ def _drained(tokens, attention, eos=False):
 
 class TestAlignAttDecide:
     def test_stops_at_first_inaccessible_frame(self):
-        decision = alignatt_decide([0, 3, 5, 8], n_frames=10, f=2, num_candidates=4)
+        decision = alignatt_decide([0, 3, 5, 8], n_frames=10, f=2)
         assert decision.commit_count == 3
         assert decision.stopped_by is StopReason.INACCESSIBLE_FRAME
 
     def test_empty_candidates(self):
-        decision = alignatt_decide([], n_frames=10, f=2, num_candidates=0)
+        decision = alignatt_decide([], n_frames=10, f=2)
         assert decision.commit_count == 0
 
     def test_commits_all_when_band_avoided(self):
-        decision = alignatt_decide([0, 1, 2, 3], n_frames=10, f=2, num_candidates=4)
+        decision = alignatt_decide([0, 1, 2, 3], n_frames=10, f=2)
         assert decision.commit_count == 4
         assert decision.stopped_by is StopReason.EXHAUSTED
 
     def test_band_covering_all_frames_commits_nothing(self):
-        decision = alignatt_decide([0, 1], n_frames=4, f=4, num_candidates=2)
+        decision = alignatt_decide([0, 1], n_frames=4, f=4)
         assert decision.commit_count == 0
-        decision = alignatt_decide([0], n_frames=4, f=9, num_candidates=1)
+        decision = alignatt_decide([0], n_frames=4, f=9)
         assert decision.commit_count == 0
 
     def test_rejects_f_below_one(self):
         with pytest.raises(ValueError, match="f must be"):
-            alignatt_decide([0], n_frames=4, f=0, num_candidates=1)
+            alignatt_decide([0], n_frames=4, f=0)
 
     def test_rejects_alignment_outside_range(self):
         with pytest.raises(ValueError, match="lie in"):
-            alignatt_decide([5], n_frames=4, f=1, num_candidates=1)
+            alignatt_decide([5], n_frames=4, f=1)
         with pytest.raises(ValueError, match="lie in"):
-            alignatt_decide([-1], n_frames=4, f=1, num_candidates=1)
+            alignatt_decide([-1], n_frames=4, f=1)
 
-    def test_rejects_short_alignment(self):
-        with pytest.raises(ValueError, match="cover"):
-            alignatt_decide([0, 1], n_frames=4, f=1, num_candidates=3)
+    def test_rejects_non_1d_alignment(self):
+        with pytest.raises(ValueError, match="1-D"):
+            alignatt_decide([[0, 1]], n_frames=4, f=1)
 
     def test_worked_sentence_scenario(self, sentence_vocab):
         # candidates "Ich werde heu te darüber"; the last word's piece aligns
         # inside the last-2-frame band, so exactly "Ich werde heute" commits
-        candidates = [sentence_vocab.piece_id(p) for p in ("▁Ich", "▁werde", "▁heu", "te", "▁darüber")]
+        candidates = [piece_id(sentence_vocab, p) for p in ("▁Ich", "▁werde", "▁heu", "te", "▁darüber")]
         alignment = [0, 1, 2, 3, 8]  # n=9, band {7, 8}
-        decision = alignatt_decide(alignment, n_frames=9, f=2, num_candidates=len(candidates))
+        decision = alignatt_decide(alignment, n_frames=9, f=2)
         assert decision.commit_count == 4
         assert sentence_vocab.detokenize(candidates[: decision.commit_count]) == "Ich werde heute"
 
@@ -94,7 +94,7 @@ class TestAlignAttDecide:
     def test_matches_bruteforce_loop(self, n, f, num, seed):
         rng = np.random.default_rng(seed)
         alignment = rng.integers(0, n, size=num)
-        decision = alignatt_decide(alignment, n, f, num)
+        decision = alignatt_decide(alignment, n, f)
         assert decision.commit_count == alignatt_bruteforce(alignment, n, f, num)
 
     @settings(max_examples=200, deadline=None)
@@ -102,7 +102,7 @@ class TestAlignAttDecide:
     def test_commit_count_non_increasing_in_f(self, n, num, seed):
         rng = np.random.default_rng(seed)
         alignment = rng.integers(0, n, size=num)
-        counts = [alignatt_decide(alignment, n, f, num).commit_count for f in range(1, n + 2)]
+        counts = [alignatt_decide(alignment, n, f).commit_count for f in range(1, n + 2)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_committed_prefix_avoids_band_entirely(self):
@@ -112,7 +112,7 @@ class TestAlignAttDecide:
             f = int(rng.integers(1, n + 3))
             num = int(rng.integers(0, 10))
             alignment = rng.integers(0, n, size=num)
-            commit = alignatt_decide(alignment, n, f, num).commit_count
+            commit = alignatt_decide(alignment, n, f).commit_count
             band = set(range(max(0, n - f), n))
             assert all(alignment[i] not in band for i in range(commit))
             if commit < num:
@@ -127,14 +127,14 @@ class TestEDAttDecide:
                 [0.4, 0.30, 0.10, 0.20],  # last-2 sum 0.30
             ]
         )
-        decision = edatt_decide(attn, alpha=0.1, lam=2, num_candidates=2)
+        decision = edatt_decide(attn, alpha=0.1, lam=2)
         assert decision.commit_count == 1
         assert decision.stopped_by is StopReason.THRESHOLD
 
     def test_alpha_one_commits_everything_below_it(self):
         rng = np.random.default_rng(12)
         attn = random_attention(rng, 4, 10)
-        decision = edatt_decide(attn, alpha=1.0, lam=2, num_candidates=4)
+        decision = edatt_decide(attn, alpha=1.0, lam=2)
         assert decision.commit_count == 4
         assert decision.stopped_by is StopReason.EXHAUSTED
 
@@ -146,27 +146,27 @@ class TestEDAttDecide:
             if attn[i, -2:].sum() >= 0.2:
                 break
             expected += 1
-        assert edatt_decide(attn, alpha=0.2, lam=2, num_candidates=4).commit_count == expected
+        assert edatt_decide(attn, alpha=0.2, lam=2).commit_count == expected
 
     def test_lambda_covering_row_uses_total_mass(self):
         attn = np.array([[0.6, 0.4]])
         # lam > n: the sum is the whole row = 1.0 >= alpha
-        decision = edatt_decide(attn, alpha=0.9, lam=5, num_candidates=1)
+        decision = edatt_decide(attn, alpha=0.9, lam=5)
         assert decision.commit_count == 0
 
     def test_rejects_bad_hyperparameters(self):
         attn = np.array([[1.0]])
         with pytest.raises(ValueError, match="lam"):
-            edatt_decide(attn, alpha=0.5, lam=0, num_candidates=1)
+            edatt_decide(attn, alpha=0.5, lam=0)
         with pytest.raises(ValueError, match="alpha"):
-            edatt_decide(attn, alpha=0.0, lam=1, num_candidates=1)
+            edatt_decide(attn, alpha=0.0, lam=1)
 
-    def test_rejects_missing_rows(self):
-        with pytest.raises(ValueError, match="row per candidate"):
-            edatt_decide(np.ones((1, 3)) / 3, alpha=0.5, lam=1, num_candidates=2)
+    def test_rejects_non_2d_attention(self):
+        with pytest.raises(ValueError, match="2-D"):
+            edatt_decide(np.ones(3) / 3, alpha=0.5, lam=1)
 
     def test_empty_candidates(self):
-        assert edatt_decide(np.zeros((0, 4)), alpha=0.5, lam=1, num_candidates=0).commit_count == 0
+        assert edatt_decide(np.zeros((0, 4)), alpha=0.5, lam=1).commit_count == 0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -178,7 +178,7 @@ class TestEDAttDecide:
     def test_commit_count_non_decreasing_in_alpha(self, m, n, lam, seed):
         attn = random_attention(np.random.default_rng(seed), m, n)
         alphas = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
-        counts = [edatt_decide(attn, a, lam, m).commit_count for a in alphas]
+        counts = [edatt_decide(attn, a, lam).commit_count for a in alphas]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
@@ -282,7 +282,7 @@ class TestWaitKPolicy:
 
     def test_withholds_incomplete_tail_word(self, vocab):
         policy = WaitKPolicy(k=1)
-        ids = [vocab.piece_id(p) for p in ("▁an", "▁be", "de")]
+        ids = [piece_id(vocab, p) for p in ("▁an", "▁be", "de")]
         ctx = _waitk_context(vocab, [], ids, source_words=9)
         decision = policy.decide(ctx)
         # "▁be de" may still grow: only "▁an" is a complete word
@@ -291,13 +291,13 @@ class TestWaitKPolicy:
 
     def test_eos_completes_tail_word(self, vocab):
         policy = WaitKPolicy(k=1)
-        ids = [vocab.piece_id(p) for p in ("▁an", "▁be", "de")]
+        ids = [piece_id(vocab, p) for p in ("▁an", "▁be", "de")]
         ctx = _waitk_context(vocab, [], ids, source_words=9, eos=True)
         assert policy.decide(ctx).commit_count == 3
 
     def test_budget_limits_committed_words(self, vocab):
         policy = WaitKPolicy(k=3)
-        ids = [vocab.piece_id(p) for p in ("▁an", "▁be", "▁ce", "de")]
+        ids = [piece_id(vocab, p) for p in ("▁an", "▁be", "▁ce", "de")]
         ctx = _waitk_context(vocab, [], ids, source_words=4, eos=True)
         # detected=4, k=3 -> budget 2 words
         decision = policy.decide(ctx)
@@ -306,8 +306,8 @@ class TestWaitKPolicy:
 
     def test_leading_continuation_is_free(self, vocab):
         policy = WaitKPolicy(k=2)
-        committed = [vocab.piece_id("▁be")]
-        candidates = [vocab.piece_id("de"), vocab.piece_id("▁an")]
+        committed = [piece_id(vocab, "▁be")]
+        candidates = [piece_id(vocab, "de"), piece_id(vocab, "▁an")]
         # emitted=1 word; detected=2 -> budget max(0, 2-2+1-1)=0, yet the
         # continuation "de" belongs to the committed word and may flow
         ctx = _waitk_context(vocab, committed, candidates, source_words=2, eos=True)
@@ -349,7 +349,7 @@ class TestWaitKPolicy:
     )
     def test_words_are_those_of_the_text(self, pieces, committed, words, candidates, source_words, eos, commit):
         vocab = Vocabulary(pieces)
-        committed, candidates = [[vocab.piece_id(p) for p in ps] for ps in (committed, candidates)]
+        committed, candidates = [[piece_id(vocab, p) for p in ps] for ps in (committed, candidates)]
         assert len(vocab.detokenize(committed).split()) == words
         policy = WaitKPolicy(k=1)
         decision = policy.decide(_waitk_context(vocab, committed, candidates, source_words, eos=eos))
@@ -516,7 +516,7 @@ class TestStopRule:
         assert [stop(5, tensor[:, :, i]) for i in range(3)] == [False, True, True]
         stop = EDAttPolicy(alpha=0.5, lam=1).stop_rule((), 0, vocab, 0)
         assert [stop(5, tensor[:, :, i]) for i in range(3)] == [False, True, True]
-        an, be, de = (vocab.piece_id(p) for p in ("▁an", "▁be", "de"))
+        an, be, de = (piece_id(vocab, p) for p in ("▁an", "▁be", "de"))
         # detected 4, k 3, nothing emitted: two words allowed, so the rule
         # fires at the third word start, the token that completes word two
         stop = WaitKPolicy(k=3).stop_rule((), 4, vocab, 0)

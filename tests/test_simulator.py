@@ -17,6 +17,7 @@ from simulst import (
     FeatureMatrix,
     LocalAgreementPolicy,
     ModelAdapter,
+    Policy,
     PolicyDecision,
     RealClock,
     SessionError,
@@ -42,7 +43,7 @@ from simulst import simulator
 from simulst.model import Decode, FinishedDecode
 
 from conftest import build_suite, make_source
-from support import ScriptStep, ScriptedAdapter
+from support import ScriptStep, ScriptedAdapter, piece_id
 
 
 class TestSimulatedClock:
@@ -130,7 +131,7 @@ def scripted_setup(alignment_mode: str):
     attention band). "late": every token aligned at the newest frame.
     """
     vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
-    ids = [vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")]
+    ids = [piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")]
 
     def align(count, n):
         if alignment_mode == "early":
@@ -179,7 +180,7 @@ class TestRunSession:
 
     def test_step_cost_charged_per_adapter_call(self):
         vocab = Vocabulary(["▁aa", "▁bb"])
-        a, b = vocab.piece_id("▁aa"), vocab.piece_id("▁bb")
+        a, b = piece_id(vocab, "▁aa"), piece_id(vocab, "▁bb")
         script = {
             25: ScriptStep(tokens=(a,), alignment=(0,)),
             50: ScriptStep(tokens=(a, b), alignment=(0, 0), eos=True),
@@ -219,7 +220,7 @@ class TestRunSession:
 
     def test_waitk_schedule_uses_ratcheted_word_counts(self):
         vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
-        ids = [vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")]
+        ids = [piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")]
         script = {
             10: ScriptStep(tokens=tuple(ids[:2]), alignment=(0, 0), source_words=2),
             20: ScriptStep(tokens=tuple(ids[:3]), alignment=(0, 0, 0), source_words=1),
@@ -243,7 +244,7 @@ class TestRunSession:
 
     def test_local_agreement_session(self):
         vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
-        ids = [vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")]
+        ids = [piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")]
         script = {
             10: ScriptStep(tokens=(ids[0], ids[1]), alignment=(0, 0)),
             20: ScriptStep(tokens=(ids[0], ids[2]), alignment=(0, 0)),
@@ -329,6 +330,24 @@ class TestRunSession:
             with pytest.raises(ValueError) as info:
                 run_session(source, watched, AlignAttPolicy(f=2), **{"chunk_ms": 400.0} | options)
             assert str(info.value) == message and encoded == []
+
+    def test_policy_reads_the_steps_decode_through_its_view(self, toy_model):
+        # the view's attention is the step's decode attention, whose head-mean
+        # at the policy's layer past the committed prefix is ``ctx.attention``;
+        # a stop rule pauses some decodes before end-of-sequence, not all
+        seen = []
+
+        class Reading(AlignAttPolicy):
+            def decide(self, ctx):
+                past = ctx.decode.attention[:, :, len(ctx.committed):]
+                assert np.array_equal(aggregate_attention(past, 0), ctx.attention)
+                assert ctx.decode.eos_reached == ctx.eos_reached
+                seen.append(ctx.eos_reached)
+                return super().decide(ctx)
+
+        source = make_source(np.random.default_rng(7), 300)
+        run_session(source, toy_model, Reading(f=2), chunk_ms=200.0, attention_layer=0)
+        assert set(seen) == {False, True}
 
     def test_explicit_attention_layer_accepted(self):
         vocab, ids, adapter, source = scripted_setup("early")
@@ -649,7 +668,7 @@ class TestStopHook:
 
     def test_local_agreement_reads_the_previous_hypothesis_lazily(self):
         vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
-        a, b, c, d = (vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc", "▁dd"))
+        a, b, c, d = (piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "▁dd"))
         script = {
             10: ScriptStep(tokens=(a, b, c, d), alignment=(0, 0, 0, 0)),
             20: ScriptStep(tokens=(a, b, d, c), alignment=(0, 0, 0, 0)),
@@ -925,6 +944,17 @@ class TestSessionFailures:
             run_session(source, adapter, Faulty(f=2), chunk_ms=400.0)
         assert info.value.partial_log.tokens == tuple(ids[:2])
 
+    def test_policy_without_decide_fails_the_session(self):
+        vocab, ids, adapter, source = scripted_setup("early")
+
+        class Undecided(Policy):
+            pass
+
+        with pytest.raises(SessionError) as info:
+            run_session(source, adapter, Undecided(), chunk_ms=400.0)
+        assert str(info.value) == "policy failed at 0.400s: NotImplementedError()"
+        assert info.value.partial_log.events == ()
+
     @staticmethod
     def counting(adapter, third):
         """``adapter`` counting one source word per 400 ms chunk, and ``third`` on the third chunk."""
@@ -961,7 +991,7 @@ class TestSessionFailures:
     def third_token_session(third: int, make_policy):
         """Hypotheses aa, aa bb, aa bb <third>, aa bb <third> cc over four 400 ms steps, all aligned at frame 0."""
         vocab = Vocabulary(["▁aa", "▁bb", "▁cc"])
-        aa, bb, cc = (vocab.piece_id(p) for p in ("▁aa", "▁bb", "▁cc"))
+        aa, bb, cc = (piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc"))
         hypothesis = (aa, bb, third, cc)
 
         def script(n):
@@ -1229,7 +1259,7 @@ class TestGoldenToySession:
             else:
                 weights = aggregate_attention(result.attention, layer)[len(committed):, :]
                 alignment = compute_alignment(weights)
-                take = alignatt_decide(alignment, enc.n, GOLDEN_F, len(candidates)).commit_count
+                take = alignatt_decide(alignment, enc.n, GOLDEN_F).commit_count
             for token in candidates[:take]:
                 committed.append(token)
                 expected.append((token, ideal))

@@ -5,6 +5,8 @@ import pytest
 from simulst import BOUNDARY_MARKER, Vocabulary, build_default_vocabulary
 from simulst.vocab import WordTally
 
+from support import piece_id
+
 
 @pytest.fixture()
 def vocab() -> Vocabulary:
@@ -18,7 +20,7 @@ class TestVocabulary:
 
     def test_piece_round_trip(self, vocab):
         for piece in ("▁Ich", "te", "▁sprechen"):
-            assert vocab.piece(vocab.piece_id(piece)) == piece
+            assert vocab.piece(piece_id(vocab, piece)) == piece
 
     def test_unknown_id_rejected(self, vocab):
         with pytest.raises(ValueError, match="unknown token id"):
@@ -28,10 +30,10 @@ class TestVocabulary:
 
     def test_unknown_piece_rejected(self, vocab):
         with pytest.raises(ValueError, match="unknown piece"):
-            vocab.piece_id("▁nope")
+            piece_id(vocab, "▁nope")
 
     def test_word_starts_and_counts(self, vocab):
-        ids = [vocab.piece_id(p) for p in ("▁Ich", "▁werde", "▁heu", "te")]
+        ids = [piece_id(vocab, p) for p in ("▁Ich", "▁werde", "▁heu", "te")]
         tally = WordTally(vocab)
         # add() tells whether a token goes on with the open word
         assert [tally.add(t) for t in ids] == [False, False, False, True]
@@ -46,18 +48,18 @@ class TestVocabulary:
     )
     def test_words_are_those_the_text_splits_into(self, pieces, words, open_word):
         vocab = Vocabulary(sorted(set(pieces)))
-        tally = WordTally(vocab, [vocab.piece_id(p) for p in pieces])
+        tally = WordTally(vocab, [piece_id(vocab, p) for p in pieces])
         assert (tally.words, tally.open) == (words, open_word)
 
     def test_detokenize_joins_pieces(self, vocab):
-        ids = [vocab.piece_id(p) for p in ("▁Ich", "▁werde", "▁heu", "te")]
+        ids = [piece_id(vocab, p) for p in ("▁Ich", "▁werde", "▁heu", "te")]
         assert vocab.detokenize(ids) == "Ich werde heute"
 
     def test_detokenize_empty(self, vocab):
         assert vocab.detokenize([]) == ""
 
     def test_detokenize_skips_specials(self, vocab):
-        ids = [vocab.bos_id, vocab.piece_id("▁Klima"), vocab.unk_id]
+        ids = [vocab.bos_id, piece_id(vocab, "▁Klima"), vocab.unk_id]
         assert vocab.detokenize(ids) == "Klima"
 
     def test_rejects_duplicates(self):
@@ -90,7 +92,7 @@ class TestDefaultVocabulary:
 
     def test_round_trip_letters(self):
         vocab = build_default_vocabulary()
-        ids = [vocab.piece_id(BOUNDARY_MARKER + ch) for ch in "abc"]
+        ids = [piece_id(vocab, BOUNDARY_MARKER + ch) for ch in "abc"]
         assert vocab.detokenize(ids) == "a b c"
 
     def test_marker_constant(self):
