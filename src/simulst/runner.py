@@ -1,15 +1,19 @@
 """Batch evaluation: run sessions over a manifest, aggregate, sweep grids.
 
 Each utterance runs as an independent session with its own clock. One
-adapter, immutable by the ``ModelAdapter`` contract, is built per run and
-shared by every session. On Linux, when the adapter is ``forkable``, more
-than one CPU is in this process's affinity set, the clock is simulated and
-this process runs no other thread, the sessions run in a pool of forked
-worker processes, one per available CPU (at most one per utterance);
+adapter, immutable by the ``ModelAdapter`` contract, is built per run or
+sweep and shared by every session; a sweep's grid values differ only in the
+policy's knob, which the adapter does not read. On Linux, when the adapter
+is ``forkable``, more than one CPU is in this process's affinity set, the
+clock is simulated and this process runs no other thread, every session of
+the call (every grid value's, in a sweep) runs in one pool of forked worker
+processes, one per available CPU and never more than there are sessions;
 otherwise they run one after another in this process, so a real clock times
-each session's compute on its own. Either way the outcomes come back in
-manifest order and this process scores them and writes every file, so the
-output bytes do not depend on the worker count. Per-utterance failures
+each session's compute on its own. The task that runs a session also scores
+it (``score_one``). Either way the outcomes come back in manifest order,
+and this process pools the scores into corpus BLEU and mean latencies and
+writes every file, only once every session has returned, so the output
+bytes do not depend on the worker count. Per-utterance failures
 (unreadable source file, adapter fault) are recorded and skipped; corpus
 BLEU pools n-gram counts over the successful sessions and latency is
 macro-averaged over them (sessions with empty output contribute no latency).
@@ -170,13 +174,15 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-# The config and adapter of the run whose sessions this worker process runs.
-_worker_run: tuple[SessionConfig, ModelAdapter] | None = None
+# The (entry, config) tasks and the adapter of the run this worker process serves.
+_worker_run: tuple[list[tuple[ManifestEntry, SessionConfig]], ModelAdapter] | None = None
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-def _start_worker(config: SessionConfig, adapter: ModelAdapter, parent_pid: int) -> None:
+def _start_worker(
+    tasks: list[tuple[ManifestEntry, SessionConfig]], adapter: ModelAdapter, parent_pid: int
+) -> None:
     """Keep the run for this worker, which ends as soon as the process that forked it dies.
 
     An idle worker waits on a queue whose write end it holds itself, so it
@@ -189,46 +195,61 @@ def _start_worker(config: SessionConfig, adapter: ModelAdapter, parent_pid: int)
     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent_pid:  # the parent died before the request
         os._exit(1)
-    _worker_run = (config, adapter)
+    _worker_run = (tasks, adapter)
 
 
-def _run_in_worker(entry: ManifestEntry) -> EmissionLog | SessionError:
-    return _run_one(entry, *_worker_run)
+def _run_and_score(
+    entry: ManifestEntry, config: SessionConfig, adapter: ModelAdapter
+) -> tuple[EmissionLog | SessionError, UtteranceResult]:
+    outcome = _run_one(entry, config, adapter)
+    return outcome, score_one(entry, outcome)
+
+
+def _run_in_worker(task: int) -> tuple[EmissionLog | SessionError, UtteranceResult]:
+    tasks, adapter = _worker_run
+    return _run_and_score(*tasks[task], adapter)
 
 
 def _run_all(
-    entries: list[ManifestEntry], config: SessionConfig, adapter: ModelAdapter
-) -> list[EmissionLog | SessionError]:
-    """Each entry's ``_run_one`` outcome, in manifest order.
+    entries: list[ManifestEntry], configs: list[SessionConfig], adapter: ModelAdapter
+) -> list[list[tuple[EmissionLog | SessionError, UtteranceResult]]]:
+    """Per config, each entry's ``_run_one`` outcome and its ``score_one`` result, in manifest order.
 
-    Forked workers inherit the adapter rather than receiving a pickled copy,
-    and each runs a session's NumPy calls exactly as this process would. A
-    worker that dies mid-session (killed, out of memory) raises
-    ``BrokenProcessPool`` here instead of leaving the run waiting for it.
-    Sessions run serially on platforms other than Linux, where a forked
-    child may crash; under a real clock, whose step times would grow with
-    the sessions sharing cores; and when this process runs other threads,
-    since a fork copies only the calling one.
+    Every ``(entry, config)`` task of the call runs in one pool: a sweep's
+    grid values share it, so no worker waits for a grid value's last session
+    while another could start the next one's. Forked workers inherit the
+    tasks and the adapter rather than receiving pickled copies, and each runs
+    and scores a session exactly as this process would. There are never more
+    workers than tasks. A worker that dies mid-session (killed, out of
+    memory) raises ``BrokenProcessPool`` here instead of leaving the run
+    waiting for it. Sessions run serially on platforms other than Linux,
+    where a forked child may crash; under a real clock, whose step times
+    would grow with the sessions sharing cores; and when this process runs
+    other threads, since a fork copies only the calling one.
     """
-    workers = min(_available_cpus(), len(entries)) if sys.platform == "linux" else 1
+    tasks = [(entry, config) for config in configs for entry in entries]
+    workers = min(_available_cpus(), len(tasks)) if sys.platform == "linux" else 1
     if (
         workers < 2
         or not getattr(adapter, "forkable", False)
-        or config.clock == "real"
+        or any(config.clock == "real" for config in configs)
         or threading.active_count() > 1
     ):
-        return [_run_one(entry, config, adapter) for entry in entries]
-    # Imported here: the import would add about 5% to the start-up of a one-utterance run.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        done = [_run_and_score(entry, config, adapter) for entry, config in tasks]
+    else:
+        # Imported here: the import would add about 5% to the start-up of a one-utterance run.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(config, adapter, os.getpid()),
-    ) as executor:
-        return list(executor.map(_run_in_worker, entries))
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(tasks, adapter, os.getpid()),
+        ) as executor:
+            done = list(executor.map(_run_in_worker, range(len(tasks))))
+    n = len(entries)
+    return [done[i : i + n] for i in range(0, len(done), n)]
 
 
 def _mean(values: list[float]) -> float:
@@ -236,28 +257,22 @@ def _mean(values: list[float]) -> float:
     return sum(finite) / len(finite) if finite else math.nan
 
 
-def aggregate(
-    entries: list[ManifestEntry],
-    outcomes: list[EmissionLog | str],
-    config: SessionConfig | None = None,
-) -> EvalResult:
-    """Score per-utterance outcomes against their manifest entries.
+def score_one(entry: ManifestEntry, outcome: EmissionLog | Exception | str) -> UtteranceResult:
+    """One utterance's metrics, from its emission log or the error that left it without one."""
+    if not isinstance(outcome, EmissionLog):
+        return UtteranceResult(id=entry.id, error=str(outcome))
+    return UtteranceResult(
+        id=entry.id,
+        log=outcome,
+        latency=latency_report(outcome, entry.reference),
+        bleu=bleu(outcome.final_text, entry.reference).bleu,
+    )
 
-    ``outcomes[i]`` is the emission log of ``entries[i]``, or the message of
-    the error that left it without one. Both ``run`` and ``score`` build
-    their reports here, so a run's logs re-score to the same record.
-    """
-    results = [
-        UtteranceResult(id=entry.id, error=outcome)
-        if isinstance(outcome, str)
-        else UtteranceResult(
-            id=entry.id,
-            log=outcome,
-            latency=latency_report(outcome, entry.reference),
-            bleu=bleu(outcome.final_text, entry.reference).bleu,
-        )
-        for entry, outcome in zip(entries, outcomes, strict=True)
-    ]
+
+def _pool_scores(
+    entries: list[ManifestEntry], results: list[UtteranceResult], config: SessionConfig | None
+) -> EvalResult:
+    """Corpus BLEU over the successful sessions and their mean latencies."""
     succeeded = [(r, entry) for r, entry in zip(results, entries) if not r.failed]
     if succeeded:
         pooled = corpus_bleu(
@@ -277,6 +292,54 @@ def aggregate(
     )
 
 
+def aggregate(
+    entries: list[ManifestEntry],
+    outcomes: list[EmissionLog | str],
+    config: SessionConfig | None = None,
+) -> EvalResult:
+    """Score per-utterance outcomes against their manifest entries.
+
+    ``outcomes[i]`` is the emission log of ``entries[i]``, or the message of
+    the error that left it without one. Runs score each session with
+    ``score_one`` and pool the results as this does, so a run's logs
+    re-score to the same record.
+    """
+    results = [score_one(entry, outcome) for entry, outcome in zip(entries, outcomes, strict=True)]
+    return _pool_scores(entries, results, config)
+
+
+def _evaluate(
+    entries: list[ManifestEntry], configs: list[SessionConfig], out_dir: Path | None
+) -> list[EvalResult]:
+    """One EvalResult per config, from one adapter and one pass over every session.
+
+    The configs differ at most in the policy's knob, which the adapter does
+    not read. Files are written only once every session has returned.
+    """
+    if not entries:
+        raise ConfigError("manifest is empty")
+    adapter = make_adapter(configs[0])
+    runs = _run_all(entries, configs, adapter)
+    evaluations = [
+        _pool_scores(entries, [result for _, result in run], config) for config, run in zip(configs, runs)
+    ]
+    if out_dir is not None:
+        for config, run, evaluation in zip(configs, runs, evaluations):
+            run_dir = Path(out_dir) / config.run_id
+            run_dir.mkdir(parents=True, exist_ok=True)
+            for entry, (outcome, _) in zip(entries, run):
+                path = run_dir / f"{entry.id}.jsonl"
+                if isinstance(outcome, SessionError):
+                    write_failed_log(path, str(outcome), outcome.partial_log)
+                else:
+                    write_emission_log(path, outcome)
+            write_bytes_atomic(
+                run_dir / "aggregate.json",
+                (json.dumps(evaluation.to_record(), indent=2, sort_keys=True) + "\n").encode("utf-8"),
+            )
+    return evaluations
+
+
 def run_eval(
     entries: list[ManifestEntry],
     config: SessionConfig,
@@ -289,29 +352,7 @@ def run_eval(
     recorded in the result rather than raised; a failed session's log holds
     its commits so far and ends with a record carrying the error.
     """
-    if not entries:
-        raise ConfigError("manifest is empty")
-
-    adapter = make_adapter(config)
-    outcomes = _run_all(entries, config, adapter)
-    evaluation = aggregate(
-        entries, [str(o) if isinstance(o, SessionError) else o for o in outcomes], config
-    )
-
-    if out_dir is not None:
-        run_dir = Path(out_dir) / config.run_id
-        run_dir.mkdir(parents=True, exist_ok=True)
-        for entry, outcome in zip(entries, outcomes):
-            path = run_dir / f"{entry.id}.jsonl"
-            if isinstance(outcome, SessionError):
-                write_failed_log(path, str(outcome), outcome.partial_log)
-            else:
-                write_emission_log(path, outcome)
-        write_bytes_atomic(
-            run_dir / "aggregate.json",
-            (json.dumps(evaluation.to_record(), indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
-    return evaluation
+    return _evaluate(entries, [config], out_dir)[0]
 
 
 @dataclass(frozen=True)
@@ -333,20 +374,21 @@ def sweep(
 ) -> tuple[list[CurveRow], list[EvalResult]]:
     """Run one evaluation per grid value of the policy's sweep knob.
 
-    Every grid value is checked before the first run. Rows come back sorted
-    by parameter. When the config sets ``laal_cap_s``, rows whose mean
-    computational-aware LAAL exceeds the cap are dropped from the curve (the
-    underlying EvalResults are all returned).
+    Every grid value is checked before the first run. The grid values share
+    one adapter and one pass over their sessions, pooled as one
+    ``run_eval``'s are; each value's EvalResult equals the ``run_eval`` of its
+    config, and no file is written until every session has returned. Rows
+    come back sorted by parameter. When the config sets ``laal_cap_s``, rows
+    whose mean computational-aware LAAL exceeds the cap are dropped from the
+    curve (the underlying EvalResults are all returned).
     """
     values = sorted(set(grid))
     if not values:
         raise ConfigError("sweep grid is empty")
     configs = [base_config.with_sweep_value(value) for value in values]
+    evaluations = _evaluate(entries, configs, out_dir)
     rows: list[CurveRow] = []
-    evaluations: list[EvalResult] = []
-    for value, config in zip(values, configs):
-        evaluation = run_eval(entries, config, out_dir=out_dir)
-        evaluations.append(evaluation)
+    for value, evaluation in zip(values, evaluations):
         row = CurveRow(
             param=float(value),
             bleu=evaluation.corpus_bleu,

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simulst import FeatureMatrix, SessionConfig, read_features, write_features
+from simulst import FeatureMatrix, SessionConfig, read_features, runner, write_features
 from simulst.cli import main
 from simulst.runner import CURVE_HEADER
 
@@ -450,6 +451,29 @@ class TestScore:
 
             assert run_cli("score", "--manifest", manifest, "--logs", run_dir) == 1
             record = json.loads(capsys.readouterr().out)
+            del run_record["run_id"], run_record["config"]
+            assert record == run_record
+
+    def test_pooled_sweep_rescores_to_its_run_records(self, suite_dir, tmp_path, capsys, monkeypatch):
+        started = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method=None: started.append(method) or get_context(method)
+        )
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 2)
+        out = tmp_path / "out"
+        assert run_cli(
+            "sweep", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--policy", "alignatt", "--chunk-ms", "500", "--grid", "2,4,8",
+        ) == 0
+        assert started == ["fork"]
+        run_dirs = sorted(path.parent for path in out.glob("*/aggregate.json"))
+        assert len(run_dirs) == 3
+        for run_dir in run_dirs:
+            capsys.readouterr()
+            assert run_cli("score", "--manifest", suite_dir / "manifest.jsonl", "--logs", run_dir) == 0
+            record = json.loads(capsys.readouterr().out)
+            run_record = json.loads((run_dir / "aggregate.json").read_text("utf-8"))
             del run_record["run_id"], run_record["config"]
             assert record == run_record
 

@@ -1,5 +1,6 @@
 """Batch evaluation over manifests: aggregation, failures, sweeps, CSV."""
 
+import concurrent.futures
 import dataclasses
 import gc
 import json
@@ -433,7 +434,7 @@ class TestWorkerPool:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Start methods of the pools ``run_eval`` starts."""
+        """Start methods of the pools ``run_eval`` and ``sweep`` start."""
         started = []
         get_context = multiprocessing.get_context
         monkeypatch.setattr(
@@ -477,7 +478,7 @@ class TestWorkerPool:
 
         serial = self._serial(monkeypatch, lambda: run(tmp_path / "serial"))
         pooled = self._pooled(monkeypatch, cpus, lambda: run(tmp_path / "pooled"))
-        assert pools == ["fork"] * 3
+        assert pools == ["fork"]
         assert pooled == serial
         assert _files(tmp_path / "pooled") == _files(tmp_path / "serial")
         assert "curve.csv" in _files(tmp_path / "serial")
@@ -544,6 +545,40 @@ class TestWorkerPool:
         assert pools == ["fork"]
         assert multiprocessing.active_children() == []
         assert not (tmp_path / ALIGNATT4.run_id).exists()
+
+    def test_worker_death_mid_sweep_writes_no_grid_value(self, small_suite, tmp_path, monkeypatch, pools):
+        run_session = runner.run_session
+
+        def run_or_exit(source, adapter, policy, **kwargs):
+            if policy.f == 8:  # the last grid value: the first two may have finished
+                os._exit(3)
+            return run_session(source, adapter, policy, **kwargs)
+
+        monkeypatch.setattr(runner, "run_session", run_or_exit)
+        with pytest.raises(BrokenProcessPool):
+            self._pooled(monkeypatch, 2, lambda: sweep(small_suite, ALIGNATT4, [2, 4, 8], out_dir=tmp_path))
+        assert pools == ["fork"]
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_utterance_sweep_runs_its_grid_in_one_pool(self, suite, tmp_path, monkeypatch, pools):
+        base = SessionConfig(policy="waitk", k=3, chunk_ms=250.0)
+        sizes = []
+
+        class Sized(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Sized)
+        serial = self._serial(monkeypatch, lambda: sweep(suite[:1], base, [2, 4, 6], out_dir=tmp_path / "serial"))
+        assert pools == []
+        pooled = self._pooled(monkeypatch, 8, lambda: sweep(suite[:1], base, [2, 4, 6], out_dir=tmp_path / "pooled"))
+        assert pools == ["fork"]
+        assert sizes == [3]  # never more workers than sessions
+        assert pooled == serial
+        assert _files(tmp_path / "pooled") == _files(tmp_path / "serial")
+        assert len(_files(tmp_path / "serial")) == 3 * 2
 
     def test_real_clock_runs_in_this_process(self, small_suite, monkeypatch, pools):
         real = dataclasses.replace(ALIGNATT4, clock="real")
@@ -628,12 +663,33 @@ class TestSweep:
         assert evaluations[0].config.f == 2
         assert evaluations[1].config.f == 8
 
-    def test_rows_match_single_runs(self, small_suite):
-        rows, _ = sweep(small_suite, ALIGNATT4, [4])
-        single = run_eval(small_suite, ALIGNATT4)
-        assert rows[0].bleu == pytest.approx(single.corpus_bleu)
-        assert rows[0].laal_s == pytest.approx(single.mean_laal_s)
-        assert rows[0].al_s == pytest.approx(single.mean_al_s)
+    def test_rows_match_single_runs(self, small_suite, tmp_path, monkeypatch):
+        for cpus in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(runner, "_available_cpus", lambda: cpus)
+                swept, single = tmp_path / f"sweep{cpus}", tmp_path / f"single{cpus}"
+                rows, evaluations = sweep(small_suite, ALIGNATT4, [2, 4, 8], out_dir=swept)
+                singles = [run_eval(small_suite, e.config, out_dir=single) for e in evaluations]
+            assert [e.config.f for e in singles] == [2, 4, 8]
+            assert evaluations == singles
+            assert rows == [
+                CurveRow(float(e.config.f), e.corpus_bleu, e.mean_laal_s, e.mean_laal_ca_s, e.mean_al_s)
+                for e in singles
+            ]
+            assert _files(swept) == _files(single)
+            assert len(_files(swept)) == 3 * (len(small_suite) + 1)
+
+    def test_one_adapter_per_sweep(self, small_suite, monkeypatch):
+        built = []
+
+        def counting_make_adapter(config):
+            built.append(config.f)
+            return make_adapter(config)
+
+        monkeypatch.setattr(runner, "make_adapter", counting_make_adapter)
+        _, evaluations = sweep(small_suite, ALIGNATT4, [2, 4, 8])
+        assert len(built) == 1
+        assert [e.config.f for e in evaluations] == [2, 4, 8]
 
     def test_empty_grid_rejected(self, small_suite):
         with pytest.raises(ConfigError, match="sweep grid is empty"):
