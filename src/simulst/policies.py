@@ -84,7 +84,7 @@ class StepContext:
     ``vocab`` is the adapter's vocabulary, and ``decode`` is the step's
     ``Decode`` of ``committed + candidates``, paused where the stop rule
     fired (a ``FinishedDecode`` replay for a ``decode_greedy``-only adapter),
-    seen through the simulator's view: its ``advance()`` is an adapter call.
+    checked by the simulator: its ``advance()`` is an adapter call.
     """
 
     candidates: tuple[int, ...]

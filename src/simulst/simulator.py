@@ -9,13 +9,13 @@ a time through ``advance()``: the adapter's ``start_decode``, or its
 ``decode_greedy`` result replayed by ``FinishedDecode``. Before every other
 decode the policy may supply a stop rule; tokens are pulled until it fires or
 the decode ends, and the paused decode goes to the policy with the step's
-context, so it can read further; those reads are adapter calls, checked as
-the simulator's pulls are. Each pulled decode must extend the
-committed tokens, carry (layers, heads, tokens, encoder states) attention,
-and keep returning None once ended; a word count must be an integer >= 0, and a commit count
-an integer in [0, candidates]. An exception from the adapter or the policy, or either breaking
-its contract, ends the session with a ``SessionError`` that names which failed, when and why,
-and carries the commits made so far.
+context, so it can read further. The simulator's pulls and the policy's reads
+go through one checked decode, which holds each token and its (layers, heads,
+encoder states) row, and each decode's tokens and attention, to the adapter
+contract. A word count must be an integer >= 0, and a commit count an integer
+in [0, candidates]. An exception from the adapter or the policy, or either
+breaking its contract, ends the session with a ``SessionError`` that names
+which failed, when and why, and carries the commits made so far.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -40,7 +40,7 @@ from .features import FeatureMatrix
 from .manifest import read_json_lines, write_bytes_atomic
 from .model import DEFAULT_MAX_NEW, Decode, FinishedDecode, ModelAdapter
 from .policies import Policy, StepContext
-from .vocab import Vocabulary
+from .vocab import Vocabulary, piece_text
 
 __all__ = [
     "Clock",
@@ -192,34 +192,23 @@ def _resolve_layer(adapter: ModelAdapter, attention_layer: int | None) -> int:
     return attention_layer
 
 
-def _pull(decode: Decode, vocab: Vocabulary) -> tuple[int, np.ndarray] | None:
-    """``decode.advance()``, whose token must be an id of ``vocab`` other than end-of-sequence."""
-    pulled = decode.advance()
-    if pulled is not None and (pulled[0] == vocab.eos_id or not 0 <= pulled[0] < vocab.size):
-        raise ValueError(
-            f"decode returned token id {pulled[0]}; tokens are ids in [0, {vocab.size}) "
-            f"other than end-of-sequence ({vocab.eos_id})"
-        )
-    return pulled
-
-
 class _AdapterFault(Exception):
-    """An adapter fault met inside a policy call; ``run_session`` reports its cause as the adapter's."""
+    """An adapter fault met in ``advance()``; ``run_session`` reports its cause as the adapter's."""
 
 
-class _PolicyView:
-    """The decode as ``StepContext.decode`` hands it to a policy.
+class _CheckedDecode:
+    """A decode held to the adapter contract: what the simulator pulls and ``StepContext.decode``.
 
-    A policy may read a paused decode past where the simulator stopped
-    pulling it, as local agreement reads the previous hypothesis. Those
-    reads are adapter calls: ``advance()`` is ``_pull``, and what it raises
-    comes out as ``_AdapterFault``. The simulator's own pulls go to the
-    decode itself, so they pay nothing for this.
+    ``advance()`` is the one place every generated token passes through, pulled
+    by the simulator or read by a policy past the pause: it checks the token id
+    and the (layers, heads, n) row over this decode's own ``n``, and raises any
+    fault as ``_AdapterFault``. ``check`` holds the rest once the pulls end.
     """
 
-    def __init__(self, decode: Decode, vocab: Vocabulary):
+    def __init__(self, decode: Decode, adapter: ModelAdapter, n: int):
         self._decode = decode
-        self._vocab = vocab
+        self._vocab = adapter.vocab
+        self._row_shape = (adapter.num_decoder_layers, adapter.num_heads, n)
 
     @property
     def tokens(self) -> tuple[int, ...]:
@@ -235,9 +224,38 @@ class _PolicyView:
 
     def advance(self) -> tuple[int, np.ndarray] | None:
         try:
-            return _pull(self._decode, self._vocab)
+            if (pulled := self._decode.advance()) is not None:
+                token, row = pulled
+                vocab = self._vocab
+                if token == vocab.eos_id or not 0 <= token < vocab.size:
+                    raise ValueError(
+                        f"decode returned token id {token}; tokens are ids in [0, {vocab.size}) "
+                        f"other than end-of-sequence ({vocab.eos_id})"
+                    )
+                if np.shape(row) != self._row_shape:
+                    raise ValueError(
+                        f"decode returned token id {token} with a row of shape {np.shape(row)}; "
+                        f"expected (layers, heads, encoder states) = {self._row_shape}"
+                    )
+            return pulled
         except Exception as exc:
             raise _AdapterFault from exc
+
+    def check(self, committed: list[int], ended: bool) -> None:
+        """Its tokens extend ``committed``, its attention is (layers, heads, tokens, n), and
+        once ``ended`` (``advance()`` returned None) it returns None again."""
+        if ended and (pulled := self._decode.advance()) is not None:
+            raise ValueError(f"decode returned token id {pulled[0]} after it ended")
+        tokens = self._decode.tokens
+        if (head := list(tokens[: len(committed)])) != committed:
+            raise ValueError(f"decode tokens begin {head}, not with the committed {committed}")
+        layers, heads, n = self._row_shape
+        expected = (layers, heads, len(tokens), n)
+        if (shape := self._decode.attention.shape) != expected:
+            raise ValueError(
+                f"decode attention has shape {shape}; expected "
+                f"(layers, heads, tokens, encoder states) = {expected}"
+            )
 
 
 def _count_words(adapter: ModelAdapter, prefix: np.ndarray) -> int:
@@ -255,25 +273,6 @@ def _decide(policy: Policy, context: StepContext) -> int:
     if not 0 <= count <= len(context.candidates):
         raise ValueError(f"policy committed {count} of {len(context.candidates)} candidates")
     return count
-
-
-def _check_decode(
-    decode: Decode, committed: list[int], adapter: ModelAdapter, n: int, ended: bool
-) -> None:
-    """Hold a pulled decode to the adapter contract: its tokens extend ``committed``, its
-    attention is (layers, heads, tokens, n) over the ``n`` encoder states decoded from, and
-    once ``ended`` (``advance()`` returned None) it returns None again."""
-    if ended and (pulled := decode.advance()) is not None:
-        raise ValueError(f"decode returned token id {pulled[0]} after it ended")
-    tokens = decode.tokens
-    if (head := list(tokens[: len(committed)])) != committed:
-        raise ValueError(f"decode tokens begin {head}, not with the committed {committed}")
-    expected = (adapter.num_decoder_layers, adapter.num_heads, len(tokens), n)
-    if decode.attention.shape != expected:
-        raise ValueError(
-            f"decode attention has shape {decode.attention.shape}; expected "
-            f"(layers, heads, tokens, encoder states) = {expected}"
-        )
 
 
 def run_session(
@@ -347,21 +346,21 @@ def run_session(
         try:
             return thunk()
         except Exception as exc:
-            if isinstance(exc, _AdapterFault):  # a policy's read of a paused decode
+            if isinstance(exc, _AdapterFault):  # from ``advance()``, the simulator's or a policy's
                 failure, exc = "adapter failed", exc.__cause__
             # a policy fault is named by its repr: its type says where the bug is
             detail = repr(exc) if failure == "policy failed" else str(exc)
             raise SessionError(f"{failure} at {ideal_s:.3f}s: {detail}", partial()) from exc
 
-    def start(prefix: np.ndarray) -> tuple[Decode, int]:
-        """The decode of ``prefix`` and the number of encoder states it attends to."""
+    def start(prefix: np.ndarray) -> _CheckedDecode:
+        """The checked decode of ``prefix``."""
         states = adapter.encode(prefix)
         clock.charge(step_cost_s)
         if hasattr(adapter, "start_decode"):
             decode = adapter.start_decode(states, committed, max_new)
         else:
             decode = FinishedDecode(adapter.decode_greedy(states, committed, max_new), len(committed))
-        return decode, states.n
+        return _CheckedDecode(decode, adapter, states.n)
 
     while not cursor.exhausted:
         prefix = cursor.read()
@@ -378,12 +377,12 @@ def run_session(
         rule = None if final else call(
             "policy failed", lambda: policy.stop_rule(tuple(committed), detected_words, vocab, layer)
         )
-        decode, n = call("adapter failed", lambda: start(prefix))
+        decode = call("adapter failed", lambda: start(prefix))
         # On the final flush, or with no rule, the decode is pulled to its end.
-        while (pulled := call("adapter failed", lambda: _pull(decode, vocab))) is not None:
+        while (pulled := call("adapter failed", decode.advance)) is not None:
             if rule is not None and call("policy failed", lambda: rule(*pulled)):
                 break
-        call("adapter failed", lambda: _check_decode(decode, committed, adapter, n, pulled is None))
+        call("adapter failed", lambda: decode.check(committed, pulled is None))
         clock.charge(step_cost_s)
 
         candidates = list(decode.tokens[len(committed):])
@@ -400,7 +399,7 @@ def run_session(
             committed=tuple(committed),
             eos_reached=decode.eos_reached,
             vocab=vocab,
-            decode=_PolicyView(decode, vocab),
+            decode=decode,
         )
         count = call("policy failed", lambda: _decide(policy, context))
         commit(candidates[:count], ideal_s)
@@ -462,7 +461,8 @@ def read_emission_log(path) -> EmissionLog:
 
     Raises ValueError naming ``path`` when the file is empty or not UTF-8, a
     line is not a JSON object (naming the line too), a key is missing or of
-    the wrong type, or the source duration is not positive. A log written by
+    the wrong type, the source duration is not positive, or ``final_text`` is
+    not the text the events write (``piece_text``). A log written by
     ``write_failed_log`` raises ValueError with the session's error message
     verbatim.
     """
@@ -484,16 +484,16 @@ def read_emission_log(path) -> EmissionLog:
     duration = field(summary, "source_duration_s", float)
     if not duration > 0:
         raise ValueError(f"{path}: source duration must be positive, got {duration}")
-    return EmissionLog(
-        events=tuple(
-            Emission(
-                token=field(event, "token", int),
-                text=field(event, "text", str),
-                ideal_s=field(event, "ideal_s", float),
-                wall_s=field(event, "wall_s", float),
-            )
-            for event in events
-        ),
-        source_duration_s=duration,
-        final_text=field(summary, "final_text", str),
+    events = tuple(
+        Emission(
+            token=field(event, "token", int),
+            text=field(event, "text", str),
+            ideal_s=field(event, "ideal_s", float),
+            wall_s=field(event, "wall_s", float),
+        )
+        for event in events
     )
+    final_text = field(summary, "final_text", str)
+    if final_text != (written := "".join(piece_text(e.text) for e in events).strip()):
+        raise ValueError(f"{path}: final_text {final_text!r} is not {written!r}, the text its events write")
+    return EmissionLog(events, duration, final_text)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,3 +177,18 @@ class TestPrivateNamesRead:
 
     def test_every_private_definition_is_read_in_src(self):
         assert self.defined() - TestUsedInLibrary.uses() == set()
+
+
+class TestReadmeExample:
+    """The README's library example runs as written, so an API change cannot silently break it."""
+
+    def test_the_python_block_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 1
+        namespace = {}
+        exec(compile(blocks[0], "README.md", "exec"), namespace)
+        log, printed = namespace["log"], capsys.readouterr().out.splitlines()
+        # a line per event, the final text, then the two LAAL figures
+        assert log.events and len(printed) == len(log.events) + 2
+        assert printed[-2] == log.final_text

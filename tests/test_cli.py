@@ -416,6 +416,26 @@ class TestScore:
         del run_record["run_id"], run_record["config"]
         assert record == run_record
 
+    def test_a_log_whose_text_disagrees_with_its_events_fails_its_utterance(self, suite_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
+        assert run_cli(
+            "run", "--manifest", suite_dir / "manifest.jsonl", "--out", out,
+            "--policy", "alignatt", "--f", "4", "--chunk-ms", "500",
+        ) == 0
+        capsys.readouterr()
+        path = out / config.run_id / "utt001.jsonl"
+        *events, summary = path.read_text("utf-8").splitlines()
+        record = json.loads(summary)
+        record["final_text"] += " extra"
+        path.write_text("\n".join([*events, json.dumps(record, ensure_ascii=False)]) + "\n", encoding="utf-8")
+
+        assert run_cli("score", "--manifest", suite_dir / "manifest.jsonl", "--logs", out / config.run_id) == 1
+        utterances = json.loads(capsys.readouterr().out)["utterances"]
+        assert [u["error"] is None for u in utterances] == [True, False, True]
+        assert utterances[1]["error"].startswith(f"{path}: final_text ")
+        assert utterances[1]["error"].endswith(", the text its events write")
+
     def test_failed_run_utterance_rescores_to_the_run_record(self, suite_dir, tmp_path, capsys):
         # run writes a failed session's log with its error, and score reads
         # that error back, so the reports are equal; a session that never

@@ -462,12 +462,12 @@ def _without_rule(policy):
 
 
 def _recording(policy, seen):
-    """``policy`` appending, at each ``decide``, the type of the decode its view reads and whether
-    it holds the hypothesis."""
+    """``policy`` appending, at each ``decide``, the type of the decode that the simulator's checked
+    decode reads and whether it holds the hypothesis."""
     decide = policy.decide
 
     def recorded(ctx):
-        assert type(ctx.decode) is simulator._PolicyView
+        assert type(ctx.decode) is simulator._CheckedDecode
         seen.append((type(ctx.decode._decode), ctx.decode.tokens == ctx.committed + ctx.candidates))
         return decide(ctx)
 
@@ -1113,8 +1113,8 @@ class TestDecodeContract:
             (_IgnoresPrefix, r"adapter failed at 1\.250s: decode tokens begin \[6\], not with the committed \[41\]"),
             (
                 _WideAttention,
-                r"adapter failed at 0\.250s: decode attention has shape \(2, 4, 19, 57\); "
-                r"expected \(layers, heads, tokens, encoder states\) = \(2, 4, 19, 7\)",
+                r"adapter failed at 0\.250s: decode returned token id 11 with a row of shape \(2, 4, 57\); "
+                r"expected \(layers, heads, encoder states\) = \(2, 4, 7\)",
             ),
             (_DropsPrefixToken, r"adapter failed at 1\.000s: decode tokens begin \[6\], not with the committed \[41\]"),
             (
@@ -1149,6 +1149,61 @@ class TestDecodeContract:
             f"adapter failed at 1.600s: decode tokens begin {ids[1:4]}, not with the committed {ids[:3]}"
         )
         assert info.value.partial_log.tokens == tuple(ids[:3])
+
+
+class _FlatRowsAt30(_Pulls):
+    """``_Pulls`` whose decode over 30 encoder states returns each row as its first layer's first
+    head, shape (n,) where the contract asks for (layers, heads, n)."""
+
+    def start_decode(self, enc, forced_prefix, max_new=128):
+        decode = super().start_decode(enc, forced_prefix, max_new)
+        if enc.n == 30:
+            advance = decode.advance
+            decode.advance = lambda: None if (pulled := advance()) is None else (pulled[0], pulled[1][0, 0])
+        return decode
+
+
+class TestAttentionRow:
+    """A row from ``advance()`` that is not (layers, heads, n) over the decode's own n encoder states
+    fails the session as the adapter's fault, whether the simulator pulls it or a policy reads it."""
+
+    @pytest.mark.parametrize(
+        "make_policy",
+        [lambda: AlignAttPolicy(f=2), lambda: EDAttPolicy(alpha=0.5), lambda: WaitKPolicy(k=1), LocalAgreementPolicy],
+        ids=["alignatt", "edatt", "waitk", "local_agreement"],
+    )
+    def test_a_pulled_row_is_checked(self, make_policy):
+        # hypotheses aa, aa bb, aa bb cc, aa bb cc dd over four 400 ms steps, all aligned at frame 0
+        vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
+        ids = [piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")]
+
+        def script(n):
+            count = n // 10
+            return ScriptStep(tokens=tuple(ids[:count]), alignment=(0,) * count, eos=count == 4, source_words=count)
+
+        adapter = ScriptedAdapter(vocab, script)
+        source = FeatureMatrix(frames=np.zeros((160, 80), dtype=np.float32))
+        plain = run_session(source, adapter, make_policy(), chunk_ms=400.0)
+        with pytest.raises(SessionError) as info:
+            run_session(source, _FlatRowsAt30(adapter), make_policy(), chunk_ms=400.0)
+        partial = info.value.partial_log.tokens
+        assert str(info.value) == (
+            f"adapter failed at 1.200s: decode returned token id {ids[len(partial)]} with a row of shape "
+            "(30,); expected (layers, heads, encoder states) = (1, 1, 30)"
+        )
+        assert isinstance(info.value.__cause__, ValueError)
+        # the commits of the first two steps are kept
+        assert partial and info.value.partial_log.events == tuple(e for e in plain.events if e.ideal_s < 1.2)
+
+    def test_a_later_read_is_checked_against_its_own_decode(self):
+        # the previous step's decode attends to 20 encoder states; a row over the current step's 30 is wrong
+        vocab, ids, _, _ = scripted_setup("late")
+        failed = TestSessionFailures.stale_read_session(lambda: (ids[2], np.full((1, 1, 30), 1 / 30)))
+        assert str(failed) == (
+            f"adapter failed at 1.200s: decode returned token id {ids[2]} with a row of shape (1, 1, 30); "
+            "expected (layers, heads, encoder states) = (1, 1, 20)"
+        )
+        assert isinstance(failed.__cause__, ValueError)
 
 
 class _Revived(_FourMembers):
@@ -1285,7 +1340,7 @@ class TestEmissionLogIO:
 
     def test_unicode_pieces_survive(self, tmp_path):
         log = EmissionLog(
-            events=(),
+            events=(Emission(token=3, text="▁darüber", ideal_s=1.0, wall_s=1.0),),
             source_duration_s=1.0,
             final_text="darüber",
         )
@@ -1293,6 +1348,21 @@ class TestEmissionLogIO:
         write_emission_log(path, log)
         assert "darüber" in path.read_text(encoding="utf-8")
         assert read_emission_log(path).final_text == "darüber"
+
+    def test_final_text_must_be_the_text_the_events_write(self, tmp_path):
+        # otherwise BLEU would score one hypothesis and AL/LAAL the words of another
+        events = (Emission(2, "<unk>", 0.5, 0.5), Emission(3, "▁a", 1.0, 1.0), Emission(4, "▁b", 2.0, 2.0))
+        path = tmp_path / "u1.jsonl"
+        write_emission_log(path, EmissionLog(events, 3.0, "a b"))
+        assert read_emission_log(path).final_text == "a b"
+        for final_text, written in (("a b c", "a b"), (" a b", "a b"), ("ab", "a b")):
+            write_emission_log(path, EmissionLog(events, 3.0, final_text))
+            with pytest.raises(ValueError) as info:
+                read_emission_log(path)
+            assert str(info.value) == f"{path}: final_text {final_text!r} is not {written!r}, the text its events write"
+        write_emission_log(path, EmissionLog((), 3.0, "a"))
+        with pytest.raises(ValueError, match="final_text 'a' is not '', the text its events write"):
+            read_emission_log(path)
 
     def test_failed_write_keeps_earlier_log(self, tmp_path):
         path = tmp_path / "session.jsonl"
