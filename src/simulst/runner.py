@@ -11,12 +11,13 @@ processes, one per available CPU and never more than there are sessions;
 otherwise they run one after another in this process, so a real clock times
 each session's compute on its own. The task that runs a session also scores
 it (``score_one``). Either way the outcomes come back in manifest order,
-and this process pools the scores into corpus BLEU and mean latencies and
-writes every file, only once every session has returned, so the output
-bytes do not depend on the worker count. Per-utterance failures
-(unreadable source file, adapter fault) are recorded and skipped; corpus
-BLEU pools n-gram counts over the successful sessions and latency is
-macro-averaged over them (sessions with empty output contribute no latency).
+and this process pools the scores into corpus BLEU and a mean
+``LatencyReport`` and writes every file, only once every session has
+returned, so the output bytes do not depend on the worker count.
+Per-utterance failures (unreadable source file, adapter fault) are recorded
+and skipped; corpus BLEU pools n-gram counts over the successful sessions
+and each latency metric is macro-averaged over them (sessions with empty
+output contribute no latency).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .config import ConfigError, SessionConfig
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 CURVE_HEADER = "param,bleu,laal_s,laal_ca_s,al_s"
+_LATENCY_FIELDS = tuple(field.name for field in fields(LatencyReport))
 
 
 def make_adapter(config: SessionConfig) -> ModelAdapter:
@@ -88,15 +90,14 @@ class EvalResult:
     """One run over a manifest: per-utterance outcomes plus corpus aggregates.
 
     ``config`` is None when the outcomes were read back from logs.
+    ``mean_latency`` holds each ``LatencyReport`` metric averaged over the
+    sessions where it is defined (NaN when none is).
     """
 
     config: SessionConfig | None
     results: tuple[UtteranceResult, ...]
     corpus_bleu: float
-    mean_al_s: float
-    mean_laal_s: float
-    mean_al_ca_s: float
-    mean_laal_ca_s: float
+    mean_latency: LatencyReport
 
     @property
     def num_failed(self) -> int:
@@ -105,26 +106,21 @@ class EvalResult:
     def to_record(self) -> dict:
         """JSON-able aggregate record written next to the per-session logs.
 
-        ``run_id`` and ``config`` are present only when the config is known.
+        Each ``LatencyReport`` field is a key per utterance and, as ``mean_<field>``, of the
+        run. ``run_id`` and ``config`` are present only when the config is known.
         """
         record = {
             "num_utterances": len(self.results),
             "num_failed": self.num_failed,
             "failed_ids": [r.id for r in self.results if r.failed],
             "corpus_bleu": _json_number(self.corpus_bleu),
-            "mean_al_s": _json_number(self.mean_al_s),
-            "mean_laal_s": _json_number(self.mean_laal_s),
-            "mean_al_ca_s": _json_number(self.mean_al_ca_s),
-            "mean_laal_ca_s": _json_number(self.mean_laal_ca_s),
+            **_latency_record(self.mean_latency, "mean_"),
             "utterances": [
                 {
                     "id": r.id,
                     "error": r.error,
                     "bleu": _json_number(r.bleu),
-                    "al_s": _json_number(r.latency.al_s) if r.latency else None,
-                    "laal_s": _json_number(r.latency.laal_s) if r.latency else None,
-                    "al_ca_s": _json_number(r.latency.al_ca_s) if r.latency else None,
-                    "laal_ca_s": _json_number(r.latency.laal_ca_s) if r.latency else None,
+                    **_latency_record(r.latency),
                     "final_text": r.log.final_text if r.log else None,
                 }
                 for r in self.results
@@ -141,6 +137,14 @@ def _json_number(value: float | None) -> float | None:
     if value is None or math.isnan(value):
         return None
     return value
+
+
+def _latency_record(report: LatencyReport | None, prefix: str = "") -> dict:
+    """Each ``LatencyReport`` field of ``report`` under ``prefix + name``; all null without one."""
+    return {
+        prefix + name: None if report is None else _json_number(getattr(report, name))
+        for name in _LATENCY_FIELDS
+    }
 
 
 def _run_one(
@@ -281,23 +285,15 @@ def _pool_scores(
         ).bleu
     else:
         pooled = math.nan
-    return EvalResult(
-        config=config,
-        results=tuple(results),
-        corpus_bleu=pooled,
-        mean_al_s=_mean([r.latency.al_s for r in results if r.latency]),
-        mean_laal_s=_mean([r.latency.laal_s for r in results if r.latency]),
-        mean_al_ca_s=_mean([r.latency.al_ca_s for r in results if r.latency]),
-        mean_laal_ca_s=_mean([r.latency.laal_ca_s for r in results if r.latency]),
+    reports = [r.latency for r in results if r.latency]
+    mean_latency = LatencyReport(
+        **{name: _mean([getattr(report, name) for report in reports]) for name in _LATENCY_FIELDS}
     )
+    return EvalResult(config=config, results=tuple(results), corpus_bleu=pooled, mean_latency=mean_latency)
 
 
-def aggregate(
-    entries: list[ManifestEntry],
-    outcomes: list[EmissionLog | str],
-    config: SessionConfig | None = None,
-) -> EvalResult:
-    """Score per-utterance outcomes against their manifest entries.
+def aggregate(entries: list[ManifestEntry], outcomes: list[EmissionLog | str]) -> EvalResult:
+    """Score per-utterance outcomes against their manifest entries; the config is unknown.
 
     ``outcomes[i]`` is the emission log of ``entries[i]``, or the message of
     the error that left it without one. Runs score each session with
@@ -305,7 +301,7 @@ def aggregate(
     re-score to the same record.
     """
     results = [score_one(entry, outcome) for entry, outcome in zip(entries, outcomes, strict=True)]
-    return _pool_scores(entries, results, config)
+    return _pool_scores(entries, results, None)
 
 
 def _evaluate(
@@ -387,19 +383,12 @@ def sweep(
         raise ConfigError("sweep grid is empty")
     configs = [base_config.with_sweep_value(value) for value in values]
     evaluations = _evaluate(entries, configs, out_dir)
-    rows: list[CurveRow] = []
-    for value, evaluation in zip(values, evaluations):
-        row = CurveRow(
-            param=float(value),
-            bleu=evaluation.corpus_bleu,
-            laal_s=evaluation.mean_laal_s,
-            laal_ca_s=evaluation.mean_laal_ca_s,
-            al_s=evaluation.mean_al_s,
-        )
-        if base_config.laal_cap_s is not None and row.laal_ca_s > base_config.laal_cap_s:
-            continue
-        rows.append(row)
-    return rows, evaluations
+    rows = [
+        CurveRow(float(value), e.corpus_bleu, e.mean_latency.laal_s, e.mean_latency.laal_ca_s, e.mean_latency.al_s)
+        for value, e in zip(values, evaluations)
+    ]
+    cap = base_config.laal_cap_s
+    return [row for row in rows if cap is None or not row.laal_ca_s > cap], evaluations
 
 
 def param_text(value: float) -> str:

@@ -9,13 +9,14 @@ a time through ``advance()``: the adapter's ``start_decode``, or its
 ``decode_greedy`` result replayed by ``FinishedDecode``. Before every other
 decode the policy may supply a stop rule; tokens are pulled until it fires or
 the decode ends, and the paused decode goes to the policy with the step's
-context, so it can read further. The simulator's pulls and the policy's reads
-go through one checked decode, which holds each token and its (layers, heads,
-encoder states) row, and each decode's tokens and attention, to the adapter
-contract. A word count must be an integer >= 0, and a commit count an integer
-in [0, candidates]. An exception from the adapter or the policy, or either
-breaking its contract, ends the session with a ``SessionError`` that names
-which failed, when and why, and carries the commits made so far.
+context, so it can read further. Each encode must give at least one state.
+The simulator's pulls and the policy's reads go through one checked decode,
+which holds each token and its (layers, heads, encoder states) row, and each
+decode's tokens and attention, to the adapter contract. A word count must be
+an integer >= 0, and a commit count an integer in [0, candidates]. An
+exception from the adapter or the policy, or either breaking its contract,
+ends the session with a ``SessionError`` that names which failed, when and
+why, and carries the commits made so far.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -31,7 +32,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -59,7 +60,6 @@ __all__ = [
 DEFAULT_CHUNK_MS = 1000.0
 
 
-@runtime_checkable
 class Clock(Protocol):
     """Session time source. ``now`` is monotone non-decreasing."""
 
@@ -123,11 +123,18 @@ class Emission:
 
 @dataclass(frozen=True)
 class EmissionLog:
-    """Ordered committed tokens of one session plus source duration."""
+    """Ordered committed tokens of one session plus source duration.
+
+    Its ``final_text`` is the text its events write (``piece_text``), or it raises ValueError.
+    """
 
     events: tuple[Emission, ...]
     source_duration_s: float
     final_text: str
+
+    def __post_init__(self) -> None:
+        if self.final_text != (written := "".join(piece_text(e.text) for e in self.events).strip()):
+            raise ValueError(f"final_text {self.final_text!r} is not {written!r}, the text its events write")
 
     @property
     def tokens(self) -> tuple[int, ...]:
@@ -355,6 +362,8 @@ def run_session(
     def start(prefix: np.ndarray) -> _CheckedDecode:
         """The checked decode of ``prefix``."""
         states = adapter.encode(prefix)
+        if states.n < 1:
+            raise ValueError(f"encoder returned no states for {len(prefix)} frames")
         clock.charge(step_cost_s)
         if hasattr(adapter, "start_decode"):
             decode = adapter.start_decode(states, committed, max_new)
@@ -494,6 +503,7 @@ def read_emission_log(path) -> EmissionLog:
         for event in events
     )
     final_text = field(summary, "final_text", str)
-    if final_text != (written := "".join(piece_text(e.text) for e in events).strip()):
-        raise ValueError(f"{path}: final_text {final_text!r} is not {written!r}, the text its events write")
-    return EmissionLog(events, duration, final_text)
+    try:
+        return EmissionLog(events, duration, final_text)
+    except ValueError as exc:  # final_text is not the text its events write
+        raise ValueError(f"{path}: {exc}") from None

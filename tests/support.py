@@ -8,11 +8,13 @@ its incremental decode, and ``validate_attention_matrix`` checks that
 attention rows are distributions. ``piece_id`` looks up a piece's token id.
 ``write_wav`` makes audio for the front end to read, and
 ``mel_center_frequencies`` places the Mel filters from the public scale
-conversions alone.
+conversions alone. ``reference_session`` states each policy's rule a second
+time, over full re-decodes, as the oracle for ``run_session``.
 """
 
 from __future__ import annotations
 
+import os
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +46,7 @@ from simulst.model import (
     _causal_mask,
     _rms_norm,
 )
+from simulst.vocab import piece_text
 
 ROW_SUM_TOL = 1e-5
 
@@ -254,6 +257,88 @@ class PlantedAdapter:
     def count_source_words(self, raw_features: np.ndarray) -> int:
         enc = self.encode(raw_features)
         return sum(1 for b in self._utterance(enc).boundaries if b < enc.n)
+
+
+def reference_session(
+    source: FeatureMatrix,
+    adapter,
+    policy: str,
+    *,
+    chunk_ms: float,
+    step_cost_s: float = 0.0,
+    max_new: int = DEFAULT_MAX_NEW,
+    f: int | None = None,
+    alpha: float | None = None,
+    lam: int = 2,
+    k: int | None = None,
+) -> list[tuple[int, float, float]]:
+    """The ``(token, ideal_s, wall_s)`` commits of a session under ``policy``, stated from the rules alone.
+
+    Every step re-encodes the delivered prefix and decodes it in full with
+    ``decode_greedy`` from the committed tokens; the policy then commits a
+    prefix of the candidates, and the last step commits them all. Nothing of
+    the simulator or the policies is used, so this checks the stop rules,
+    the pulled decodes and the clock of ``run_session`` from outside.
+    """
+    vocab = adapter.vocab
+    layer = min(3, adapter.num_decoder_layers - 1)  # the README's default attention layer
+
+    def text(tokens) -> str:
+        return "".join(piece_text(vocab.piece(t)) for t in tokens)
+
+    def words(tokens) -> int:
+        # Deliberate (ROADMAP item 11): the output is taken to start inside a word, as wait-k's
+        # tally counts, so a continuation piece at its very start starts no word and costs no budget.
+        return len(("x" + text(tokens)).split()) - 1
+
+    chunk = max(1, round(chunk_ms / source.frame_shift_ms))
+    committed: list[int] = []
+    events: list[tuple[int, float, float]] = []
+    previous, detected, clock = None, 0, 0.0
+    for end in range(chunk, source.num_frames + chunk, chunk):
+        end = min(end, source.num_frames)
+        prefix, ideal_s = source.frames[:end], end * source.frame_shift_ms / 1000.0
+        final = end == source.num_frames
+        if policy == "waitk" and not final:
+            # Deliberate: detections only ratchet upward, so a word budget once granted is never
+            # retracted; wait-k as published reads a count that only grows anyway.
+            detected = max(detected, adapter.count_source_words(prefix))
+        result = adapter.decode_greedy(adapter.encode(prefix), committed, max_new)
+        # The simulated clock: the chunk's arrival, then one charge for the encode and one for the decode.
+        clock = max(clock, ideal_s) + step_cost_s + step_cost_s
+        hypothesis = list(result.tokens)
+        candidates = hypothesis[len(committed):]
+        mean = result.attention[layer, :, len(committed):].mean(axis=0)  # head mean, one row per candidate
+        n = mean.shape[1]
+        if final:
+            take = len(candidates)
+        elif policy in ("alignatt", "edatt"):
+            # AlignAtt: up to the first candidate whose attention peaks in the last f frames.
+            # EDAtt: up to the first candidate whose mass on the last lam frames reaches alpha.
+            stops = [
+                int(np.argmax(row)) >= n - f if policy == "alignatt" else row[max(0, n - lam):].sum() >= alpha
+                for row in mean
+            ]
+            take = stops.index(True) if True in stops else len(candidates)
+        elif policy == "waitk":
+            # Whole words, at most one per detected source word after the first k - 1: the longest
+            # commit with whitespace right before or after it, or of every candidate at end-of-sequence.
+            def whole(c: int) -> bool:
+                before, after = "x" + text(hypothesis[: len(committed) + c]), text(candidates[c:])
+                return before[-1].isspace() or (after[0].isspace() if after else result.eos_reached)
+
+            budget = max(0, detected - k + 1)
+            fits = [c for c in range(1, len(candidates) + 1) if whole(c)]
+            take = max((c for c in fits if words(hypothesis[: len(committed) + c]) <= budget), default=0)
+        elif policy == "local_agreement":
+            # The longest common prefix of the last two full hypotheses, less what is committed.
+            agreed = 0 if previous is None else len(os.path.commonprefix([previous, hypothesis]))
+            take, previous = max(0, agreed - len(committed)), hypothesis
+        else:
+            raise ValueError(f"unknown policy {policy!r}")
+        events += [(token, ideal_s, clock) for token in candidates[:take]]
+        committed += candidates[:take]
+    return events
 
 
 def teacher_forced(model: ToyModel, ids: Sequence[int], enc: np.ndarray):

@@ -83,7 +83,7 @@ class TestRunEval:
         assert [r.id for r in evaluation.results] == [e.id for e in small_suite]
         assert evaluation.num_failed == 0
         assert not math.isnan(evaluation.corpus_bleu)
-        assert not math.isnan(evaluation.mean_laal_s)
+        assert not math.isnan(evaluation.mean_latency.laal_s)
         for result in evaluation.results:
             assert result.log is not None
             assert result.latency is not None
@@ -158,7 +158,7 @@ class TestRunEval:
         events = [e for r in evaluation.results for e in r.log.events]
         assert all(e.wall_s >= e.ideal_s for e in events)
         assert any(e.wall_s > e.ideal_s for e in events)
-        assert evaluation.mean_laal_ca_s > evaluation.mean_laal_s
+        assert evaluation.mean_latency.laal_ca_s > evaluation.mean_latency.laal_s
 
     def test_failed_session_log_keeps_its_commits_and_error(self, small_suite, tmp_path, monkeypatch):
         class FailsThirdStep(AlignAttPolicy):
@@ -673,7 +673,7 @@ class TestSweep:
             assert [e.config.f for e in singles] == [2, 4, 8]
             assert evaluations == singles
             assert rows == [
-                CurveRow(float(e.config.f), e.corpus_bleu, e.mean_laal_s, e.mean_laal_ca_s, e.mean_al_s)
+                CurveRow(float(e.config.f), e.corpus_bleu, e.mean_latency.laal_s, e.mean_latency.laal_ca_s, e.mean_latency.al_s)
                 for e in singles
             ]
             assert _files(swept) == _files(single)

@@ -1,5 +1,6 @@
 """Streaming session driver: clocks, chunked delivery, commit timing, JSONL."""
 
+import json
 import pickle
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from simulst import (
     AlignAttPolicy,
     DecodeResult,
     EDAttPolicy,
+    EncoderStates,
     Emission,
     EmissionLog,
     FeatureMatrix,
@@ -1206,6 +1208,48 @@ class TestAttentionRow:
         assert isinstance(failed.__cause__, ValueError)
 
 
+class _NoStatesFrom120(ScriptedAdapter):
+    """``ScriptedAdapter`` whose encoder returns no states once 120 frames have arrived; its decoder
+    still answers then, with attention over those zero states."""
+
+    def encode(self, raw_features):
+        if len(raw_features) < 120:
+            return super().encode(raw_features)
+        return EncoderStates(states=np.zeros((0, 8)), version=len(raw_features))
+
+    def decode_greedy(self, enc, forced_prefix, max_new=128):
+        if enc.n:
+            return super().decode_greedy(enc, forced_prefix, max_new)
+        tokens = (*forced_prefix, 3)
+        return DecodeResult(tokens, np.zeros((1, 1, len(tokens), 0)), False)
+
+
+class TestNoEncoderStates:
+    @pytest.mark.parametrize(
+        "make_policy",
+        [lambda: AlignAttPolicy(f=2), lambda: EDAttPolicy(alpha=0.5), lambda: WaitKPolicy(k=1), LocalAgreementPolicy],
+        ids=["alignatt", "edatt", "waitk", "local_agreement"],
+    )
+    def test_fail_the_session_as_the_adapters_fault(self, make_policy):
+        # hypotheses aa, aa bb, aa bb cc, aa bb cc dd over four 400 ms steps, all aligned at frame 0
+        vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
+        ids = [piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")]
+
+        def script(n):
+            count = n // 10
+            return ScriptStep(tokens=tuple(ids[:count]), alignment=(0,) * count, eos=count == 4, source_words=count)
+
+        source = FeatureMatrix(frames=np.zeros((160, 80), dtype=np.float32))
+        plain = run_session(source, ScriptedAdapter(vocab, script), make_policy(), chunk_ms=400.0)
+        with pytest.raises(SessionError) as info:
+            run_session(source, _NoStatesFrom120(vocab, script), make_policy(), chunk_ms=400.0)
+        assert str(info.value) == "adapter failed at 1.200s: encoder returned no states for 120 frames"
+        assert isinstance(info.value.__cause__, ValueError)
+        # the commits of the first two steps are kept
+        partial = info.value.partial_log
+        assert partial.tokens and partial.events == tuple(e for e in plain.events if e.ideal_s < 1.2)
+
+
 class _Revived(_FourMembers):
     """A decode that returns ``token`` once more after ``advance()`` returned None."""
 
@@ -1355,22 +1399,36 @@ class TestEmissionLogIO:
         path = tmp_path / "u1.jsonl"
         write_emission_log(path, EmissionLog(events, 3.0, "a b"))
         assert read_emission_log(path).final_text == "a b"
+        *event_lines, _ = path.read_text(encoding="utf-8").splitlines()
         for final_text, written in (("a b c", "a b"), (" a b", "a b"), ("ab", "a b")):
-            write_emission_log(path, EmissionLog(events, 3.0, final_text))
+            summary = json.dumps({"source_duration_s": 3.0, "final_text": final_text})
+            path.write_text("\n".join([*event_lines, summary]) + "\n", encoding="utf-8")
             with pytest.raises(ValueError) as info:
                 read_emission_log(path)
             assert str(info.value) == f"{path}: final_text {final_text!r} is not {written!r}, the text its events write"
-        write_emission_log(path, EmissionLog((), 3.0, "a"))
+        path.write_text('{"source_duration_s": 3.0, "final_text": "a"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="final_text 'a' is not '', the text its events write"):
             read_emission_log(path)
 
+    def test_inconsistent_log_cannot_be_built(self):
+        # so neither a session nor a library caller can write a log that ``score`` rejects
+        events = (Emission(2, "<unk>", 0.5, 0.5), Emission(3, "▁a", 1.0, 1.0), Emission(4, "b", 2.0, 2.0))
+        assert EmissionLog(events, 3.0, "ab").final_text == "ab"
+        for final_text, written in (("a b", "ab"), (" ab", "ab"), ("", "ab")):
+            with pytest.raises(ValueError) as info:
+                EmissionLog(events, 3.0, final_text)
+            assert str(info.value) == f"final_text {final_text!r} is not {written!r}, the text its events write"
+        with pytest.raises(ValueError, match="final_text 'darüber' is not '', the text its events write"):
+            EmissionLog((), 1.0, "darüber")
+
     def test_failed_write_keeps_earlier_log(self, tmp_path):
         path = tmp_path / "session.jsonl"
-        write_emission_log(path, EmissionLog(events=(), source_duration_s=1.0, final_text="ok"))
+        ok = Emission(token=3, text="ok", ideal_s=0.5, wall_s=0.5)
+        write_emission_log(path, EmissionLog(events=(ok,), source_duration_s=1.0, final_text="ok"))
         before = path.read_bytes()
         # a lone surrogate cannot be encoded, so the write fails partway
         unencodable = EmissionLog(
-            events=(Emission(token=3, text="a", ideal_s=1.0, wall_s=1.0),),
+            events=(Emission(token=3, text="a\ud800", ideal_s=1.0, wall_s=1.0),),
             source_duration_s=2.0,
             final_text="a\ud800",
         )
