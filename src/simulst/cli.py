@@ -130,7 +130,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             outcomes.append(str(exc))
     evaluation = aggregate(entries, outcomes)
-    text = json.dumps(evaluation.to_record(), indent=2, sort_keys=True)
+    text = evaluation.to_json()
     if args.out is not None:
         write_bytes_atomic(args.out, (text + "\n").encode("utf-8"))
     print(text)

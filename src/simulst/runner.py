@@ -13,7 +13,10 @@ each session's compute on its own. The task that runs a session also scores
 it (``score_one``). Either way the outcomes come back in manifest order,
 and this process pools the scores into corpus BLEU and a mean
 ``LatencyReport`` and writes every file, only once every session has
-returned, so the output bytes do not depend on the worker count.
+returned, so the output bytes do not depend on the worker count: each
+session's outcome, log or error, through ``write_emission_log``, and the
+run's ``aggregate.json`` as ``EvalResult.to_json``, the text ``simulst
+score`` reproduces from the logs.
 Per-utterance failures (unreadable source file, adapter fault) are recorded
 and skipped; corpus BLEU pools n-gram counts over the successful sessions
 and each latency metric is macro-averaged over them (sessions with empty
@@ -43,7 +46,6 @@ from .simulator import (
     SimulatedClock,
     run_session,
     write_emission_log,
-    write_failed_log,
 )
 from .vocab import build_default_vocabulary
 
@@ -130,6 +132,10 @@ class EvalResult:
             record["run_id"] = self.config.run_id
             record["config"] = self.config.to_dict()
         return record
+
+    def to_json(self) -> str:
+        """``to_record`` as the text of ``aggregate.json``, which ``simulst score`` reproduces."""
+        return json.dumps(self.to_record(), indent=2, sort_keys=True)
 
 
 def _json_number(value: float | None) -> float | None:
@@ -324,15 +330,8 @@ def _evaluate(
             run_dir = Path(out_dir) / config.run_id
             run_dir.mkdir(parents=True, exist_ok=True)
             for entry, (outcome, _) in zip(entries, run):
-                path = run_dir / f"{entry.id}.jsonl"
-                if isinstance(outcome, SessionError):
-                    write_failed_log(path, str(outcome), outcome.partial_log)
-                else:
-                    write_emission_log(path, outcome)
-            write_bytes_atomic(
-                run_dir / "aggregate.json",
-                (json.dumps(evaluation.to_record(), indent=2, sort_keys=True) + "\n").encode("utf-8"),
-            )
+                write_emission_log(run_dir / f"{entry.id}.jsonl", outcome)
+            write_bytes_atomic(run_dir / "aggregate.json", (evaluation.to_json() + "\n").encode("utf-8"))
     return evaluations
 
 

@@ -11,12 +11,17 @@ decode the policy may supply a stop rule; tokens are pulled until it fires or
 the decode ends, and the paused decode goes to the policy with the step's
 context, so it can read further. Each encode must give at least one state.
 The simulator's pulls and the policy's reads go through one checked decode,
-which holds each token and its (layers, heads, encoder states) row, and each
-decode's tokens and attention, to the adapter contract. A word count must be
-an integer >= 0, and a commit count an integer in [0, candidates]. An
-exception from the adapter or the policy, or either breaking its contract,
-ends the session with a ``SessionError`` that names which failed, when and
-why, and carries the commits made so far.
+which holds each token and its (layers, heads, encoder states) row, each
+decode's tokens and attention, and its count of generated tokens (at most
+``max_new``) to the adapter contract. A word count must be an integer >= 0,
+and a commit count an integer in [0, candidates]. An exception from the
+adapter or the policy, or either breaking its contract, ends the session
+with a ``SessionError`` that names which failed, when and why, and carries
+the commits made so far.
+
+``write_emission_log`` writes any session's outcome, its ``EmissionLog`` or
+the ``SessionError`` that ended it, as one JSON-lines file, and
+``read_emission_log`` reads it back.
 
 Every event carries two timestamps: ``ideal_s``, the seconds of source audio
 delivered when the tokens were committed, and ``wall_s``, the session clock
@@ -53,7 +58,6 @@ __all__ = [
     "StreamCursor",
     "run_session",
     "write_emission_log",
-    "write_failed_log",
     "read_emission_log",
 ]
 
@@ -207,15 +211,18 @@ class _CheckedDecode:
     """A decode held to the adapter contract: what the simulator pulls and ``StepContext.decode``.
 
     ``advance()`` is the one place every generated token passes through, pulled
-    by the simulator or read by a policy past the pause: it checks the token id
-    and the (layers, heads, n) row over this decode's own ``n``, and raises any
-    fault as ``_AdapterFault``. ``check`` holds the rest once the pulls end.
+    by the simulator or read by a policy past the pause: it checks the token id,
+    the (layers, heads, n) row over this decode's own ``n`` and that no more
+    than ``max_new`` tokens are generated, and raises any fault as
+    ``_AdapterFault``. ``check`` holds the rest once the pulls end.
     """
 
-    def __init__(self, decode: Decode, adapter: ModelAdapter, n: int):
+    def __init__(self, decode: Decode, adapter: ModelAdapter, n: int, max_new: int):
         self._decode = decode
         self._vocab = adapter.vocab
         self._row_shape = (adapter.num_decoder_layers, adapter.num_heads, n)
+        self._max_new = max_new
+        self._generated = 0
 
     @property
     def tokens(self) -> tuple[int, ...]:
@@ -233,6 +240,9 @@ class _CheckedDecode:
         try:
             if (pulled := self._decode.advance()) is not None:
                 token, row = pulled
+                if self._generated == self._max_new:
+                    raise ValueError(f"decode returned token id {token} after max_new={self._max_new} tokens")
+                self._generated += 1
                 vocab = self._vocab
                 if token == vocab.eos_id or not 0 <= token < vocab.size:
                     raise ValueError(
@@ -249,13 +259,19 @@ class _CheckedDecode:
             raise _AdapterFault from exc
 
     def check(self, committed: list[int], ended: bool) -> None:
-        """Its tokens extend ``committed``, its attention is (layers, heads, tokens, n), and
-        once ``ended`` (``advance()`` returned None) it returns None again."""
+        """Its tokens are ``committed`` and then the ones ``advance()`` returned, its attention
+        is (layers, heads, tokens, n), and once ``ended`` (``advance()`` returned None) it
+        returns None again."""
         if ended and (pulled := self._decode.advance()) is not None:
             raise ValueError(f"decode returned token id {pulled[0]} after it ended")
         tokens = self._decode.tokens
         if (head := list(tokens[: len(committed)])) != committed:
             raise ValueError(f"decode tokens begin {head}, not with the committed {committed}")
+        if len(tokens) != len(committed) + self._generated:
+            raise ValueError(
+                f"decode holds {len(tokens) - len(committed)} tokens past the committed ones, "
+                f"but advance() returned {self._generated}"
+            )
         layers, heads, n = self._row_shape
         expected = (layers, heads, len(tokens), n)
         if (shape := self._decode.attention.shape) != expected:
@@ -369,7 +385,7 @@ def run_session(
             decode = adapter.start_decode(states, committed, max_new)
         else:
             decode = FinishedDecode(adapter.decode_greedy(states, committed, max_new), len(committed))
-        return _CheckedDecode(decode, adapter, states.n)
+        return _CheckedDecode(decode, adapter, states.n, max_new)
 
     while not cursor.exhausted:
         prefix = cursor.read()
@@ -418,22 +434,14 @@ def run_session(
 
 # ------------------------------------------------------------------ JSONL I/O
 
-def write_emission_log(path, log: EmissionLog) -> None:
-    """One JSON event per line, then a summary record."""
-    _write_log(path, log, {})
+def write_emission_log(path, outcome: EmissionLog | SessionError) -> None:
+    """One JSON event per line, then a summary record.
 
-
-def write_failed_log(path, error: str, partial_log: EmissionLog | None) -> None:
-    """The log of a failed session, which ``read_emission_log`` raises as ``error``.
-
-    It is the ``write_emission_log`` of the partial log with ``error`` added
-    to the summary record, or only ``{"error": ...}`` when the session never
-    started.
+    A ``SessionError`` writes its partial log with the error added to the
+    summary record, or only ``{"error": ...}`` when the session never started.
     """
-    _write_log(path, partial_log, {"error": error})
-
-
-def _write_log(path, log: EmissionLog | None, extra: dict) -> None:
+    failed = isinstance(outcome, SessionError)
+    log = outcome.partial_log if failed else outcome
     records, summary = [], {}
     if log is not None:
         records = [
@@ -441,7 +449,9 @@ def _write_log(path, log: EmissionLog | None, extra: dict) -> None:
             for e in log.events
         ]
         summary = {"source_duration_s": log.source_duration_s, "final_text": log.final_text}
-    records.append(summary | extra)
+    if failed:
+        summary["error"] = str(outcome)
+    records.append(summary)
     lines = [json.dumps(record, ensure_ascii=False) for record in records]
     write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -471,9 +481,8 @@ def read_emission_log(path) -> EmissionLog:
     Raises ValueError naming ``path`` when the file is empty or not UTF-8, a
     line is not a JSON object (naming the line too), a key is missing or of
     the wrong type, the source duration is not positive, or ``final_text`` is
-    not the text the events write (``piece_text``). A log written by
-    ``write_failed_log`` raises ValueError with the session's error message
-    verbatim.
+    not the text the events write (``piece_text``). The log of a failed
+    session raises ValueError with the session's error message verbatim.
     """
     records = [record for _, record in read_json_lines(path, ValueError)]
     if not records:

@@ -59,7 +59,7 @@ PINNED = {
     "runner": ["EvalResult", "UtteranceResult", "make_adapter", "run_eval", "sweep"],
     "simulator": [
         "Emission", "EmissionLog", "RealClock", "SessionError", "SimulatedClock", "StreamCursor",
-        "read_emission_log", "run_session", "write_emission_log", "write_failed_log",
+        "read_emission_log", "run_session", "write_emission_log",
     ],
     "vocab": ["BOUNDARY_MARKER", "Vocabulary", "build_default_vocabulary"],
 }
@@ -75,9 +75,9 @@ def _module(name: str):
 
 
 class TestPinnedNames:
-    def test_seventy_four_names(self):
+    def test_seventy_three_names(self):
         names = [name for names in PINNED.values() for name in names]
-        assert len(names) == len(set(names)) == 74
+        assert len(names) == len(set(names)) == 73
 
     def test_test_only_names_left_the_library(self):
         for name in MOVED_TO_TESTS:

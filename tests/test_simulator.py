@@ -39,7 +39,6 @@ from simulst import (
     read_emission_log,
     run_session,
     write_emission_log,
-    write_failed_log,
 )
 from simulst import simulator
 from simulst.model import Decode, FinishedDecode
@@ -1314,6 +1313,102 @@ class TestEndedDecode:
         assert info.value.partial_log.tokens == tuple(ids[:1])
 
 
+class _Runaway:
+    """A decode that ignores ``max_new``: every pull generates ``token``, aligned at the newest
+    encoder state. It raises after 300 tokens, so a simulator that does not hold it to ``max_new``
+    fails instead of pulling it forever."""
+
+    eos_reached = False
+
+    def __init__(self, forced_prefix, token, layers, heads, n):
+        self._tokens = list(forced_prefix)
+        self._token = token
+        self._row = np.zeros((layers, heads, n))
+        self._row[:, :, -1] = 1.0
+        self.pulls = 0
+
+    @property
+    def tokens(self):
+        return tuple(self._tokens)
+
+    @property
+    def attention(self):
+        return np.repeat(self._row[:, :, None], len(self._tokens), axis=2)
+
+    def advance(self):
+        self.pulls += 1
+        if len(self._tokens) >= 300:
+            raise RuntimeError("runaway decode generated 300 tokens")
+        self._tokens.append(self._token)
+        return self._token, self._row
+
+
+class TestMaxNew:
+    """A decode that generates more than ``max_new`` tokens fails the session as the adapter's fault."""
+
+    def test_a_decode_ignoring_max_new_is_not_pulled_forever(self):
+        vocab, ids, _, source = scripted_setup("late")
+        decodes = []
+
+        class Runaway(ScriptedAdapter):
+            def start_decode(self, enc, forced_prefix, max_new=128):
+                decodes.append(_Runaway(forced_prefix, ids[0], 1, 1, enc.n))
+                return decodes[-1]
+
+        runaway = Runaway(vocab, {})
+        # every token is aligned at the newest state, so AlignAtt stops at once until the final flush,
+        # which has no stop rule
+        with pytest.raises(SessionError) as info:
+            run_session(source, runaway, AlignAttPolicy(f=2), chunk_ms=400.0, max_new=8)
+        assert str(info.value) == f"adapter failed at 1.600s: decode returned token id {ids[0]} after max_new=8 tokens"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert info.value.partial_log.tokens == ()
+        assert [decode.pulls for decode in decodes] == [1, 1, 1, 9]
+
+    def test_a_finished_decode_past_max_new_is_not_committed(self):
+        # the decode_greedy of every step returns 64 tokens aligned at frame 0, whatever max_new asks
+        vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
+        ids = [piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")] * 16
+        step = ScriptStep(tokens=tuple(ids), alignment=(0,) * len(ids), eos=True)
+
+        class IgnoresMaxNew(ScriptedAdapter):
+            def decode_greedy(self, enc, forced_prefix, max_new=128):
+                return super().decode_greedy(enc, forced_prefix, len(ids))
+
+        source = FeatureMatrix(frames=np.zeros((160, 80), dtype=np.float32))
+
+        def session(adapter):
+            return run_session(source, adapter, AlignAttPolicy(f=4), chunk_ms=400.0, max_new=2)
+
+        capped = session(ScriptedAdapter(vocab, lambda n: step))
+        assert [(e.token, e.ideal_s) for e in capped.events[:2]] == [(ids[0], 0.4), (ids[1], 0.4)]
+        with pytest.raises(SessionError) as info:
+            session(IgnoresMaxNew(vocab, lambda n: step))
+        assert str(info.value) == f"adapter failed at 0.400s: decode returned token id {ids[2]} after max_new=2 tokens"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert info.value.partial_log.tokens == ()
+
+    def test_tokens_that_advance_did_not_return_are_not_committed(self):
+        # start_decode returns a decode already holding 64 generated tokens, whose advance() returns None
+        vocab = Vocabulary(["▁aa", "▁bb", "▁cc", "▁dd"])
+        ids = [piece_id(vocab, p) for p in ("▁aa", "▁bb", "▁cc", "▁dd")] * 16
+        step = ScriptStep(tokens=tuple(ids), alignment=(0,) * len(ids), eos=True)
+
+        class Prefilled(ScriptedAdapter):
+            def start_decode(self, enc, forced_prefix, max_new=128):
+                result = self.decode_greedy(enc, forced_prefix, len(ids))
+                return FinishedDecode(result, len(result.tokens))
+
+        source = FeatureMatrix(frames=np.zeros((160, 80), dtype=np.float32))
+        with pytest.raises(SessionError) as info:
+            run_session(source, Prefilled(vocab, lambda n: step), AlignAttPolicy(f=4), chunk_ms=400.0, max_new=2)
+        assert str(info.value) == (
+            "adapter failed at 0.400s: decode holds 64 tokens past the committed ones, but advance() returned 0"
+        )
+        assert isinstance(info.value.__cause__, ValueError)
+        assert info.value.partial_log.tokens == ()
+
+
 GOLDEN_CHUNK_MS = 500.0
 GOLDEN_F = 4
 
@@ -1491,7 +1586,7 @@ class TestEmissionLogIO:
         assert read_emission_log(path) == log
         error = f"adapter failed at 0.5s: bad{separator}piece"
         for partial in (log, None):
-            write_failed_log(path, error, partial)
+            write_emission_log(path, SessionError(error, partial))
             with pytest.raises(ValueError) as info:
                 read_emission_log(path)
             assert str(info.value) == error
