@@ -98,13 +98,14 @@ class ModelAdapter(Protocol):
     trained model) satisfy this protocol by mapping their outputs onto
     ``EncoderStates`` / ``DecodeResult``.
 
-    The simulator pulls each decode token by token. An adapter that can
-    generate on demand offers ``start_decode(enc, forced_prefix, max_new)``
-    beside this protocol: the same decode as a ``Decode`` paused before its
-    first generated token, which ``advance()`` takes to exactly
-    ``decode_greedy``'s result; several may be live, each advancing on its
-    own. Any other adapter is bridged by ``FinishedDecode``, so every adapter
-    gets stop rules.
+    The simulator pulls each decode token by token, through its ``advance()``
+    and ``eos_reached`` only (see ``Decode``). An adapter that can generate on
+    demand offers ``start_decode(enc, forced_prefix, max_new)`` beside this
+    protocol: the same decode paused before its first generated token, which
+    ``advance()`` takes to exactly ``decode_greedy``'s result; several may be
+    live, each advancing on its own. Any other adapter is bridged by
+    ``FinishedDecode``, so every adapter gets stop rules; the simulator checks
+    that each of its ``decode_greedy`` results begins with the forced prefix.
 
     An adapter may also declare the class attribute ``forkable = True``
     (optional, false when absent): a forked copy of it runs sessions exactly
@@ -130,13 +131,13 @@ class ModelAdapter(Protocol):
 class Decode:
     """A greedy decode that yields each token when asked for it (see ``ModelAdapter``).
 
-    ``tokens``, ``attention`` and ``eos_reached`` read as in ``DecodeResult``
-    for the tokens generated so far. ``advance()`` generates the next token,
-    an id of the vocabulary other than end-of-sequence, and returns it with
-    its (layers, heads, n) cross-attention row, or None once end-of-sequence
-    was read or ``max_new`` tokens exist, and on every call after that. These
-    four members are the whole contract: every token is read through
-    ``advance()``, and any other object with them also serves.
+    ``advance()`` generates the next token, an id of the vocabulary other
+    than end-of-sequence, and returns it with its (layers, heads, n)
+    cross-attention row, or None once end-of-sequence was read or ``max_new``
+    tokens exist, and on every call after that. It and ``eos_reached`` are
+    the whole contract: any other object with them also serves. ``tokens``,
+    ``attention`` and ``eos_reached`` read as in ``DecodeResult`` for the
+    tokens generated so far, and ``ToyModel.decode_greedy`` reads them.
 
     Subclasses keep the output so far, forced prefix included, in
     ``_tokens``; row i of ``_attention`` (L, H, rows, n) is the

@@ -81,10 +81,12 @@ class StepContext:
     candidate's most-attended frame. ``source_words`` is the number of source
     words detected so far (0 unless the policy ``uses_word_counts``).
     ``eos_reached`` tells whether the decode ended at end-of-sequence,
-    ``vocab`` is the adapter's vocabulary, and ``decode`` is the step's
-    ``Decode`` of ``committed + candidates``, paused where the stop rule
-    fired (a ``FinishedDecode`` replay for a ``decode_greedy``-only adapter),
-    checked by the simulator: its ``advance()`` is an adapter call.
+    ``vocab`` is the adapter's vocabulary, and ``decode`` is the simulator's
+    record of the step's decode, paused where the stop rule fired (a
+    ``FinishedDecode`` replay for a ``decode_greedy``-only adapter). It offers
+    ``tokens``, which are ``committed + candidates`` and then every token read
+    past the pause, ``eos_reached``, and ``advance()``, which is a checked
+    adapter call.
     """
 
     candidates: tuple[int, ...]
@@ -299,10 +301,9 @@ class WaitKPolicy(Policy):
 class LocalAgreementPolicy(Policy):
     """Commit what the previous and the current hypothesis agree on.
 
-    The previous hypothesis is the previous step's ``Decode``, which may be
+    The previous hypothesis is the previous step's decode, which may be
     paused where its stop rule fired. It is read through ``tokens`` and then
-    ``advance()``, only as far as a comparison reaches, and never advanced
-    again once it has ended.
+    ``advance()`` until None, only as far as a comparison reaches.
     """
 
     name = "local_agreement"
@@ -312,22 +313,18 @@ class LocalAgreementPolicy(Policy):
 
     def reset(self) -> None:
         self._previous: Decode | None = None
-        self._ended = False
 
     def _hypothesis(self) -> Iterator[int]:
         """The previous hypothesis token by token, its decode advanced as it is read."""
         yield from self._previous.tokens
-        while not self._ended:
-            pulled = self._previous.advance()
-            self._ended = pulled is None
-            if pulled is not None:
-                yield pulled[0]
+        while (pulled := self._previous.advance()) is not None:
+            yield pulled[0]
 
     def decide(self, ctx: StepContext) -> PolicyDecision:
         current = ctx.committed + ctx.candidates
         previous = None if self._previous is None else self._hypothesis()
         decision = local_agreement_prefix(previous, current, len(ctx.committed))
-        self._previous, self._ended = ctx.decode, False
+        self._previous = ctx.decode
         return decision
 
     def stop_rule(self, committed, source_words, vocab, layer):

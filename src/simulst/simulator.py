@@ -6,18 +6,19 @@ tokens (with their aggregated cross-attention) to the decision policy.
 Committed output is append-only. When the source is exhausted the final
 hypothesis is committed unconditionally. Every decode is pulled one token at
 a time through ``advance()``: the adapter's ``start_decode``, or its
-``decode_greedy`` result replayed by ``FinishedDecode``. Before every other
-decode the policy may supply a stop rule; tokens are pulled until it fires or
-the decode ends, and the paused decode goes to the policy with the step's
-context, so it can read further. Each encode must give at least one state.
-The simulator's pulls and the policy's reads go through one checked decode,
-which holds each token and its (layers, heads, encoder states) row, each
-decode's tokens and attention, and its count of generated tokens (at most
-``max_new``) to the adapter contract. A word count must be an integer >= 0,
-and a commit count an integer in [0, candidates]. An exception from the
-adapter or the policy, or either breaking its contract, ends the session
-with a ``SessionError`` that names which failed, when and why, and carries
-the commits made so far.
+``decode_greedy`` result, which must begin with the committed tokens, replayed
+by ``FinishedDecode``. Before every other decode the policy may supply a stop
+rule; tokens are pulled until it fires or the decode ends, and the paused
+decode goes to the policy with the step's context, so it can read further.
+Each encode must give at least one state. The simulator's pulls and the
+policy's reads go through one record of the step's decode, which holds each
+token and its (layers, heads, encoder states) row, and its count of generated
+tokens (at most ``max_new``), to the adapter contract; the step's candidates
+and their attention are the recorded ones. A word count must be an integer
+>= 0, and a commit count an integer in [0, candidates]. An exception from the
+adapter or the policy, or either breaking its contract, ends the session with
+a ``SessionError`` that names which failed, when and why, and carries the
+commits made so far.
 
 ``write_emission_log`` writes any session's outcome, its ``EmissionLog`` or
 the ``SessionError`` that ended it, as one JSON-lines file, and
@@ -165,12 +166,11 @@ class StreamCursor:
             raise ValueError("source has no frames")
         if not math.isfinite(chunk_ms):
             raise ValueError(f"chunk_ms takes finite numbers, got {chunk_ms}")
-        if chunk_ms < source.frame_shift_ms:
-            raise ValueError(
-                f"chunk_ms={chunk_ms} is below the frame shift ({source.frame_shift_ms} ms)"
-            )
+        shift = source.frame_shift_ms
+        if not (chunk_ms >= shift and (chunk_ms / shift).is_integer()):
+            raise ValueError(f"chunk_ms={chunk_ms} is not a positive multiple of the frame shift ({shift} ms)")
         self._source = source
-        self.chunk_frames = max(1, round(chunk_ms / source.frame_shift_ms))
+        self.chunk_frames = int(chunk_ms / shift)
         self.position = 0
 
     @property
@@ -208,77 +208,68 @@ class _AdapterFault(Exception):
 
 
 class _CheckedDecode:
-    """A decode held to the adapter contract: what the simulator pulls and ``StepContext.decode``.
+    """A step's decode held to the adapter contract and recorded: what the simulator pulls and
+    ``StepContext.decode``.
 
     ``advance()`` is the one place every generated token passes through, pulled
     by the simulator or read by a policy past the pause: it checks the token id,
-    the (layers, heads, n) row over this decode's own ``n`` and that no more
-    than ``max_new`` tokens are generated, and raises any fault as
-    ``_AdapterFault``. ``check`` holds the rest once the pulls end.
+    an integer, the (layers, heads, n) row over this decode's own ``n`` and that
+    no more than ``max_new`` tokens are generated, raises any fault as
+    ``_AdapterFault``, and appends the token and row to the record, which starts
+    from the committed tokens. Once the decode has returned None, it is not
+    asked again.
     """
 
-    def __init__(self, decode: Decode, adapter: ModelAdapter, n: int, max_new: int):
+    def __init__(self, decode: Decode, adapter: ModelAdapter, committed: tuple[int, ...], n: int, max_new: int):
         self._decode = decode
         self._vocab = adapter.vocab
         self._row_shape = (adapter.num_decoder_layers, adapter.num_heads, n)
         self._max_new = max_new
-        self._generated = 0
+        self._committed = committed
+        self._tokens: list[int] = []
+        self._rows: list[np.ndarray] = []
+        self._ended = False
 
     @property
     def tokens(self) -> tuple[int, ...]:
-        return self._decode.tokens
-
-    @property
-    def attention(self) -> np.ndarray:
-        return self._decode.attention
+        return self._committed + tuple(self._tokens)
 
     @property
     def eos_reached(self) -> bool:
         return self._decode.eos_reached
 
+    def candidate_attention(self) -> np.ndarray:
+        """The (layers, heads, tokens, n) attention of the tokens ``advance()`` returned."""
+        # one array of the rows, then a view: np.stack takes 2-3x as long per step
+        return np.array(self._rows).reshape(len(self._rows), *self._row_shape).transpose(1, 2, 0, 3)
+
     def advance(self) -> tuple[int, np.ndarray] | None:
+        if self._ended:
+            return None
         try:
-            if (pulled := self._decode.advance()) is not None:
-                token, row = pulled
-                if self._generated == self._max_new:
-                    raise ValueError(f"decode returned token id {token} after max_new={self._max_new} tokens")
-                self._generated += 1
-                vocab = self._vocab
-                if token == vocab.eos_id or not 0 <= token < vocab.size:
-                    raise ValueError(
-                        f"decode returned token id {token}; tokens are ids in [0, {vocab.size}) "
-                        f"other than end-of-sequence ({vocab.eos_id})"
-                    )
-                if np.shape(row) != self._row_shape:
-                    raise ValueError(
-                        f"decode returned token id {token} with a row of shape {np.shape(row)}; "
-                        f"expected (layers, heads, encoder states) = {self._row_shape}"
-                    )
-            return pulled
+            if (pulled := self._decode.advance()) is None:
+                self._ended = True
+                return None
+            token, row = pulled
+            token = operator.index(token)
+            if len(self._tokens) == self._max_new:
+                raise ValueError(f"decode returned token id {token} after max_new={self._max_new} tokens")
+            vocab = self._vocab
+            if token == vocab.eos_id or not 0 <= token < vocab.size:
+                raise ValueError(
+                    f"decode returned token id {token}; tokens are ids in [0, {vocab.size}) "
+                    f"other than end-of-sequence ({vocab.eos_id})"
+                )
+            if np.shape(row) != self._row_shape:
+                raise ValueError(
+                    f"decode returned token id {token} with a row of shape {np.shape(row)}; "
+                    f"expected (layers, heads, encoder states) = {self._row_shape}"
+                )
         except Exception as exc:
             raise _AdapterFault from exc
-
-    def check(self, committed: list[int], ended: bool) -> None:
-        """Its tokens are ``committed`` and then the ones ``advance()`` returned, its attention
-        is (layers, heads, tokens, n), and once ``ended`` (``advance()`` returned None) it
-        returns None again."""
-        if ended and (pulled := self._decode.advance()) is not None:
-            raise ValueError(f"decode returned token id {pulled[0]} after it ended")
-        tokens = self._decode.tokens
-        if (head := list(tokens[: len(committed)])) != committed:
-            raise ValueError(f"decode tokens begin {head}, not with the committed {committed}")
-        if len(tokens) != len(committed) + self._generated:
-            raise ValueError(
-                f"decode holds {len(tokens) - len(committed)} tokens past the committed ones, "
-                f"but advance() returned {self._generated}"
-            )
-        layers, heads, n = self._row_shape
-        expected = (layers, heads, len(tokens), n)
-        if (shape := self._decode.attention.shape) != expected:
-            raise ValueError(
-                f"decode attention has shape {shape}; expected "
-                f"(layers, heads, tokens, encoder states) = {expected}"
-            )
+        self._tokens.append(token)
+        self._rows.append(row)
+        return token, row
 
 
 def _count_words(adapter: ModelAdapter, prefix: np.ndarray) -> int:
@@ -327,8 +318,9 @@ def run_session(
         SessionError: the adapter or the policy failed mid-run; the exception
             carries the partial log of everything committed before the failure.
         ValueError: the session cannot start: ``attention_layer`` is out of
-            range, ``chunk_ms`` is not finite or is below the source's frame shift,
-            ``max_new`` is below 1, or ``step_cost_s`` is negative or not finite.
+            range, ``chunk_ms`` is not finite or not a positive multiple of the
+            source's frame shift, ``max_new`` is below 1, or ``step_cost_s``
+            is negative or not finite.
     """
     if max_new < 1:
         raise ValueError(f"max_new must be >= 1, got {max_new}")
@@ -376,7 +368,7 @@ def run_session(
             raise SessionError(f"{failure} at {ideal_s:.3f}s: {detail}", partial()) from exc
 
     def start(prefix: np.ndarray) -> _CheckedDecode:
-        """The checked decode of ``prefix``."""
+        """The record of the decode of ``prefix``."""
         states = adapter.encode(prefix)
         if states.n < 1:
             raise ValueError(f"encoder returned no states for {len(prefix)} frames")
@@ -384,8 +376,11 @@ def run_session(
         if hasattr(adapter, "start_decode"):
             decode = adapter.start_decode(states, committed, max_new)
         else:
-            decode = FinishedDecode(adapter.decode_greedy(states, committed, max_new), len(committed))
-        return _CheckedDecode(decode, adapter, states.n, max_new)
+            result = adapter.decode_greedy(states, committed, max_new)
+            if (head := list(result.tokens[: len(committed)])) != committed:
+                raise ValueError(f"decode tokens begin {head}, not with the committed {committed}")
+            decode = FinishedDecode(result, len(committed))
+        return _CheckedDecode(decode, adapter, tuple(committed), states.n, max_new)
 
     while not cursor.exhausted:
         prefix = cursor.read()
@@ -407,17 +402,16 @@ def run_session(
         while (pulled := call("adapter failed", decode.advance)) is not None:
             if rule is not None and call("policy failed", lambda: rule(*pulled)):
                 break
-        call("adapter failed", lambda: decode.check(committed, pulled is None))
         clock.charge(step_cost_s)
 
-        candidates = list(decode.tokens[len(committed):])
+        candidates = decode.tokens[len(committed):]
         if final:
             commit(candidates, ideal_s)
             break
 
-        weights = aggregate_attention(decode.attention[:, :, len(committed):], layer)
+        weights = aggregate_attention(decode.candidate_attention(), layer)
         context = StepContext(
-            candidates=tuple(candidates),
+            candidates=candidates,
             attention=weights,
             alignment=compute_alignment(weights),
             source_words=detected_words,

@@ -291,7 +291,9 @@ def reference_session(
         # tally counts, so a continuation piece at its very start starts no word and costs no budget.
         return len(("x" + text(tokens)).split()) - 1
 
-    chunk = max(1, round(chunk_ms / source.frame_shift_ms))
+    chunk = chunk_ms / source.frame_shift_ms
+    assert chunk.is_integer(), f"chunk_ms={chunk_ms} is not a whole number of frames"
+    chunk = int(chunk)
     committed: list[int] = []
     events: list[tuple[int, float, float]] = []
     previous, detected, clock = None, 0, 0.0

@@ -450,7 +450,7 @@ class TestScore:
         out = tmp_path / "out"
         unreadable = "source unreadable:"
         layer = "attention_layer=2 out of range for 2 decoder layers"  # the toy decoder has two
-        chunk = "chunk_ms=5.0 is below the frame shift (10.0 ms)"
+        chunk = "chunk_ms=5.0 is not a positive multiple of the frame shift (10.0 ms)"
         cases = [
             ([], [None, unreadable, None]),
             (["--attention-layer", "2"], [layer, unreadable, layer]),

@@ -46,7 +46,7 @@ def _commits(log) -> list[tuple[int, float, float]]:
     model=st.builds(_model, st.integers(1, 4), st.sampled_from([1, 2, 4]), st.integers(0, 3)),
     source_seed=st.integers(0, 2**16),
     num_frames=st.integers(1, 120),
-    chunk_ms=st.floats(40.0, 600.0),
+    chunk_ms=st.integers(4, 60).map(lambda frames: frames * 10.0),
     step_cost_s=st.sampled_from([0.0, 0.01, 0.05]),
     max_new=st.sampled_from([1, 2, 5, 128]),
     f=st.integers(1, 8),

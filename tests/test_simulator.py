@@ -121,8 +121,16 @@ class TestStreamCursor:
     def test_validation(self):
         with pytest.raises(ValueError, match="no frames"):
             StreamCursor(FeatureMatrix(frames=np.zeros((0, 2), dtype=np.float32)), 100.0)
-        with pytest.raises(ValueError, match="below the frame shift"):
+        with pytest.raises(ValueError, match=r"not a positive multiple of the frame shift \(10\.0 ms\)"):
             StreamCursor(self.source(), chunk_ms=5.0)
+
+    def test_chunk_is_a_whole_number_of_frame_shifts(self):
+        # rounding would run both as 20 ms chunks while the run records what was asked for
+        for chunk_ms in (15.0, 25.0):
+            with pytest.raises(ValueError) as info:
+                StreamCursor(self.source(), chunk_ms=chunk_ms)
+            assert str(info.value) == f"chunk_ms={chunk_ms} is not a positive multiple of the frame shift (10.0 ms)"
+        assert StreamCursor(self.source(), chunk_ms=250.0).chunk_frames == 25
 
 
 def scripted_setup(alignment_mode: str):
@@ -333,15 +341,22 @@ class TestRunSession:
             assert str(info.value) == message and encoded == []
 
     def test_policy_reads_the_steps_decode_through_its_view(self, toy_model):
-        # the view's attention is the step's decode attention, whose head-mean
-        # at the policy's layer past the committed prefix is ``ctx.attention``;
+        # the view holds the step's hypothesis and its end; the candidates are the tokens the stop
+        # rule saw, and ``ctx.attention`` is the head-mean of their rows at the policy's layer;
         # a stop rule pauses some decodes before end-of-sequence, not all
-        seen = []
+        seen, pulled = [], []
 
         class Reading(AlignAttPolicy):
+            def stop_rule(self, committed, source_words, vocab, layer):
+                rule = super().stop_rule(committed, source_words, vocab, layer)
+                pulled.clear()
+                return lambda token, row: pulled.append((token, row)) or rule(token, row)
+
             def decide(self, ctx):
-                past = ctx.decode.attention[:, :, len(ctx.committed):]
-                assert np.array_equal(aggregate_attention(past, 0), ctx.attention)
+                assert ctx.decode.tokens == ctx.committed + ctx.candidates
+                assert ctx.candidates == tuple(token for token, _ in pulled)
+                assert len(ctx.attention) == len(pulled)
+                assert all(np.array_equal(w, row[0].mean(axis=0)) for w, (_, row) in zip(ctx.attention, pulled))
                 assert ctx.decode.eos_reached == ctx.eos_reached
                 seen.append(ctx.eos_reached)
                 return super().decide(ctx)
@@ -1022,6 +1037,18 @@ class TestSessionFailures:
     @pytest.mark.parametrize(
         "make_policy", [lambda: AlignAttPolicy(f=2), lambda: WaitKPolicy(k=1)], ids=["alignatt", "waitk"]
     )
+    def test_token_ids_are_integers(self, make_policy):
+        # a NumPy integer commits as the int it is; a float is no token id, whatever its value
+        log = self.third_token_session(np.int64(5), make_policy)
+        assert log == self.third_token_session(5, make_policy) and all(type(t) is int for t in log.tokens)
+        with pytest.raises(SessionError) as info:
+            self.third_token_session(5.0, make_policy)
+        assert str(info.value) == "adapter failed at 1.200s: 'float' object cannot be interpreted as an integer"
+        assert isinstance(info.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize(
+        "make_policy", [lambda: AlignAttPolicy(f=2), lambda: WaitKPolicy(k=1)], ids=["alignatt", "waitk"]
+    )
     def test_unknown_piece_and_bos_are_tokens(self, make_policy):
         for third in (Vocabulary.unk_id, Vocabulary.bos_id):
             log = self.third_token_session(third, make_policy)
@@ -1066,20 +1093,15 @@ class TestSessionFailures:
 
 
 class _DecodeView(_FourMembers):
-    """``_FourMembers`` with ``tokens`` and ``attention`` read through ``edit_tokens`` and ``edit_attention``."""
+    """``_FourMembers`` with ``tokens`` read through ``edit_tokens``."""
 
-    def __init__(self, decode, edit_tokens=lambda t: t, edit_attention=lambda a: a):
+    def __init__(self, decode, edit_tokens):
         super().__init__(decode)
         self._edit_tokens = edit_tokens
-        self._edit_attention = edit_attention
 
     @property
     def tokens(self):
         return self._edit_tokens(self._decode.tokens)
-
-    @property
-    def attention(self):
-        return self._edit_attention(self._decode.attention)
 
 
 class _IgnoresPrefix(_Forwarding):
@@ -1094,19 +1116,9 @@ class _WideAttention(_Forwarding):
         return DecodeResult(result.tokens, wide, result.eos_reached)
 
 
-class _DropsPrefixToken(_Forwarding):
-    def start_decode(self, enc, forced_prefix, max_new=128):
-        decode = self._inner.start_decode(enc, forced_prefix, max_new)
-        return _DecodeView(decode, edit_tokens=lambda t: t[1:] if forced_prefix else t)
-
-
-class _ThreeDimensionalAttention(_Forwarding):
-    def start_decode(self, enc, forced_prefix, max_new=128):
-        return _DecodeView(self._inner.start_decode(enc, forced_prefix, max_new), edit_attention=lambda a: a[0])
-
-
 class TestDecodeContract:
-    """A decode whose tokens or attention break the adapter contract fails the session as the adapter's fault."""
+    """A ``decode_greedy`` result that does not begin with the committed tokens, or a row of the wrong
+    shape, fails the session as the adapter's fault."""
 
     @pytest.mark.parametrize(
         "breaker, message",
@@ -1117,14 +1129,8 @@ class TestDecodeContract:
                 r"adapter failed at 0\.250s: decode returned token id 11 with a row of shape \(2, 4, 57\); "
                 r"expected \(layers, heads, encoder states\) = \(2, 4, 7\)",
             ),
-            (_DropsPrefixToken, r"adapter failed at 1\.000s: decode tokens begin \[6\], not with the committed \[41\]"),
-            (
-                _ThreeDimensionalAttention,
-                r"adapter failed at 0\.250s: decode attention has shape \(4, 1, 7\); "
-                r"expected \(layers, heads, tokens, encoder states\) = \(2, 4, 1, 7\)",
-            ),
         ],
-        ids=["ignores-prefix", "wide-attention", "drops-prefix-token", "3d-attention"],
+        ids=["ignores-prefix", "wide-attention"],
     )
     def test_adapter_error_keeps_earlier_commits(self, toy_model, breaker, message):
         source = FeatureMatrix(frames=np.random.default_rng(0).normal(size=(200, 80)).astype(np.float32))
@@ -1136,20 +1142,32 @@ class TestDecodeContract:
         partial = info.value.partial_log.events
         assert partial == plain.events[: len(partial)]
 
-    def test_the_final_flush_is_checked(self):
-        vocab, ids, adapter, source = scripted_setup("early")
 
-        class LastDropsPrefixToken(_Pulls):
-            def start_decode(self, enc, forced_prefix, max_new=128):
-                decode = super().start_decode(enc, forced_prefix, max_new)
-                return _DecodeView(decode, edit_tokens=lambda t: t[1:]) if enc.n == 40 else decode
+class _SwapsLastToken(_Forwarding):
+    """``_Forwarding`` whose ``start_decode`` decodes report ``token`` in their ``tokens`` in place of
+    the last token ``advance()`` returned."""
 
-        with pytest.raises(SessionError) as info:
-            run_session(source, LastDropsPrefixToken(adapter), AlignAttPolicy(f=2), chunk_ms=400.0)
-        assert str(info.value) == (
-            f"adapter failed at 1.600s: decode tokens begin {ids[1:4]}, not with the committed {ids[:3]}"
-        )
-        assert info.value.partial_log.tokens == tuple(ids[:3])
+    def __init__(self, inner, token):
+        super().__init__(inner)
+        self._token = token
+
+    def start_decode(self, enc, forced_prefix, max_new=128):
+        decode = self._inner.start_decode(enc, forced_prefix, max_new)
+        skip = len(forced_prefix)
+        return _DecodeView(decode, edit_tokens=lambda t: t[:-1] + (self._token,) if len(t) > skip else t)
+
+
+class TestDecodeTokens:
+    """The simulator commits the tokens ``advance()`` returned: a decode's ``tokens`` are not read."""
+
+    @pytest.mark.parametrize("token", [10, 9999], ids=["valid", "unknown"])
+    @pytest.mark.parametrize(
+        "make_policy", [lambda: AlignAttPolicy(f=4), LocalAgreementPolicy], ids=["alignatt", "local_agreement"]
+    )
+    def test_a_decode_misreporting_its_last_token_logs_as_the_honest_run(self, toy_model, make_policy, token):
+        source = make_source(np.random.default_rng(3), 300)
+        honest = run_session(source, _FourMemberDecodes(toy_model), make_policy(), chunk_ms=250.0)
+        assert run_session(source, _SwapsLastToken(toy_model, token), make_policy(), chunk_ms=250.0) == honest
 
 
 class _FlatRowsAt30(_Pulls):
@@ -1250,47 +1268,53 @@ class TestNoEncoderStates:
 
 
 class _Revived(_FourMembers):
-    """A decode that returns ``token`` once more after ``advance()`` returned None."""
+    """A decode that returns ``token`` on every call after ``advance()`` returned None; ``revived``
+    counts those calls."""
 
     def __init__(self, decode, token):
         super().__init__(decode)
         self._token = token
         self._ended = False
+        self.revived = 0
 
     def advance(self):
-        if self._ended and self._token is not None:
-            token, self._token = self._token, None
+        if self._ended:
+            self.revived += 1
             layers, heads, _, n = self.attention.shape
-            return token, np.zeros((layers, heads, n))
+            return self._token, np.zeros((layers, heads, n))
         pulled = self._decode.advance()
         self._ended = pulled is None
         return pulled
 
 
 class _RevivesAt30(_Pulls):
-    """``_Pulls`` whose decode over 30 encoder states is ``_Revived`` with ``token``."""
+    """``_Pulls`` whose decode over 30 encoder states is ``_Revived`` with ``token``; ``revivals``
+    holds those decodes."""
 
     def __init__(self, inner, token):
         super().__init__(inner)
         self._token = token
+        self.revivals = []
 
     def start_decode(self, enc, forced_prefix, max_new=128):
         decode = super().start_decode(enc, forced_prefix, max_new)
-        return _Revived(decode, self._token) if enc.n == 30 else decode
+        if enc.n != 30:
+            return decode
+        self.revivals.append(_Revived(decode, self._token))
+        return self.revivals[-1]
 
 
 class TestEndedDecode:
-    """A decode that returns a token after it ended fails the session as the adapter's fault."""
+    """A decode is not asked for a token after it ended, so a token it would return then is never read."""
 
     def test_alignatt(self):
         vocab, ids, adapter, source = scripted_setup("early")
         # no alignment reaches the last f frames, so each decode is pulled to its end
-        assert run_session(source, adapter, AlignAttPolicy(f=2), chunk_ms=400.0).tokens == tuple(ids)
-        with pytest.raises(SessionError) as info:
-            run_session(source, _RevivesAt30(adapter, ids[3]), AlignAttPolicy(f=2), chunk_ms=400.0)
-        assert str(info.value) == f"adapter failed at 1.200s: decode returned token id {ids[3]} after it ended"
-        assert isinstance(info.value.__cause__, ValueError)
-        assert info.value.partial_log.tokens == tuple(ids[:2])
+        honest = run_session(source, adapter, AlignAttPolicy(f=2), chunk_ms=400.0)
+        assert honest.tokens == tuple(ids)
+        reviving = _RevivesAt30(adapter, ids[3])
+        assert run_session(source, reviving, AlignAttPolicy(f=2), chunk_ms=400.0) == honest
+        assert [decode.revived for decode in reviving.revivals] == [0]
 
     def test_local_agreement(self):
         # the hypothesis at 30 states repeats the one at 20, so its decode agrees to its end
@@ -1306,11 +1330,10 @@ class TestEndedDecode:
         assert [(e.token, e.ideal_s) for e in log.events] == [
             (ids[0], 0.8), (ids[1], 1.2), (ids[2], 2.0), (ids[3], 2.0)
         ]
-        # unchecked, the stop rule at 40 states would read the revived token as the previous hypothesis
-        with pytest.raises(SessionError) as info:
-            run_session(source, _RevivesAt30(adapter, ids[2]), LocalAgreementPolicy(), chunk_ms=400.0)
-        assert str(info.value) == f"adapter failed at 1.200s: decode returned token id {ids[2]} after it ended"
-        assert info.value.partial_log.tokens == tuple(ids[:1])
+        # read, the revived token would be the previous hypothesis's third token for the stop rule at 40 states
+        reviving = _RevivesAt30(adapter, ids[2])
+        assert run_session(source, reviving, LocalAgreementPolicy(), chunk_ms=400.0) == log
+        assert [decode.revived for decode in reviving.revivals] == [0]
 
 
 class _Runaway:
@@ -1400,13 +1423,8 @@ class TestMaxNew:
                 return FinishedDecode(result, len(result.tokens))
 
         source = FeatureMatrix(frames=np.zeros((160, 80), dtype=np.float32))
-        with pytest.raises(SessionError) as info:
-            run_session(source, Prefilled(vocab, lambda n: step), AlignAttPolicy(f=4), chunk_ms=400.0, max_new=2)
-        assert str(info.value) == (
-            "adapter failed at 0.400s: decode holds 64 tokens past the committed ones, but advance() returned 0"
-        )
-        assert isinstance(info.value.__cause__, ValueError)
-        assert info.value.partial_log.tokens == ()
+        log = run_session(source, Prefilled(vocab, lambda n: step), AlignAttPolicy(f=4), chunk_ms=400.0, max_new=2)
+        assert log.events == () and log.final_text == ""
 
 
 GOLDEN_CHUNK_MS = 500.0
