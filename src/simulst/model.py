@@ -98,12 +98,13 @@ class ModelAdapter(Protocol):
     trained model) satisfy this protocol by mapping their outputs onto
     ``EncoderStates`` / ``DecodeResult``.
 
-    The simulator pulls each decode token by token, through its ``advance()``
-    and ``eos_reached`` only (see ``Decode``). An adapter that can generate on
-    demand offers ``start_decode(enc, forced_prefix, max_new)`` beside this
-    protocol: the same decode paused before its first generated token, which
-    ``advance()`` takes to exactly ``decode_greedy``'s result; several may be
-    live, each advancing on its own. Any other adapter is bridged by
+    The simulator pulls each decode token by token through its ``advance()``
+    and reads its ``eos_reached`` once, when ``advance()`` first returns None
+    (see ``Decode``). An adapter that can generate on demand offers
+    ``start_decode(enc, forced_prefix, max_new)`` beside this protocol: the
+    same decode paused before its first generated token, which ``advance()``
+    takes to exactly ``decode_greedy``'s result; several may be live, each
+    advancing on its own. Any other adapter is bridged by
     ``FinishedDecode``, so every adapter gets stop rules; the simulator checks
     that each of its ``decode_greedy`` results begins with the forced prefix.
 
@@ -134,10 +135,9 @@ class Decode:
     ``advance()`` generates the next token, an id of the vocabulary other
     than end-of-sequence, and returns it with its (layers, heads, n)
     cross-attention row, or None once end-of-sequence was read or ``max_new``
-    tokens exist, and on every call after that. It and ``eos_reached`` are
-    the whole contract: any other object with them also serves. ``tokens``,
-    ``attention`` and ``eos_reached`` read as in ``DecodeResult`` for the
-    tokens generated so far, and ``ToyModel.decode_greedy`` reads them.
+    tokens exist, and on every call after that. ``eos_reached``, read once
+    ``advance()`` has returned None, tells whether end-of-sequence was read.
+    The two are the whole contract: any other object with them also serves.
 
     Subclasses keep the output so far, forced prefix included, in
     ``_tokens``; row i of ``_attention`` (L, H, rows, n) is the
@@ -146,14 +146,6 @@ class Decode:
     """
 
     eos_reached = False
-
-    @property
-    def tokens(self) -> tuple[int, ...]:
-        return tuple(self._tokens)
-
-    @property
-    def attention(self) -> np.ndarray:
-        return self._attention[:, :, : len(self._tokens)]
 
     def advance(self) -> Optional[tuple[int, np.ndarray]]:
         if not self._next():
@@ -324,7 +316,8 @@ class ToyModel:
         decode = self.start_decode(enc, forced_prefix, max_new)
         while decode.advance() is not None:
             pass
-        return DecodeResult(decode.tokens, decode.attention, decode.eos_reached)
+        tokens = decode._tokens
+        return DecodeResult(tuple(tokens), decode._attention[:, :, : len(tokens)], decode.eos_reached)
 
     def start_decode(
         self, enc: EncoderStates, forced_prefix: Sequence[int], max_new: int = DEFAULT_MAX_NEW

@@ -72,7 +72,7 @@ class PolicyDecision:
 
 @dataclass(frozen=True)
 class StepContext:
-    """Everything a policy may inspect at one timestep: eight fields.
+    """Everything a policy may inspect at one timestep: seven fields.
 
     ``candidates`` are the tokens decoded past the ``committed`` prefix, so
     the full hypothesis is ``committed + candidates``. ``attention`` is their
@@ -80,13 +80,13 @@ class StepContext:
     frames (the committed prefix is not re-gated), and ``alignment`` is each
     candidate's most-attended frame. ``source_words`` is the number of source
     words detected so far (0 unless the policy ``uses_word_counts``).
-    ``eos_reached`` tells whether the decode ended at end-of-sequence,
     ``vocab`` is the adapter's vocabulary, and ``decode`` is the simulator's
     record of the step's decode, paused where the stop rule fired (a
     ``FinishedDecode`` replay for a ``decode_greedy``-only adapter). It offers
     ``tokens``, which are ``committed + candidates`` and then every token read
-    past the pause, ``eos_reached``, and ``advance()``, which is a checked
-    adapter call.
+    past the pause, ``advance()``, which is a checked adapter call, and
+    ``eos_reached``, which tells whether the decode ended at end-of-sequence
+    and is false while it is paused.
     """
 
     candidates: tuple[int, ...]
@@ -94,7 +94,6 @@ class StepContext:
     alignment: np.ndarray
     source_words: int
     committed: tuple[int, ...]
-    eos_reached: bool
     vocab: Vocabulary
     decode: Decode = field(compare=False, repr=False)
 
@@ -255,9 +254,9 @@ class WaitKPolicy(Policy):
 
     The word budget comes from the detected source word count; a candidate
     word is committed only when complete, i.e. followed in the candidate
-    stream by whitespace or by end-of-sequence. Words are those of the text
-    the tokens write, so a leading continuation extends the last committed
-    word and costs no budget.
+    stream by whitespace or by end-of-sequence (``ctx.decode.eos_reached``).
+    Words are those of the text the tokens write, so a leading continuation
+    extends the last committed word and costs no budget.
     """
 
     name = "waitk"
@@ -280,7 +279,7 @@ class WaitKPolicy(Policy):
             if tally.words > budget:
                 break
         else:
-            if ctx.eos_reached or not tally.open:
+            if ctx.decode.eos_reached or not tally.open:
                 commit = len(ctx.candidates)
         if commit < len(ctx.candidates):
             return PolicyDecision(commit, StopReason.SCHEDULE)

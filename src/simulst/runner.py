@@ -28,8 +28,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import signal
 import sys
+import tempfile
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -316,7 +318,8 @@ def _evaluate(
     """One EvalResult per config, from one adapter and one pass over every session.
 
     The configs differ at most in the policy's knob, which the adapter does
-    not read. Files are written only once every session has returned.
+    not read. Files are written only once every session has returned, and
+    each config's replace its run directory whole.
     """
     if not entries:
         raise ConfigError("manifest is empty")
@@ -326,12 +329,24 @@ def _evaluate(
         _pool_scores(entries, [result for _, result in run], config) for config, run in zip(configs, runs)
     ]
     if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         for config, run, evaluation in zip(configs, runs, evaluations):
-            run_dir = Path(out_dir) / config.run_id
-            run_dir.mkdir(parents=True, exist_ok=True)
-            for entry, (outcome, _) in zip(entries, run):
-                write_emission_log(run_dir / f"{entry.id}.jsonl", outcome)
-            write_bytes_atomic(run_dir / "aggregate.json", (evaluation.to_json() + "\n").encode("utf-8"))
+            # ``staged``, inside a fresh directory beside the run's (and so with the usual
+            # permissions, not mkdtemp's 0700), replaces the run's directory whole
+            work = Path(tempfile.mkdtemp(dir=out, prefix=f".{config.run_id}."))
+            try:
+                staged = work / "run"
+                staged.mkdir()
+                for entry, (outcome, _) in zip(entries, run):
+                    write_emission_log(staged / f"{entry.id}.jsonl", outcome)
+                write_bytes_atomic(staged / "aggregate.json", (evaluation.to_json() + "\n").encode("utf-8"))
+                run_dir = out / config.run_id
+                if run_dir.exists():
+                    run_dir.rename(work / "earlier")
+                staged.rename(run_dir)
+            finally:
+                shutil.rmtree(work)
     return evaluations
 
 
@@ -343,9 +358,11 @@ def run_eval(
     """Evaluate every manifest entry under one config.
 
     Writes, when ``out_dir`` is given, ``<out_dir>/<run_id>/<utterance>.jsonl``
-    per session plus an ``aggregate.json`` record. Per-utterance errors are
-    recorded in the result rather than raised; a failed session's log holds
-    its commits so far and ends with a record carrying the error.
+    per session plus an ``aggregate.json`` record, into a temporary directory
+    beside ``<run_id>/`` that then replaces it: no earlier run's file is left
+    there, and a failed write leaves the earlier run whole. Per-utterance
+    errors are recorded in the result rather than raised; a failed session's
+    log holds its commits so far and ends with a record carrying the error.
     """
     return _evaluate(entries, [config], out_dir)[0]
 

@@ -4,13 +4,14 @@ Each timestep reads one chunk of source frames, re-encodes the delivered
 prefix, greedily extends the committed hypothesis, and hands the candidate
 tokens (with their aggregated cross-attention) to the decision policy.
 Committed output is append-only. When the source is exhausted the final
-hypothesis is committed unconditionally. Every decode is pulled one token at
-a time through ``advance()``: the adapter's ``start_decode``, or its
-``decode_greedy`` result, which must begin with the committed tokens, replayed
-by ``FinishedDecode``. Before every other decode the policy may supply a stop
-rule; tokens are pulled until it fires or the decode ends, and the paused
-decode goes to the policy with the step's context, so it can read further.
-Each encode must give at least one state. The simulator's pulls and the
+hypothesis is committed unconditionally. Every decode (the adapter's
+``start_decode``, or its ``decode_greedy`` result, which must begin with the
+committed tokens, replayed by ``FinishedDecode``) is pulled one token at a
+time through ``advance()``, and its ``eos_reached`` is read once, when
+``advance()`` first returns None. Before every other decode the policy may
+supply a stop rule; tokens are pulled until it fires or the decode ends, and
+the paused decode goes to the policy with the step's context, so it can read
+further. Each encode must give at least one state. The simulator's pulls and the
 policy's reads go through one record of the step's decode, which holds each
 token and its (layers, heads, encoder states) row, and its count of generated
 tokens (at most ``max_new``), to the adapter contract; the step's candidates
@@ -216,8 +217,9 @@ class _CheckedDecode:
     an integer, the (layers, heads, n) row over this decode's own ``n`` and that
     no more than ``max_new`` tokens are generated, raises any fault as
     ``_AdapterFault``, and appends the token and row to the record, which starts
-    from the committed tokens. Once the decode has returned None, it is not
-    asked again.
+    from the committed tokens. When the decode first returns None, it reads the
+    decode's ``eos_reached`` into its own, false until then, and does not ask
+    the decode again.
     """
 
     def __init__(self, decode: Decode, adapter: ModelAdapter, committed: tuple[int, ...], n: int, max_new: int):
@@ -229,14 +231,11 @@ class _CheckedDecode:
         self._tokens: list[int] = []
         self._rows: list[np.ndarray] = []
         self._ended = False
+        self.eos_reached = False
 
     @property
     def tokens(self) -> tuple[int, ...]:
         return self._committed + tuple(self._tokens)
-
-    @property
-    def eos_reached(self) -> bool:
-        return self._decode.eos_reached
 
     def candidate_attention(self) -> np.ndarray:
         """The (layers, heads, tokens, n) attention of the tokens ``advance()`` returned."""
@@ -248,6 +247,7 @@ class _CheckedDecode:
             return None
         try:
             if (pulled := self._decode.advance()) is None:
+                self.eos_reached = bool(self._decode.eos_reached)
                 self._ended = True
                 return None
             token, row = pulled
@@ -416,7 +416,6 @@ def run_session(
             alignment=compute_alignment(weights),
             source_words=detected_words,
             committed=tuple(committed),
-            eos_reached=decode.eos_reached,
             vocab=vocab,
             decode=decode,
         )

@@ -5,7 +5,8 @@ encoder length. ``PlantedAdapter`` decodes each utterance's reference as its
 planted source states arrive, so the attention policies' commits have closed
 forms. ``teacher_forced`` is ToyModel's full-pass decoder, the reference for
 its incremental decode, and ``validate_attention_matrix`` checks that
-attention rows are distributions. ``piece_id`` looks up a piece's token id.
+attention rows are distributions. ``RaisingAdapter`` makes one adapter
+member raise at a chosen step. ``piece_id`` looks up a piece's token id.
 ``write_wav`` makes audio for the front end to read, and
 ``mel_center_frequencies`` places the Mel filters from the public scale
 conversions alone. ``reference_session`` states each policy's rule a second
@@ -149,6 +150,76 @@ def piece_id(vocab: Vocabulary, piece: str) -> int:
         if vocab.piece(token_id) == piece:
             return token_id
     raise ValueError(f"unknown piece {piece!r}")
+
+
+ADAPTER_MEMBERS = ("encode", "count_source_words", "start_decode", "decode_greedy", "advance", "eos_reached")
+
+
+class RaisingAdapter:
+    """``inner`` whose ``member`` raises ``RuntimeError`` at its first call once the session has
+    delivered ``frames`` source frames, read from the prefixes that ``encode`` and
+    ``count_source_words`` receive.
+
+    ``member`` is one of ``ADAPTER_MEMBERS``; ``advance`` and ``eos_reached`` are those of the
+    decodes that ``start_decode`` returns. The adapter offers ``start_decode`` unless ``member`` is
+    ``decode_greedy``. ``failed_at`` holds the seconds of source delivered when it raised, and
+    ``error`` what it raised.
+    """
+
+    def __init__(self, inner, member: str, frames: int, frame_shift_ms: float = 10.0):
+        if member not in ADAPTER_MEMBERS:
+            raise ValueError(f"unknown adapter member {member!r}")
+        self._inner = inner
+        self.vocab = inner.vocab
+        self.num_decoder_layers = inner.num_decoder_layers
+        self.num_heads = inner.num_heads
+        self.member = member
+        self._frames = frames
+        self._frame_shift_ms = frame_shift_ms
+        self.delivered = 0
+        self.failed_at: float | None = None
+        self.error: RuntimeError | None = None
+        if member != "decode_greedy":
+            self.start_decode = self._start_decode
+
+    def fault(self, member: str) -> None:
+        if member == self.member and self.error is None and self.delivered >= self._frames:
+            self.failed_at = self.delivered * self._frame_shift_ms / 1000.0
+            self.error = RuntimeError(f"{member} lost")
+            raise self.error
+
+    def encode(self, raw_features):
+        self.delivered = len(raw_features)
+        self.fault("encode")
+        return self._inner.encode(raw_features)
+
+    def count_source_words(self, raw_features):
+        self.delivered = len(raw_features)
+        self.fault("count_source_words")
+        return self._inner.count_source_words(raw_features)
+
+    def decode_greedy(self, enc, forced_prefix, max_new=DEFAULT_MAX_NEW):
+        self.fault("decode_greedy")
+        return self._inner.decode_greedy(enc, forced_prefix, max_new)
+
+    def _start_decode(self, enc, forced_prefix, max_new=DEFAULT_MAX_NEW):
+        self.fault("start_decode")
+        return _RaisingDecode(self, self._inner.start_decode(enc, forced_prefix, max_new))
+
+
+class _RaisingDecode:
+    def __init__(self, adapter: RaisingAdapter, decode):
+        self._adapter = adapter
+        self._decode = decode
+
+    def advance(self):
+        self._adapter.fault("advance")
+        return self._decode.advance()
+
+    @property
+    def eos_reached(self):
+        self._adapter.fault("eos_reached")
+        return self._decode.eos_reached
 
 
 # Reference words are ``▁w<i>``, optionally continued by ``s``; the guess at

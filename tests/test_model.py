@@ -24,6 +24,7 @@ from simulst import (
 
 from simulst import model as model_module
 from simulst.model import Decode, FinishedDecode
+from simulst.simulator import _CheckedDecode
 
 from conftest import make_source
 from support import ScriptStep, ScriptedAdapter, piece_id, teacher_forced, validate_attention_matrix
@@ -292,6 +293,28 @@ def finished_start(adapter):
     return start
 
 
+def checked_start(adapter, start):
+    """``start``, a ``start_decode``, with each decode read as the simulator reads it: through its record
+    of the forced prefix and of each token and row ``advance()`` returned, whose ``eos_reached`` is the
+    decode's once ``advance()`` has returned None."""
+
+    def checked(enc, forced_prefix, max_new=128):
+        decode = start(enc, forced_prefix, max_new)
+        return _CheckedDecode(decode, adapter, tuple(forced_prefix), enc.n, max_new)
+
+    return checked
+
+
+def snapshot(decode):
+    """A checked decode so far: its tokens, the attention of the tokens ``advance()`` returned, its end."""
+    return DecodeResult(decode.tokens, decode.candidate_attention(), decode.eos_reached)
+
+
+def generated(result, skip):
+    """``result`` with the attention of its first ``skip`` tokens, the forced ones, dropped."""
+    return DecodeResult(result.tokens, result.attention[:, :, skip:], result.eos_reached)
+
+
 def pull_until(decode, stop):
     """Advance ``decode`` until ``stop(token, row)`` flags a token or the decode ends.
 
@@ -336,18 +359,18 @@ class TestStopHook:
                 return token % 13 == param
             return row[-1].mean(axis=0).argmax() >= enc.n - 1 - param % 3
 
-        decode = toy_model.start_decode(enc, prefix, max_new)
-        assert decode.tokens == tuple(prefix) and not decode.eos_reached
+        decode = checked_start(toy_model, toy_model.start_decode)(enc, prefix, max_new)
         seen, ended = pull_until(decode, stop)
-        m = len(decode.tokens)
-        assert decode.tokens == full.tokens[:m]
-        assert np.array_equal(decode.attention, full.attention[:, :, :m])
+        got = snapshot(decode)
+        m = len(got.tokens)
+        assert got.tokens == full.tokens[:m]
+        assert np.array_equal(got.attention, full.attention[:, :, len(prefix) : m])
         # the rule saw every generated token with that token's captured attention row
-        assert [t for t, _ in seen] == list(decode.tokens[len(prefix):])
+        assert [t for t, _ in seen] == list(got.tokens[len(prefix):])
         for i, (_, row) in enumerate(seen):
             assert np.array_equal(row, full.attention[:, :, len(prefix) + i])
         if ended:
-            assert_same_decode(decode, full)
+            assert_same_decode(got, generated(full, len(prefix)))
         else:
             assert not decode.eos_reached
 
@@ -358,7 +381,7 @@ class TestStopHook:
             vocab, {4: ScriptStep(tokens=(a, b, c, d), alignment=(0, 3, 1, 3), eos=True)}
         )
         enc = adapter.encode(np.zeros((16, 80)))
-        start = finished_start(adapter)
+        start = checked_start(adapter, finished_start(adapter))
 
         def late(token, row):
             return row[0, 0, 3] == 1.0
@@ -366,7 +389,7 @@ class TestStopHook:
         decode = start(enc, [a])
         seen, ended = pull_until(decode, late)
         assert decode.tokens == (a, b) and not decode.eos_reached and not ended
-        assert decode.attention.shape == (1, 1, 2, 4)
+        assert decode.candidate_attention().shape == (1, 1, 1, 4)
         assert [t for t, _ in seen] == [b]  # forced tokens are not pulled
         decode = start(enc, [a, b])
         pull_until(decode, late)
@@ -387,10 +410,9 @@ class TestStopHook:
 def pause_chain(start, enc, prefix, max_new, pauses):
     """Pull a decode one token at a time, pausing after the generated tokens numbered in ``pauses``.
 
-    ``start`` is an adapter's ``start_decode`` (or ``finished_start``). Each
-    pause snapshots the decode (tokens, a copy of its attention and
-    ``eos_reached``) and advances another, unrelated decode of the same
-    adapter in between. Returns the snapshots, the drained decode's last.
+    ``start`` is a ``checked_start``. Each pause snapshots the decode and
+    advances another, unrelated decode of the same adapter in between.
+    Returns the snapshots, the drained decode's last.
     """
     decode = start(enc, prefix, max_new)
     other = start(enc, [])
@@ -399,9 +421,9 @@ def pause_chain(start, enc, prefix, max_new, pauses):
         if decode.advance() is None:
             break
         if i in pauses:
-            snapshots.append(DecodeResult(decode.tokens, decode.attention.copy(), decode.eos_reached))
+            snapshots.append(snapshot(decode))
             other.advance()
-    snapshots.append(DecodeResult(decode.tokens, decode.attention.copy(), decode.eos_reached))
+    snapshots.append(snapshot(decode))
     assert decode.advance() is None and snapshots[-1].tokens == decode.tokens
     return snapshots
 
@@ -430,19 +452,19 @@ class TestResume:
         free = toy_model.decode_greedy(enc, [])
         prefix = free.tokens[: round(share * len(free.tokens))]
         full = toy_model.decode_greedy(enc, prefix, max_new)
-        chain = pause_chain(toy_model.start_decode, enc, prefix, max_new, pauses)
-        assert_same_decode(chain[-1], full)
+        chain = pause_chain(checked_start(toy_model, toy_model.start_decode), enc, prefix, max_new, pauses)
+        assert_same_decode(chain[-1], generated(full, len(prefix)))
         for paused in chain[:-1]:
-            # each pause is a prefix of the full decode that has not read end-of-sequence
+            # each pause is a prefix of the full decode that has not ended
             m = len(paused.tokens)
             assert paused.tokens == full.tokens[:m] and not paused.eos_reached
-            assert np.array_equal(paused.attention, full.attention[:, :, :m])
+            assert np.array_equal(paused.attention, full.attention[:, :, len(prefix) : m])
             assert m - len(prefix) - 1 in pauses and m <= len(prefix) + max_new
 
     def test_chained_resumes_one_token_at_a_time(self, toy_model):
         enc = toy_model.encode(np.random.default_rng(0).normal(size=(200, 80)))
         full = toy_model.decode_greedy(enc, [])
-        chain = pause_chain(toy_model.start_decode, enc, [], 128, set(range(100)))
+        chain = pause_chain(checked_start(toy_model, toy_model.start_decode), enc, [], 128, set(range(100)))
         assert full.eos_reached and len(full.tokens) == 45
         # a pause after every token, then the advance that reads end-of-sequence
         assert [len(r.tokens) for r in chain] == list(range(1, 46)) + [45]
@@ -451,30 +473,31 @@ class TestResume:
     def test_resume_grows_the_buffers(self, toy_model):
         enc = toy_model.encode(np.random.default_rng(0).normal(size=(450, 80)))
         full = toy_model.decode_greedy(enc, [])
-        decode = toy_model.start_decode(enc, [])
-        decode.advance()
-        paused = decode.attention
-        assert decode.keys.shape[1] == 1 + model_module._INITIAL_NEW_ROWS
+        raw = toy_model.start_decode(enc, [])
+        decode = _CheckedDecode(raw, toy_model, (), enc.n, 128)
+        _, paused = decode.advance()
+        assert raw.keys.shape[1] == 1 + model_module._INITIAL_NEW_ROWS
         while decode.advance() is not None:
             pass
-        assert decode.keys.shape[1] > 1 + model_module._INITIAL_NEW_ROWS
+        assert raw.keys.shape[1] > 1 + model_module._INITIAL_NEW_ROWS
         assert len(full.tokens) > model_module._INITIAL_NEW_ROWS
-        assert_same_decode(decode, full)
-        # a view read while paused is not overwritten by the growth
-        assert np.array_equal(paused, full.attention[:, :, :1])
+        assert_same_decode(snapshot(decode), full)
+        # a row returned while paused is not overwritten by the growth
+        assert np.array_equal(paused, full.attention[:, :, 0])
 
     def test_pause_right_before_eos(self, toy_model):
         enc = toy_model.encode(np.random.default_rng(1).normal(size=(40, 80)))
         prefix = toy_model.decode_greedy(enc, []).tokens[:-1]
         full = toy_model.decode_greedy(enc, prefix)
         assert full.eos_reached and len(full.tokens) == len(prefix) + 1
-        decode = toy_model.start_decode(enc, prefix)
+        raw = toy_model.start_decode(enc, prefix)
+        decode = _CheckedDecode(raw, toy_model, prefix, enc.n, 128)
         token, row = decode.advance()
         assert decode.tokens == full.tokens and not decode.eos_reached
         assert token == full.tokens[-1] and np.array_equal(row, full.attention[:, :, -1])
         assert decode.advance() is None
-        assert_same_decode(decode, full)
-        assert decode.advance() is None and decode.eos_reached
+        assert_same_decode(snapshot(decode), generated(full, len(prefix)))
+        assert raw.advance() is None and raw.eos_reached
 
     def test_decode_ending_at_max_new_has_no_resume(self, toy_model, monkeypatch):
         enc = toy_model.encode(np.random.default_rng(2).normal(size=(200, 80)))
@@ -483,12 +506,12 @@ class TestResume:
         step = toy_model._step
         monkeypatch.setattr(toy_model, "_step", lambda decode, token: steps.append(token) or step(decode, token))
         decode = toy_model.start_decode(enc, [], max_new=3)
-        pulled = [decode.advance()[0] for _ in range(3)]
-        assert tuple(pulled) == full.tokens and len(steps) == 2
+        pulled = [decode.advance() for _ in range(3)]
+        assert tuple(token for token, _ in pulled) == full.tokens and len(steps) == 2
+        assert all(np.array_equal(row, full.attention[:, :, i]) for i, (_, row) in enumerate(pulled))
         # the token that reaches max_new ends the decode without a decoder step
         assert decode.advance() is None and decode.advance() is None
-        assert len(steps) == 2 and not decode.eos_reached
-        assert_same_decode(decode, full)
+        assert len(steps) == 2 and not decode.eos_reached and not full.eos_reached
 
     @pytest.mark.parametrize("max_new", [1, 2, 3, 4, 128])
     @pytest.mark.parametrize("eos", [False, True])
@@ -501,12 +524,12 @@ class TestResume:
             num_layers=2, num_heads=3,
         )
         enc = adapter.encode(np.zeros((16, 80)))
-        start = finished_start(adapter)
+        start = checked_start(adapter, finished_start(adapter))
         for prefix in ((), (a,), (a, b, c)):
             full = adapter.decode_greedy(enc, prefix, max_new)
             for pauses in (set(), {0}, {1}, {0, 1, 2}, set(range(4))):
                 chain = pause_chain(start, enc, prefix, max_new, pauses)
-                assert_same_decode(chain[-1], full)
+                assert_same_decode(chain[-1], generated(full, len(prefix)))
                 for paused in chain[:-1]:
                     assert not paused.eos_reached
                     assert len(paused.tokens) <= len(prefix) + max_new
@@ -525,14 +548,15 @@ class TestResume:
         encs = [toy_model.encode(rng.normal(size=(frames, 80))) for frames in (90, 160)]
         prefix = toy_model.decode_greedy(encs[0], []).tokens[:3]
         fulls = [toy_model.decode_greedy(enc, prefix) for enc in encs]
-        decodes = [toy_model.start_decode(enc, prefix) for enc in encs]
+        start = checked_start(toy_model, toy_model.start_decode)
+        decodes = [start(enc, prefix) for enc in encs]
         live = [0, 1]
         while live:
             i = live[rng.integers(len(live))]
             if decodes[i].advance() is None:
                 live.remove(i)
         for decode, full in zip(decodes, fulls):
-            assert_same_decode(decode, full)
+            assert_same_decode(snapshot(decode), generated(full, len(prefix)))
 
     def test_decode_greedy_drains_through_advance(self, toy_model, monkeypatch):
         enc = toy_model.encode(np.random.default_rng(4).normal(size=(120, 80)))

@@ -1,6 +1,7 @@
 """Decision policies: stopping rules, schedules, agreement, monotonicity."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,15 +29,21 @@ from simulst import (
 )
 
 from simulst.model import FinishedDecode
+from simulst.simulator import _CheckedDecode
 
 from conftest import alignatt_bruteforce, random_attention, waitk_bruteforce
 from support import ScriptStep, ScriptedAdapter, piece_id
 
 
-def _drained(tokens, attention, eos=False):
-    """A decode of ``tokens`` pulled to its end, as ``run_session`` hands it to a policy without a stop rule."""
-    decode = FinishedDecode(DecodeResult(tuple(tokens), attention, eos), len(tokens))
-    assert decode.advance() is None
+def _drained(vocab, committed, candidates, attention, eos=False):
+    """A decode of ``committed + candidates`` pulled to its end, as ``run_session`` hands it to a policy
+    without a stop rule: its record of the candidates and rows ``advance()`` returned."""
+    layers, heads, _, n = attention.shape
+    adapter = SimpleNamespace(vocab=vocab, num_decoder_layers=layers, num_heads=heads)
+    committed, candidates = tuple(committed), tuple(candidates)
+    result = DecodeResult(committed + candidates, attention, eos)
+    decode = _CheckedDecode(FinishedDecode(result, len(committed)), adapter, committed, n, 128)
+    assert [decode.advance()[0] for _ in candidates] == list(candidates) and decode.advance() is None
     return decode
 
 
@@ -194,9 +201,8 @@ class TestPolicyClasses:
             alignment=np.array([0, 2, 7]),
             source_words=0,
             committed=(),
-            eos_reached=False,
             vocab=default_vocab,
-            decode=_drained((5, 6, 7), attn[None, None]),
+            decode=_drained(default_vocab, (), (5, 6, 7), attn[None, None]),
         )
         decision = policy.decide(ctx)
         assert decision.commit_count == 2
@@ -211,9 +217,8 @@ class TestPolicyClasses:
             alignment=np.array([0, 0]),
             source_words=0,
             committed=(),
-            eos_reached=False,
             vocab=default_vocab,
-            decode=_drained((5, 6), attn[None, None]),
+            decode=_drained(default_vocab, (), (5, 6), attn[None, None]),
         )
         assert policy.decide(ctx).commit_count == 1
 
@@ -264,9 +269,8 @@ def _waitk_context(vocab: Vocabulary, committed, candidates, source_words, eos=F
         alignment=np.zeros(m, dtype=int),
         source_words=source_words,
         committed=tuple(committed),
-        eos_reached=eos,
         vocab=vocab,
-        decode=_drained(tokens, np.full((1, 1, len(tokens), n), 1.0 / n), eos),
+        decode=_drained(vocab, committed, candidates, np.full((1, 1, len(tokens), n), 1.0 / n), eos),
     )
 
 
@@ -428,9 +432,8 @@ def _step_context(vocab, tensor, layer, committed, candidates, source_words, eos
         alignment=compute_alignment(weights),
         source_words=source_words,
         committed=tuple(committed),
-        eos_reached=eos,
         vocab=vocab,
-        decode=_drained(tuple(committed) + tuple(candidates), tensor, eos),
+        decode=_drained(vocab, committed, candidates, tensor, eos),
     )
 
 
@@ -441,7 +444,7 @@ def _la_context(vocab, committed, candidates, decode=None, eos=False):
 
 
 class _Logged:
-    """A decode whose ``advance`` calls are counted in ``advances``."""
+    """A decode whose ``advance`` calls append to ``advances`` the count of tokens it holds."""
 
     def __init__(self, decode, advances):
         self._decode = decode
@@ -451,18 +454,22 @@ class _Logged:
         return getattr(self._decode, name)
 
     def advance(self):
-        self._advances.append(len(self._decode.tokens))
+        self._advances.append(len(self._decode._tokens))
         return self._decode.advance()
 
 
 def _paused_decode(tokens, pause, advances):
-    """A scripted decode of ``tokens`` paused after generated token ``pause``; later advances are logged."""
+    """A scripted decode of ``tokens``, read as ``run_session`` reads it, paused after generated token
+    ``pause``; the later advances of the adapter's decode are logged."""
     step = ScriptStep(tokens=tokens, alignment=(0,) * len(tokens))
     adapter = ScriptedAdapter(_WAITK_VOCAB, {4: step})
-    decode = FinishedDecode(adapter.decode_greedy(adapter.encode(np.zeros((16, 80))), []), 0)
+    enc = adapter.encode(np.zeros((16, 80)))
+    logged = _Logged(FinishedDecode(adapter.decode_greedy(enc, []), 0), advances)
+    decode = _CheckedDecode(logged, adapter, (), enc.n, 128)
     for _ in range(pause + 1):
         decode.advance()
-    return _Logged(decode, advances)
+    advances.clear()
+    return decode
 
 
 class TestStopRule:

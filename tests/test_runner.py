@@ -46,6 +46,7 @@ from simulst.runner import (
 )
 
 from conftest import build_suite
+from support import RaisingAdapter
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,14 @@ def small_suite(tmp_path_factory):
 
 
 ALIGNATT4 = SessionConfig(policy="alignatt", f=4, chunk_ms=500.0)
+
+
+def _tree(root):
+    """Every path under ``root``, relative, mapped to its bytes, or to None for a directory."""
+    return {
+        path.relative_to(root).as_posix(): None if path.is_dir() else path.read_bytes()
+        for path in root.rglob("*")
+    }
 
 
 def _with_frame_shift(feature_file: bytes, shift_ms: float) -> bytes:
@@ -244,6 +253,24 @@ class TestRunEval:
         assert "counting words" in evaluation.results[1].error
         assert not math.isnan(evaluation.corpus_bleu)
 
+    def test_raising_decode_end_fails_only_its_utterance(self, small_suite, tmp_path, monkeypatch):
+        # the first session's first decode to end raises on reading its end; the adapter is not
+        # forkable, so the sessions run in manifest order in this process
+        honest = run_eval(small_suite, ALIGNATT4, out_dir=tmp_path / "honest")
+        faulty = RaisingAdapter(make_adapter(ALIGNATT4), "eos_reached", frames=1)
+        monkeypatch.setattr(runner, "make_adapter", lambda config: faulty)
+        evaluation = run_eval(small_suite, ALIGNATT4, out_dir=tmp_path / "faulty")
+        assert [r.failed for r in evaluation.results] == [True, False, False]
+        assert evaluation.results[0].error == f"adapter failed at {faulty.failed_at:.3f}s: eos_reached lost"
+        assert [r.log for r in evaluation.results[1:]] == [r.log for r in honest.results[1:]]
+        run_dir = tmp_path / "faulty" / ALIGNATT4.run_id
+        names = [f"{e.id}.jsonl" for e in small_suite]
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(names + ["aggregate.json"])
+        with pytest.raises(ValueError, match="eos_reached lost"):
+            read_emission_log(run_dir / names[0])
+        for name in names[1:]:
+            assert (run_dir / name).read_bytes() == (tmp_path / "honest" / ALIGNATT4.run_id / name).read_bytes()
+
     def test_policy_failure_fails_only_its_utterance(self, small_suite, monkeypatch):
         made = []
 
@@ -268,9 +295,7 @@ class TestRunEval:
 
     def test_interrupted_aggregate_write_keeps_earlier_file(self, small_suite, tmp_path, monkeypatch):
         run_eval(small_suite, ALIGNATT4, out_dir=tmp_path)
-        run_dir = tmp_path / ALIGNATT4.run_id
-        before = (run_dir / "aggregate.json").read_bytes()
-        names = sorted(p.name for p in run_dir.iterdir())
+        earlier = _tree(tmp_path)
         replace = os.replace
 
         def failing_replace(src, dst):
@@ -281,8 +306,22 @@ class TestRunEval:
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
             run_eval(small_suite[:2], ALIGNATT4, out_dir=tmp_path)
-        assert (run_dir / "aggregate.json").read_bytes() == before
-        assert sorted(p.name for p in run_dir.iterdir()) == names
+        # the earlier run is whole, and the failed one left no directory behind
+        assert _tree(tmp_path) == earlier
+
+    def test_a_run_replaces_its_directory_whole(self, small_suite, tmp_path):
+        # manifest B holds one utterance, under manifest A's first id but from another source
+        a = small_suite[:2]
+        b = [dataclasses.replace(small_suite[2], id=small_suite[0].id)]
+        run_eval(a, ALIGNATT4, out_dir=tmp_path / "out")
+        evaluation = run_eval(b, ALIGNATT4, out_dir=tmp_path / "out")
+        run_eval(b, ALIGNATT4, out_dir=tmp_path / "fresh")
+        assert _tree(tmp_path / "out") == _tree(tmp_path / "fresh")
+        assert sorted(_tree(tmp_path / "out")) == [
+            ALIGNATT4.run_id, f"{ALIGNATT4.run_id}/aggregate.json", f"{ALIGNATT4.run_id}/{b[0].id}.jsonl"
+        ]
+        record = json.loads((tmp_path / "out" / ALIGNATT4.run_id / "aggregate.json").read_text(encoding="utf-8"))
+        assert record["num_utterances"] == 1 and record["utterances"][0]["final_text"] == evaluation.results[0].log.final_text
 
     def test_deterministic_outputs(self, small_suite, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -44,7 +44,7 @@ from simulst import simulator
 from simulst.model import Decode, FinishedDecode
 
 from conftest import build_suite, make_source
-from support import ScriptStep, ScriptedAdapter, piece_id
+from support import ADAPTER_MEMBERS, RaisingAdapter, ScriptStep, ScriptedAdapter, piece_id
 
 
 class TestSimulatedClock:
@@ -357,8 +357,9 @@ class TestRunSession:
                 assert ctx.candidates == tuple(token for token, _ in pulled)
                 assert len(ctx.attention) == len(pulled)
                 assert all(np.array_equal(w, row[0].mean(axis=0)) for w, (_, row) in zip(ctx.attention, pulled))
-                assert ctx.decode.eos_reached == ctx.eos_reached
-                seen.append(ctx.eos_reached)
+                # an end the decode read is one it reached: it returns no more tokens
+                assert not ctx.decode.eos_reached or ctx.decode.advance() is None
+                seen.append(ctx.decode.eos_reached)
                 return super().decide(ctx)
 
         source = make_source(np.random.default_rng(7), 300)
@@ -441,34 +442,29 @@ class _CountedDecode:
         return pulled
 
 
-class _FourMembers:
-    """A decode with only the four public members of the ``Decode`` contract, read from another."""
+class _TwoMembers:
+    """A decode with only the two members of the ``Decode`` contract, read from another: ``advance()``,
+    and ``eos_reached``, which exists only once ``advance()`` has returned None. Reading any other
+    attribute raises."""
 
     def __init__(self, decode):
         self._decode = decode
 
-    @property
-    def tokens(self):
-        return self._decode.tokens
-
-    @property
-    def attention(self):
-        return self._decode.attention
-
-    @property
-    def eos_reached(self):
-        return self._decode.eos_reached
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name!r} of a decode")
 
     def advance(self):
-        return self._decode.advance()
+        if (pulled := self._decode.advance()) is None:
+            self.eos_reached = self._decode.eos_reached
+        return pulled
 
 
-class _FourMemberDecodes(_Forwarding):
-    """``_Forwarding`` with a ``start_decode`` whose decodes are ``_FourMembers``."""
+class _TwoMemberDecodes(_Forwarding):
+    """``_Forwarding`` with a ``start_decode`` whose decodes are ``_TwoMembers``."""
 
     def start_decode(self, enc, forced_prefix, max_new=128):
         self.calls.append("start_decode")
-        return _FourMembers(self._inner.start_decode(enc, forced_prefix, max_new))
+        return _TwoMembers(self._inner.start_decode(enc, forced_prefix, max_new))
 
 
 def _without_rule(policy):
@@ -719,12 +715,12 @@ class TestStopHook:
                     for x in (pulled, plain)
                 ]
                 logs.append(run_session(source, toy_model, _recording(make_policy(), seen), chunk_ms=chunk_ms))
-                # a decode with only the four public members serves as well
-                duck, ducks = _FourMemberDecodes(toy_model), []
+                # a decode with only the two members of the contract serves as well
+                duck, ducks = _TwoMemberDecodes(toy_model), []
                 logs.append(run_session(source, duck, _recording(make_policy(), ducks), chunk_ms=chunk_ms))
                 assert logs[0] == logs[1] == logs[2] == logs[3]
                 assert all(issubclass(kind, Decode) and holds for kind, holds in seen)
-                assert ducks and all(kind is _FourMembers and holds for kind, holds in ducks)
+                assert ducks and all(kind is _TwoMembers and holds for kind, holds in ducks)
                 saved.append(sum(plain.decoded) - sum(pulled.decoded))
                 resumed += pulled.resumed
         local_agreement = make_policy().name == "local_agreement"
@@ -1092,16 +1088,23 @@ class TestSessionFailures:
         assert isinstance(failed.__cause__, ValueError)
 
 
-class _DecodeView(_FourMembers):
-    """``_FourMembers`` with ``tokens`` read through ``edit_tokens``."""
+class _DecodeView(_TwoMembers):
+    """``_TwoMembers`` that also offers ``tokens``: the forced prefix and the tokens ``advance()``
+    returned, read through ``edit_tokens``."""
 
-    def __init__(self, decode, edit_tokens):
+    def __init__(self, decode, forced_prefix, edit_tokens):
         super().__init__(decode)
+        self._tokens = list(forced_prefix)
         self._edit_tokens = edit_tokens
 
     @property
     def tokens(self):
-        return self._edit_tokens(self._decode.tokens)
+        return self._edit_tokens(tuple(self._tokens))
+
+    def advance(self):
+        if (pulled := super().advance()) is not None:
+            self._tokens.append(pulled[0])
+        return pulled
 
 
 class _IgnoresPrefix(_Forwarding):
@@ -1154,7 +1157,7 @@ class _SwapsLastToken(_Forwarding):
     def start_decode(self, enc, forced_prefix, max_new=128):
         decode = self._inner.start_decode(enc, forced_prefix, max_new)
         skip = len(forced_prefix)
-        return _DecodeView(decode, edit_tokens=lambda t: t[:-1] + (self._token,) if len(t) > skip else t)
+        return _DecodeView(decode, forced_prefix, lambda t: t[:-1] + (self._token,) if len(t) > skip else t)
 
 
 class TestDecodeTokens:
@@ -1166,7 +1169,7 @@ class TestDecodeTokens:
     )
     def test_a_decode_misreporting_its_last_token_logs_as_the_honest_run(self, toy_model, make_policy, token):
         source = make_source(np.random.default_rng(3), 300)
-        honest = run_session(source, _FourMemberDecodes(toy_model), make_policy(), chunk_ms=250.0)
+        honest = run_session(source, _TwoMemberDecodes(toy_model), make_policy(), chunk_ms=250.0)
         assert run_session(source, _SwapsLastToken(toy_model, token), make_policy(), chunk_ms=250.0) == honest
 
 
@@ -1267,22 +1270,22 @@ class TestNoEncoderStates:
         assert partial.tokens and partial.events == tuple(e for e in plain.events if e.ideal_s < 1.2)
 
 
-class _Revived(_FourMembers):
-    """A decode that returns ``token`` on every call after ``advance()`` returned None; ``revived``
-    counts those calls."""
+class _Revived(_TwoMembers):
+    """A decode that returns ``token``, with a zero row of ``shape``, on every call after ``advance()``
+    returned None; ``revived`` counts those calls."""
 
-    def __init__(self, decode, token):
+    def __init__(self, decode, token, shape):
         super().__init__(decode)
         self._token = token
+        self._shape = shape
         self._ended = False
         self.revived = 0
 
     def advance(self):
         if self._ended:
             self.revived += 1
-            layers, heads, _, n = self.attention.shape
-            return self._token, np.zeros((layers, heads, n))
-        pulled = self._decode.advance()
+            return self._token, np.zeros(self._shape)
+        pulled = super().advance()
         self._ended = pulled is None
         return pulled
 
@@ -1300,7 +1303,7 @@ class _RevivesAt30(_Pulls):
         decode = super().start_decode(enc, forced_prefix, max_new)
         if enc.n != 30:
             return decode
-        self.revivals.append(_Revived(decode, self._token))
+        self.revivals.append(_Revived(decode, self._token, (self.num_decoder_layers, self.num_heads, enc.n)))
         return self.revivals[-1]
 
 
@@ -1336,6 +1339,40 @@ class TestEndedDecode:
         assert [decode.revived for decode in reviving.revivals] == [0]
 
 
+_POLICIES = {
+    "alignatt": lambda: AlignAttPolicy(f=4),
+    "edatt": lambda: EDAttPolicy(alpha=0.3),
+    "waitk": lambda: WaitKPolicy(k=2),
+    "local_agreement": LocalAgreementPolicy,
+}
+
+
+class TestAdapterFaults:
+    """Whichever adapter member raises, at whichever step, under whichever policy, the session fails as
+    the adapter's and keeps the honest run's commits of the steps before."""
+
+    @pytest.mark.parametrize("at_s", [0.25, 1.5])
+    @pytest.mark.parametrize(
+        "member, policy",
+        [
+            (member, policy)
+            for member in ADAPTER_MEMBERS
+            for policy in _POLICIES
+            if member != "count_source_words" or policy == "waitk"
+        ],
+    )
+    def test_a_raising_member_fails_the_session(self, toy_model, member, policy, at_s):
+        source = make_source(np.random.default_rng(3), 300)
+        honest = run_session(source, toy_model, _POLICIES[policy](), chunk_ms=250.0)
+        adapter = RaisingAdapter(toy_model, member, frames=round(at_s * 100))
+        with pytest.raises(SessionError) as info:
+            run_session(source, adapter, _POLICIES[policy](), chunk_ms=250.0)
+        failure = "adapter failed counting words" if member == "count_source_words" else "adapter failed"
+        assert str(info.value) == f"{failure} at {adapter.failed_at:.3f}s: {member} lost"
+        assert info.value.__cause__ is adapter.error
+        assert info.value.partial_log.events == tuple(e for e in honest.events if e.ideal_s < adapter.failed_at)
+
+
 class _Runaway:
     """A decode that ignores ``max_new``: every pull generates ``token``, aligned at the newest
     encoder state. It raises after 300 tokens, so a simulator that does not hold it to ``max_new``
@@ -1349,14 +1386,6 @@ class _Runaway:
         self._row = np.zeros((layers, heads, n))
         self._row[:, :, -1] = 1.0
         self.pulls = 0
-
-    @property
-    def tokens(self):
-        return tuple(self._tokens)
-
-    @property
-    def attention(self):
-        return np.repeat(self._row[:, :, None], len(self._tokens), axis=2)
 
     def advance(self):
         self.pulls += 1
