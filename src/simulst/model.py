@@ -4,7 +4,9 @@ The contract (``ModelAdapter``) is what the simulator drives: encode the
 source features delivered so far, greedily decode a continuation of the
 committed prefix while capturing every layer/head of cross-attention, and
 count source words from a CTC-style frame posterior. Implementations must be
-deterministic: identical inputs give identical outputs.
+deterministic: identical inputs give identical outputs. ``Decode`` is the
+simulator's checked record of one decode, and ``FinishedDecode`` replays a
+full decode token by token.
 
 ``ToyModel`` is a fixed-seed stand-in for a trained system: a mean-pool +
 linear front-end that shrinks the input by 4x, a pre-norm transformer decoder
@@ -15,6 +17,7 @@ It exists to exercise every interface at negligible cost, not to translate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
@@ -94,19 +97,23 @@ class ModelAdapter(Protocol):
 
     Adapters are immutable after construction and shared by every session
     of a run; any scratch state lives inside a single call or in a
-    ``Decode`` it returned. External bridges (e.g. a subprocess wrapping a
+    decode it returned. External bridges (e.g. a subprocess wrapping a
     trained model) satisfy this protocol by mapping their outputs onto
     ``EncoderStates`` / ``DecodeResult``.
 
-    The simulator pulls each decode token by token through its ``advance()``
-    and reads its ``eos_reached`` once, when ``advance()`` first returns None
-    (see ``Decode``). An adapter that can generate on demand offers
-    ``start_decode(enc, forced_prefix, max_new)`` beside this protocol: the
-    same decode paused before its first generated token, which ``advance()``
-    takes to exactly ``decode_greedy``'s result; several may be live, each
-    advancing on its own. Any other adapter is bridged by
-    ``FinishedDecode``, so every adapter gets stop rules; the simulator checks
-    that each of its ``decode_greedy`` results begins with the forced prefix.
+    An adapter that can generate on demand offers
+    ``start_decode(enc, forced_prefix, max_new)`` beside this protocol. It
+    returns a decode paused before its first generated token: any object with
+    ``advance()`` and ``eos_reached``. ``advance()`` generates the next token,
+    an id of the vocabulary other than end-of-sequence, and returns it with
+    its (layers, heads, n) cross-attention row, or None once end-of-sequence
+    was read or ``max_new`` tokens exist, and on every call after that; drained,
+    it gives exactly ``decode_greedy``'s result. ``eos_reached``, read once
+    ``advance()`` has returned None, tells whether end-of-sequence was read.
+    Several decodes may be live, each advancing on its own. Any other adapter is
+    bridged by ``FinishedDecode``, so every adapter gets stop rules; the
+    simulator checks that each of its ``decode_greedy`` results begins with
+    the forced prefix. The simulator reads every decode through ``Decode``.
 
     An adapter may also declare the class attribute ``forkable = True``
     (optional, false when absent): a forked copy of it runs sessions exactly
@@ -129,48 +136,93 @@ class ModelAdapter(Protocol):
     def count_source_words(self, raw_features: np.ndarray) -> int: ...
 
 
+class _AdapterFault(Exception):
+    """An adapter fault met in ``Decode.advance()``; ``run_session`` reports its cause as the adapter's."""
+
+
 class Decode:
-    """A greedy decode that yields each token when asked for it (see ``ModelAdapter``).
+    """A step's decode held to the adapter contract and recorded: what the simulator pulls, and
+    ``StepContext.decode``.
 
-    ``advance()`` generates the next token, an id of the vocabulary other
-    than end-of-sequence, and returns it with its (layers, heads, n)
-    cross-attention row, or None once end-of-sequence was read or ``max_new``
-    tokens exist, and on every call after that. ``eos_reached``, read once
-    ``advance()`` has returned None, tells whether end-of-sequence was read.
-    The two are the whole contract: any other object with them also serves.
-
-    Subclasses keep the output so far, forced prefix included, in
-    ``_tokens``; row i of ``_attention`` (L, H, rows, n) is the
-    cross-attention of token i; and ``_next()`` generates one token,
-    returning false once the decode has ended.
+    It reads a raw decode (see ``ModelAdapter``) only through ``advance()``,
+    which is the one place every generated token passes through, pulled by the
+    simulator or read by a policy past the pause: it checks the token id, an
+    integer, the (layers, heads, n) row over this decode's own ``n`` and that
+    no more than ``max_new`` tokens are generated, raises any fault as
+    ``_AdapterFault``, and appends the token and row to the record, which
+    starts from the committed tokens. It returns the token and row, or None
+    once the decode has ended. When the decode first returns None, it reads
+    the decode's ``eos_reached`` into its own, false until then, and does not
+    ask the decode again.
     """
+
+    def __init__(self, decode, adapter: ModelAdapter, committed: tuple[int, ...], n: int, max_new: int):
+        self._decode = decode
+        self._vocab = adapter.vocab
+        self._row_shape = (adapter.num_decoder_layers, adapter.num_heads, n)
+        self._max_new = max_new
+        self._committed = committed
+        self._tokens: list[int] = []
+        self._rows: list[np.ndarray] = []
+        self._ended = False
+        self.eos_reached = False
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        return self._committed + tuple(self._tokens)
+
+    def candidate_attention(self) -> np.ndarray:
+        """The (layers, heads, tokens, n) attention of the tokens ``advance()`` returned."""
+        # one array of the rows, then a view: np.stack takes 2-3x as long per step
+        return np.array(self._rows).reshape(len(self._rows), *self._row_shape).transpose(1, 2, 0, 3)
+
+    def advance(self) -> Optional[tuple[int, np.ndarray]]:
+        if self._ended:
+            return None
+        try:
+            if (pulled := self._decode.advance()) is None:
+                self.eos_reached = bool(self._decode.eos_reached)
+                self._ended = True
+                return None
+            token, row = pulled
+            token = operator.index(token)
+            if len(self._tokens) == self._max_new:
+                raise ValueError(f"decode returned token id {token} after max_new={self._max_new} tokens")
+            vocab = self._vocab
+            if token == vocab.eos_id or not 0 <= token < vocab.size:
+                raise ValueError(
+                    f"decode returned token id {token}; tokens are ids in [0, {vocab.size}) "
+                    f"other than end-of-sequence ({vocab.eos_id})"
+                )
+            if np.shape(row) != self._row_shape:
+                raise ValueError(
+                    f"decode returned token id {token} with a row of shape {np.shape(row)}; "
+                    f"expected (layers, heads, encoder states) = {self._row_shape}"
+                )
+        except Exception as exc:
+            raise _AdapterFault from exc
+        self._tokens.append(token)
+        self._rows.append(row)
+        return token, row
+
+
+class FinishedDecode:
+    """A ``decode_greedy`` result replayed token by token from output position ``start``: the raw
+    decode that bridges an adapter with only ``decode_greedy`` to the simulator's pulls."""
 
     eos_reached = False
 
-    def advance(self) -> Optional[tuple[int, np.ndarray]]:
-        if not self._next():
-            return None
-        return self._tokens[-1], self._attention[:, :, len(self._tokens) - 1]
-
-
-class FinishedDecode(Decode):
-    """A finished decode replayed token by token from output position ``start``.
-
-    It bridges an adapter with only ``decode_greedy`` to the simulator's pulls.
-    """
-
     def __init__(self, result: DecodeResult, start: int):
         self._result = result
-        self._tokens = list(result.tokens[:start])
-        self._attention = result.attention
+        self._position = start
 
-    def _next(self) -> bool:
-        full = self._result.tokens
-        if len(self._tokens) == len(full):
-            self.eos_reached = self._result.eos_reached
-            return False
-        self._tokens.append(full[len(self._tokens)])
-        return True
+    def advance(self) -> Optional[tuple[int, np.ndarray]]:
+        i, result = self._position, self._result
+        if i >= len(result.tokens):
+            self.eos_reached = result.eos_reached
+            return None
+        self._position = i + 1
+        return result.tokens[i], result.attention[:, :, i]
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
@@ -427,7 +479,7 @@ class ToyModel:
         return count_words_in_labels(self.frame_labels(raw_features))
 
 
-class _ToyDecode(Decode):
+class _ToyDecode:
     """One ``ToyModel`` decode and its scratch state; buffer row i is output position i.
 
     The self-attention keys/values (L, rows, d) and the captured
@@ -455,6 +507,7 @@ class _ToyDecode(Decode):
         self.length = 0
         self.recent: tuple[int, ...] = ()
         self.logits: np.ndarray | None = None
+        self.eos_reached = False
 
     def reserve(self, rows: int) -> None:
         capacity = self.keys.shape[1]
@@ -468,18 +521,18 @@ class _ToyDecode(Decode):
             grown.append(new)
         self.keys, self.values, self._attention = grown
 
-    def _next(self) -> bool:
+    def advance(self) -> Optional[tuple[int, np.ndarray]]:
         tokens = self._tokens
         if self.eos_reached or len(tokens) == self._limit:
-            return False
+            return None
         if self.length == len(tokens):  # the last token is not through the decoder yet (bos is)
             self._model._step(self, tokens[-1])
         next_id = int(self.logits.argmax())
         if next_id == self._model.vocab.eos_id:
             self.eos_reached = True
-            return False
+            return None
         tokens.append(next_id)
-        return True
+        return next_id, self._attention[:, :, len(tokens) - 1]
 
 
 def count_words_in_labels(labels: Sequence[int]) -> int:

@@ -80,13 +80,12 @@ class StepContext:
     frames (the committed prefix is not re-gated), and ``alignment`` is each
     candidate's most-attended frame. ``source_words`` is the number of source
     words detected so far (0 unless the policy ``uses_word_counts``).
-    ``vocab`` is the adapter's vocabulary, and ``decode`` is the simulator's
-    record of the step's decode, paused where the stop rule fired (a
-    ``FinishedDecode`` replay for a ``decode_greedy``-only adapter). It offers
-    ``tokens``, which are ``committed + candidates`` and then every token read
-    past the pause, ``advance()``, which is a checked adapter call, and
-    ``eos_reached``, which tells whether the decode ended at end-of-sequence
-    and is false while it is paused.
+    ``vocab`` is the adapter's vocabulary, and ``decode`` is the step's
+    ``Decode``, the simulator's checked record, paused where the stop rule
+    fired. It offers ``tokens``, which are ``committed + candidates`` and then
+    every token read past the pause, ``advance()``, which is a checked adapter
+    call, and ``eos_reached``, which tells whether the decode ended at
+    end-of-sequence and is false while it is paused.
     """
 
     candidates: tuple[int, ...]
@@ -300,7 +299,7 @@ class WaitKPolicy(Policy):
 class LocalAgreementPolicy(Policy):
     """Commit what the previous and the current hypothesis agree on.
 
-    The previous hypothesis is the previous step's decode, which may be
+    The previous hypothesis is the previous step's ``Decode``, which may be
     paused where its stop rule fired. It is read through ``tokens`` and then
     ``advance()`` until None, only as far as a comparison reaches.
     """

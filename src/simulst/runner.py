@@ -332,6 +332,8 @@ def _evaluate(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for config, run, evaluation in zip(configs, runs, evaluations):
+            for debris in out.glob(f".{config.run_id}.*"):  # staging left by a killed run
+                shutil.rmtree(debris)
             # ``staged``, inside a fresh directory beside the run's (and so with the usual
             # permissions, not mkdtemp's 0700), replaces the run's directory whole
             work = Path(tempfile.mkdtemp(dir=out, prefix=f".{config.run_id}."))
@@ -360,9 +362,10 @@ def run_eval(
     Writes, when ``out_dir`` is given, ``<out_dir>/<run_id>/<utterance>.jsonl``
     per session plus an ``aggregate.json`` record, into a temporary directory
     beside ``<run_id>/`` that then replaces it: no earlier run's file is left
-    there, and a failed write leaves the earlier run whole. Per-utterance
-    errors are recorded in the result rather than raised; a failed session's
-    log holds its commits so far and ends with a record carrying the error.
+    there, and a failed write leaves the earlier run whole (the next run of
+    the config removes what a killed one staged). Per-utterance errors are
+    recorded in the result rather than raised; a failed session's log holds
+    its commits so far and ends with a record carrying the error.
     """
     return _evaluate(entries, [config], out_dir)[0]
 

@@ -6,20 +6,19 @@ tokens (with their aggregated cross-attention) to the decision policy.
 Committed output is append-only. When the source is exhausted the final
 hypothesis is committed unconditionally. Every decode (the adapter's
 ``start_decode``, or its ``decode_greedy`` result, which must begin with the
-committed tokens, replayed by ``FinishedDecode``) is pulled one token at a
-time through ``advance()``, and its ``eos_reached`` is read once, when
-``advance()`` first returns None. Before every other decode the policy may
-supply a stop rule; tokens are pulled until it fires or the decode ends, and
-the paused decode goes to the policy with the step's context, so it can read
-further. Each encode must give at least one state. The simulator's pulls and the
-policy's reads go through one record of the step's decode, which holds each
-token and its (layers, heads, encoder states) row, and its count of generated
-tokens (at most ``max_new``), to the adapter contract; the step's candidates
-and their attention are the recorded ones. A word count must be an integer
->= 0, and a commit count an integer in [0, candidates]. An exception from the
-adapter or the policy, or either breaking its contract, ends the session with
-a ``SessionError`` that names which failed, when and why, and carries the
-commits made so far.
+committed tokens, replayed by ``FinishedDecode``) is wrapped in ``Decode``,
+the step's checked record, and pulled one token at a time through its
+``advance()``. Before every other decode the policy may supply a stop rule;
+tokens are pulled until it fires or the decode ends, and the paused record
+goes to the policy with the step's context, so it can read further. The
+simulator's pulls and the policy's reads both go through the record, which
+holds each token and row, and the count of generated tokens (at most
+``max_new``), to the adapter contract; the step's candidates and their
+attention are the recorded ones. Each encode must give at least one state,
+a word count must be an integer >= 0, and a commit count an integer in
+[0, candidates]. An exception from the adapter or the policy, or either
+breaking its contract, ends the session with a ``SessionError`` that names
+which failed, when and why, and carries the commits made so far.
 
 ``write_emission_log`` writes any session's outcome, its ``EmissionLog`` or
 the ``SessionError`` that ended it, as one JSON-lines file, and
@@ -46,7 +45,7 @@ import numpy as np
 from .attention import aggregate_attention, compute_alignment
 from .features import FeatureMatrix
 from .manifest import read_json_lines, write_bytes_atomic
-from .model import DEFAULT_MAX_NEW, Decode, FinishedDecode, ModelAdapter
+from .model import DEFAULT_MAX_NEW, Decode, FinishedDecode, ModelAdapter, _AdapterFault
 from .policies import Policy, StepContext
 from .vocab import Vocabulary, piece_text
 
@@ -204,74 +203,6 @@ def _resolve_layer(adapter: ModelAdapter, attention_layer: int | None) -> int:
     return attention_layer
 
 
-class _AdapterFault(Exception):
-    """An adapter fault met in ``advance()``; ``run_session`` reports its cause as the adapter's."""
-
-
-class _CheckedDecode:
-    """A step's decode held to the adapter contract and recorded: what the simulator pulls and
-    ``StepContext.decode``.
-
-    ``advance()`` is the one place every generated token passes through, pulled
-    by the simulator or read by a policy past the pause: it checks the token id,
-    an integer, the (layers, heads, n) row over this decode's own ``n`` and that
-    no more than ``max_new`` tokens are generated, raises any fault as
-    ``_AdapterFault``, and appends the token and row to the record, which starts
-    from the committed tokens. When the decode first returns None, it reads the
-    decode's ``eos_reached`` into its own, false until then, and does not ask
-    the decode again.
-    """
-
-    def __init__(self, decode: Decode, adapter: ModelAdapter, committed: tuple[int, ...], n: int, max_new: int):
-        self._decode = decode
-        self._vocab = adapter.vocab
-        self._row_shape = (adapter.num_decoder_layers, adapter.num_heads, n)
-        self._max_new = max_new
-        self._committed = committed
-        self._tokens: list[int] = []
-        self._rows: list[np.ndarray] = []
-        self._ended = False
-        self.eos_reached = False
-
-    @property
-    def tokens(self) -> tuple[int, ...]:
-        return self._committed + tuple(self._tokens)
-
-    def candidate_attention(self) -> np.ndarray:
-        """The (layers, heads, tokens, n) attention of the tokens ``advance()`` returned."""
-        # one array of the rows, then a view: np.stack takes 2-3x as long per step
-        return np.array(self._rows).reshape(len(self._rows), *self._row_shape).transpose(1, 2, 0, 3)
-
-    def advance(self) -> tuple[int, np.ndarray] | None:
-        if self._ended:
-            return None
-        try:
-            if (pulled := self._decode.advance()) is None:
-                self.eos_reached = bool(self._decode.eos_reached)
-                self._ended = True
-                return None
-            token, row = pulled
-            token = operator.index(token)
-            if len(self._tokens) == self._max_new:
-                raise ValueError(f"decode returned token id {token} after max_new={self._max_new} tokens")
-            vocab = self._vocab
-            if token == vocab.eos_id or not 0 <= token < vocab.size:
-                raise ValueError(
-                    f"decode returned token id {token}; tokens are ids in [0, {vocab.size}) "
-                    f"other than end-of-sequence ({vocab.eos_id})"
-                )
-            if np.shape(row) != self._row_shape:
-                raise ValueError(
-                    f"decode returned token id {token} with a row of shape {np.shape(row)}; "
-                    f"expected (layers, heads, encoder states) = {self._row_shape}"
-                )
-        except Exception as exc:
-            raise _AdapterFault from exc
-        self._tokens.append(token)
-        self._rows.append(row)
-        return token, row
-
-
 def _count_words(adapter: ModelAdapter, prefix: np.ndarray) -> int:
     """``adapter.count_source_words(prefix)``, which must be an integer >= 0."""
     words = operator.index(adapter.count_source_words(prefix))
@@ -367,7 +298,7 @@ def run_session(
             detail = repr(exc) if failure == "policy failed" else str(exc)
             raise SessionError(f"{failure} at {ideal_s:.3f}s: {detail}", partial()) from exc
 
-    def start(prefix: np.ndarray) -> _CheckedDecode:
+    def start(prefix: np.ndarray) -> Decode:
         """The record of the decode of ``prefix``."""
         states = adapter.encode(prefix)
         if states.n < 1:
@@ -380,7 +311,7 @@ def run_session(
             if (head := list(result.tokens[: len(committed)])) != committed:
                 raise ValueError(f"decode tokens begin {head}, not with the committed {committed}")
             decode = FinishedDecode(result, len(committed))
-        return _CheckedDecode(decode, adapter, tuple(committed), states.n, max_new)
+        return Decode(decode, adapter, tuple(committed), states.n, max_new)
 
     while not cursor.exhausted:
         prefix = cursor.read()

@@ -5,11 +5,11 @@ encoder length. ``PlantedAdapter`` decodes each utterance's reference as its
 planted source states arrive, so the attention policies' commits have closed
 forms. ``teacher_forced`` is ToyModel's full-pass decoder, the reference for
 its incremental decode, and ``validate_attention_matrix`` checks that
-attention rows are distributions. ``RaisingAdapter`` makes one adapter
-member raise at a chosen step. ``piece_id`` looks up a piece's token id.
-``write_wav`` makes audio for the front end to read, and
-``mel_center_frequencies`` places the Mel filters from the public scale
-conversions alone. ``reference_session`` states each policy's rule a second
+attention rows are distributions. ``FaultyAdapter`` makes one adapter
+member break one clause of its contract at a chosen step. ``piece_id``
+looks up a piece's token id. ``write_wav`` makes audio for the front end to
+read, and ``mel_center_frequencies`` places the Mel filters from the public
+scale conversions alone. ``reference_session`` states each policy's rule a second
 time, over full re-decodes, as the oracle for ``run_session``.
 """
 
@@ -154,71 +154,123 @@ def piece_id(vocab: Vocabulary, piece: str) -> int:
 
 ADAPTER_MEMBERS = ("encode", "count_source_words", "start_decode", "decode_greedy", "advance", "eos_reached")
 
+# The clauses that a FaultyAdapter breaks other than by raising, each with the member that breaks it.
+CONTRACT_BREAKS = {
+    "no_states": "encode",  # returns zero states
+    "negative_count": "count_source_words",  # returns -1
+    "none_count": "count_source_words",  # returns None
+    "float_token": "advance",  # returns the token 5.0
+    "unknown_id": "advance",  # returns the id vocab.size
+    "eos_id": "advance",  # returns vocab.eos_id
+    "row_shape": "advance",  # returns the row without its last encoder state
+    "nan_row": "advance",  # returns a row of NaN
+    "past_max_new": "advance",  # ended at max_new, returns its last token and row once more
+}
 
-class RaisingAdapter:
-    """``inner`` whose ``member`` raises ``RuntimeError`` at its first call once the session has
-    delivered ``frames`` source frames, read from the prefixes that ``encode`` and
-    ``count_source_words`` receive.
+_TOKEN_BREAKS = {
+    "float_token": lambda vocab, token, row: (5.0, row),
+    "unknown_id": lambda vocab, token, row: (vocab.size, row),
+    "eos_id": lambda vocab, token, row: (vocab.eos_id, row),
+    "row_shape": lambda vocab, token, row: (token, row[..., :-1]),
+    "nan_row": lambda vocab, token, row: (token, np.full_like(row, np.nan)),
+}
 
-    ``member`` is one of ``ADAPTER_MEMBERS``; ``advance`` and ``eos_reached`` are those of the
-    decodes that ``start_decode`` returns. The adapter offers ``start_decode`` unless ``member`` is
-    ``decode_greedy``. ``failed_at`` holds the seconds of source delivered when it raised, and
-    ``error`` what it raised.
+
+class FaultyAdapter:
+    """``inner`` whose ``member`` breaks one clause of the adapter contract, ``fault``, the first time
+    it can once the session has delivered ``frames`` source frames, read from the prefixes that
+    ``encode`` and ``count_source_words`` receive.
+
+    ``member`` is one of ``ADAPTER_MEMBERS``; ``advance`` and ``eos_reached`` are those of the decodes
+    that ``start_decode`` returns. The fault ``"raise"`` makes any member raise ``RuntimeError``; the
+    others, ``CONTRACT_BREAKS``, make their member return a value that breaks the clause, an
+    ``advance`` break at the first token the decode returns (``past_max_new`` at the first decode that
+    ends at ``max_new``). The adapter offers ``start_decode`` unless ``member`` is ``decode_greedy``.
+    ``failed_at`` holds the seconds of source delivered when the member broke, ``error`` what it
+    raised and ``returned`` what it returned instead.
     """
 
-    def __init__(self, inner, member: str, frames: int, frame_shift_ms: float = 10.0):
-        if member not in ADAPTER_MEMBERS:
-            raise ValueError(f"unknown adapter member {member!r}")
+    def __init__(self, inner, member: str, frames: int, fault: str = "raise", frame_shift_ms: float = 10.0):
+        if member not in ADAPTER_MEMBERS or fault != "raise" and CONTRACT_BREAKS.get(fault) != member:
+            raise ValueError(f"{member!r} cannot break {fault!r}")
         self._inner = inner
         self.vocab = inner.vocab
         self.num_decoder_layers = inner.num_decoder_layers
         self.num_heads = inner.num_heads
         self.member = member
+        self.fault = fault
         self._frames = frames
         self._frame_shift_ms = frame_shift_ms
         self.delivered = 0
         self.failed_at: float | None = None
         self.error: RuntimeError | None = None
+        self.returned = None
         if member != "decode_greedy":
             self.start_decode = self._start_decode
 
-    def fault(self, member: str) -> None:
-        if member == self.member and self.error is None and self.delivered >= self._frames:
-            self.failed_at = self.delivered * self._frame_shift_ms / 1000.0
+    def breaks(self, member: str, fault: str = "raise") -> bool:
+        """Whether ``member`` commits ``fault`` now, which it does once; a ``"raise"`` raises."""
+        if (member, fault) != (self.member, self.fault) or self.failed_at is not None or self.delivered < self._frames:
+            return False
+        self.failed_at = self.delivered * self._frame_shift_ms / 1000.0
+        if fault == "raise":
             self.error = RuntimeError(f"{member} lost")
             raise self.error
+        return True
+
+    def instead(self, value):
+        """``value``, returned in place of what the member would return."""
+        self.returned = value
+        return value
 
     def encode(self, raw_features):
         self.delivered = len(raw_features)
-        self.fault("encode")
-        return self._inner.encode(raw_features)
+        self.breaks("encode")
+        states = self._inner.encode(raw_features)
+        if self.breaks("encode", "no_states"):
+            return self.instead(EncoderStates(states.states[:0], states.version))
+        return states
 
     def count_source_words(self, raw_features):
         self.delivered = len(raw_features)
-        self.fault("count_source_words")
-        return self._inner.count_source_words(raw_features)
+        self.breaks("count_source_words")
+        words = self._inner.count_source_words(raw_features)
+        for fault, value in (("negative_count", -1), ("none_count", None)):
+            if self.breaks("count_source_words", fault):
+                return self.instead(value)
+        return words
 
     def decode_greedy(self, enc, forced_prefix, max_new=DEFAULT_MAX_NEW):
-        self.fault("decode_greedy")
+        self.breaks("decode_greedy")
         return self._inner.decode_greedy(enc, forced_prefix, max_new)
 
     def _start_decode(self, enc, forced_prefix, max_new=DEFAULT_MAX_NEW):
-        self.fault("start_decode")
-        return _RaisingDecode(self, self._inner.start_decode(enc, forced_prefix, max_new))
+        self.breaks("start_decode")
+        return _FaultyDecode(self, self._inner.start_decode(enc, forced_prefix, max_new))
 
 
-class _RaisingDecode:
-    def __init__(self, adapter: RaisingAdapter, decode):
+class _FaultyDecode:
+    def __init__(self, adapter: FaultyAdapter, decode):
         self._adapter = adapter
         self._decode = decode
+        self._last = None
 
     def advance(self):
-        self._adapter.fault("advance")
-        return self._decode.advance()
+        adapter = self._adapter
+        adapter.breaks("advance")
+        pulled = self._decode.advance()
+        if pulled is None:
+            if self._last is not None and not self._decode.eos_reached and adapter.breaks("advance", "past_max_new"):
+                return adapter.instead(self._last)
+            return None
+        self._last = pulled
+        if adapter.fault in _TOKEN_BREAKS and adapter.breaks("advance", adapter.fault):
+            return adapter.instead(_TOKEN_BREAKS[adapter.fault](adapter.vocab, *pulled))
+        return pulled
 
     @property
     def eos_reached(self):
-        self._adapter.fault("eos_reached")
+        self._adapter.breaks("eos_reached")
         return self._decode.eos_reached
 
 

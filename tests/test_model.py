@@ -24,7 +24,6 @@ from simulst import (
 
 from simulst import model as model_module
 from simulst.model import Decode, FinishedDecode
-from simulst.simulator import _CheckedDecode
 
 from conftest import make_source
 from support import ScriptStep, ScriptedAdapter, piece_id, teacher_forced, validate_attention_matrix
@@ -300,7 +299,7 @@ def checked_start(adapter, start):
 
     def checked(enc, forced_prefix, max_new=128):
         decode = start(enc, forced_prefix, max_new)
-        return _CheckedDecode(decode, adapter, tuple(forced_prefix), enc.n, max_new)
+        return Decode(decode, adapter, tuple(forced_prefix), enc.n, max_new)
 
     return checked
 
@@ -404,7 +403,9 @@ class TestStopHook:
         assert callable(ToyModel.start_decode) and not hasattr(ScriptedAdapter, "start_decode")
         assert not hasattr(ModelAdapter, "start_decode")
         assert isinstance(ScriptedAdapter(toy_model.vocab, {}), ModelAdapter)
-        assert issubclass(FinishedDecode, Decode)
+        # a raw decode is any object with the two members; neither kind derives from the checked record
+        for kind in (FinishedDecode, model_module._ToyDecode):
+            assert kind.__bases__ == (object,) and "advance" in vars(kind) and not issubclass(kind, Decode)
 
 
 def pause_chain(start, enc, prefix, max_new, pauses):
@@ -474,7 +475,7 @@ class TestResume:
         enc = toy_model.encode(np.random.default_rng(0).normal(size=(450, 80)))
         full = toy_model.decode_greedy(enc, [])
         raw = toy_model.start_decode(enc, [])
-        decode = _CheckedDecode(raw, toy_model, (), enc.n, 128)
+        decode = Decode(raw, toy_model, (), enc.n, 128)
         _, paused = decode.advance()
         assert raw.keys.shape[1] == 1 + model_module._INITIAL_NEW_ROWS
         while decode.advance() is not None:
@@ -491,7 +492,7 @@ class TestResume:
         full = toy_model.decode_greedy(enc, prefix)
         assert full.eos_reached and len(full.tokens) == len(prefix) + 1
         raw = toy_model.start_decode(enc, prefix)
-        decode = _CheckedDecode(raw, toy_model, prefix, enc.n, 128)
+        decode = Decode(raw, toy_model, prefix, enc.n, 128)
         token, row = decode.advance()
         assert decode.tokens == full.tokens and not decode.eos_reached
         assert token == full.tokens[-1] and np.array_equal(row, full.attention[:, :, -1])

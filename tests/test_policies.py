@@ -28,8 +28,7 @@ from simulst import (
     waitk_allowed,
 )
 
-from simulst.model import FinishedDecode
-from simulst.simulator import _CheckedDecode
+from simulst.model import Decode, FinishedDecode
 
 from conftest import alignatt_bruteforce, random_attention, waitk_bruteforce
 from support import ScriptStep, ScriptedAdapter, piece_id
@@ -42,7 +41,7 @@ def _drained(vocab, committed, candidates, attention, eos=False):
     adapter = SimpleNamespace(vocab=vocab, num_decoder_layers=layers, num_heads=heads)
     committed, candidates = tuple(committed), tuple(candidates)
     result = DecodeResult(committed + candidates, attention, eos)
-    decode = _CheckedDecode(FinishedDecode(result, len(committed)), adapter, committed, n, 128)
+    decode = Decode(FinishedDecode(result, len(committed)), adapter, committed, n, 128)
     assert [decode.advance()[0] for _ in candidates] == list(candidates) and decode.advance() is None
     return decode
 
@@ -444,18 +443,22 @@ def _la_context(vocab, committed, candidates, decode=None, eos=False):
 
 
 class _Logged:
-    """A decode whose ``advance`` calls append to ``advances`` the count of tokens it holds."""
+    """A decode from output position 0 whose ``advance`` calls append to ``advances`` the count of
+    tokens it has returned."""
 
     def __init__(self, decode, advances):
         self._decode = decode
         self._advances = advances
+        self._returned = 0
 
     def __getattr__(self, name):
         return getattr(self._decode, name)
 
     def advance(self):
-        self._advances.append(len(self._decode._tokens))
-        return self._decode.advance()
+        self._advances.append(self._returned)
+        pulled = self._decode.advance()
+        self._returned += pulled is not None
+        return pulled
 
 
 def _paused_decode(tokens, pause, advances):
@@ -465,7 +468,7 @@ def _paused_decode(tokens, pause, advances):
     adapter = ScriptedAdapter(_WAITK_VOCAB, {4: step})
     enc = adapter.encode(np.zeros((16, 80)))
     logged = _Logged(FinishedDecode(adapter.decode_greedy(enc, []), 0), advances)
-    decode = _CheckedDecode(logged, adapter, (), enc.n, 128)
+    decode = Decode(logged, adapter, (), enc.n, 128)
     for _ in range(pause + 1):
         decode.advance()
     advances.clear()

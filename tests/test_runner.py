@@ -46,7 +46,7 @@ from simulst.runner import (
 )
 
 from conftest import build_suite
-from support import RaisingAdapter
+from support import FaultyAdapter
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +257,7 @@ class TestRunEval:
         # the first session's first decode to end raises on reading its end; the adapter is not
         # forkable, so the sessions run in manifest order in this process
         honest = run_eval(small_suite, ALIGNATT4, out_dir=tmp_path / "honest")
-        faulty = RaisingAdapter(make_adapter(ALIGNATT4), "eos_reached", frames=1)
+        faulty = FaultyAdapter(make_adapter(ALIGNATT4), "eos_reached", frames=1)
         monkeypatch.setattr(runner, "make_adapter", lambda config: faulty)
         evaluation = run_eval(small_suite, ALIGNATT4, out_dir=tmp_path / "faulty")
         assert [r.failed for r in evaluation.results] == [True, False, False]
@@ -322,6 +322,20 @@ class TestRunEval:
         ]
         record = json.loads((tmp_path / "out" / ALIGNATT4.run_id / "aggregate.json").read_text(encoding="utf-8"))
         assert record["num_utterances"] == 1 and record["utterances"][0]["final_text"] == evaluation.results[0].log.final_text
+
+    def test_the_next_run_removes_a_killed_runs_staging(self, small_suite, tmp_path):
+        # what a run killed mid-write leaves beside its run directory: its staging directory, a partial run
+        out = tmp_path / "out"
+        debris = out / f".{ALIGNATT4.run_id}.stale1" / "run"
+        debris.mkdir(parents=True)
+        (debris / "u9.jsonl").write_text("{}\n", encoding="utf-8")
+        # another config's staging may belong to a run still writing, so it stays
+        other = dataclasses.replace(ALIGNATT4, f=2)
+        (out / f".{other.run_id}.live").mkdir()
+        run_eval(small_suite[:2], ALIGNATT4, out_dir=out)
+        run_eval(small_suite[:2], ALIGNATT4, out_dir=tmp_path / "fresh")
+        assert sorted(path.name for path in out.iterdir()) == sorted([ALIGNATT4.run_id, f".{other.run_id}.live"])
+        assert _tree(out / ALIGNATT4.run_id) == _tree(tmp_path / "fresh" / ALIGNATT4.run_id)
 
     def test_deterministic_outputs(self, small_suite, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

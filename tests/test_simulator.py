@@ -41,10 +41,10 @@ from simulst import (
     write_emission_log,
 )
 from simulst import simulator
-from simulst.model import Decode, FinishedDecode
+from simulst.model import Decode, FinishedDecode, _ToyDecode
 
 from conftest import build_suite, make_source
-from support import ADAPTER_MEMBERS, RaisingAdapter, ScriptStep, ScriptedAdapter, piece_id
+from support import ADAPTER_MEMBERS, CONTRACT_BREAKS, FaultyAdapter, ScriptStep, ScriptedAdapter, piece_id
 
 
 class TestSimulatedClock:
@@ -474,12 +474,12 @@ def _without_rule(policy):
 
 
 def _recording(policy, seen):
-    """``policy`` appending, at each ``decide``, the type of the decode that the simulator's checked
-    decode reads and whether it holds the hypothesis."""
+    """``policy`` appending, at each ``decide``, the type of the adapter's decode that the step's
+    ``Decode`` reads and whether the record holds the hypothesis."""
     decide = policy.decide
 
     def recorded(ctx):
-        assert type(ctx.decode) is simulator._CheckedDecode
+        assert type(ctx.decode) is Decode
         seen.append((type(ctx.decode._decode), ctx.decode.tokens == ctx.committed + ctx.candidates))
         return decide(ctx)
 
@@ -719,7 +719,7 @@ class TestStopHook:
                 duck, ducks = _TwoMemberDecodes(toy_model), []
                 logs.append(run_session(source, duck, _recording(make_policy(), ducks), chunk_ms=chunk_ms))
                 assert logs[0] == logs[1] == logs[2] == logs[3]
-                assert all(issubclass(kind, Decode) and holds for kind, holds in seen)
+                assert seen and all(kind is _ToyDecode and holds for kind, holds in seen)
                 assert ducks and all(kind is _TwoMembers and holds for kind, holds in ducks)
                 saved.append(sum(plain.decoded) - sum(pulled.decoded))
                 resumed += pulled.resumed
@@ -1348,8 +1348,9 @@ _POLICIES = {
 
 
 class TestAdapterFaults:
-    """Whichever adapter member raises, at whichever step, under whichever policy, the session fails as
-    the adapter's and keeps the honest run's commits of the steps before."""
+    """Whichever adapter member raises or breaks its contract, at whichever step, under whichever policy,
+    the session fails as the adapter's and keeps the honest run's commits of the steps before, unless
+    the break is one that no session checks."""
 
     @pytest.mark.parametrize("at_s", [0.25, 1.5])
     @pytest.mark.parametrize(
@@ -1364,13 +1365,66 @@ class TestAdapterFaults:
     def test_a_raising_member_fails_the_session(self, toy_model, member, policy, at_s):
         source = make_source(np.random.default_rng(3), 300)
         honest = run_session(source, toy_model, _POLICIES[policy](), chunk_ms=250.0)
-        adapter = RaisingAdapter(toy_model, member, frames=round(at_s * 100))
+        adapter = FaultyAdapter(toy_model, member, frames=round(at_s * 100))
         with pytest.raises(SessionError) as info:
             run_session(source, adapter, _POLICIES[policy](), chunk_ms=250.0)
         failure = "adapter failed counting words" if member == "count_source_words" else "adapter failed"
         assert str(info.value) == f"{failure} at {adapter.failed_at:.3f}s: {member} lost"
         assert info.value.__cause__ is adapter.error
         assert info.value.partial_log.events == tuple(e for e in honest.events if e.ideal_s < adapter.failed_at)
+
+    # the message each break fails the session with, from the value the member returned instead
+    BROKEN = {
+        "no_states": lambda adapter: f"encoder returned no states for {adapter.delivered} frames",
+        "negative_count": lambda adapter: "counted -1 source words; counts are integers >= 0",
+        "none_count": lambda adapter: "'NoneType' object cannot be interpreted as an integer",
+        "float_token": lambda adapter: "'float' object cannot be interpreted as an integer",
+        "unknown_id": lambda adapter: (
+            f"decode returned token id {adapter.vocab.size}; tokens are ids in [0, {adapter.vocab.size}) "
+            f"other than end-of-sequence ({adapter.vocab.eos_id})"
+        ),
+        "eos_id": lambda adapter: (
+            f"decode returned token id {adapter.vocab.eos_id}; tokens are ids in [0, {adapter.vocab.size}) "
+            f"other than end-of-sequence ({adapter.vocab.eos_id})"
+        ),
+        "row_shape": lambda adapter: (
+            f"decode returned token id {adapter.returned[0]} with a row of shape {adapter.returned[1].shape}; "
+            f"expected (layers, heads, encoder states) = {(2, 4, adapter.returned[1].shape[2] + 1)}"
+        ),
+        "past_max_new": lambda adapter: f"decode returned token id {adapter.returned[0]} after max_new=2 tokens",
+    }
+    # a NaN row breaks no clause that a session checks: only an adapter checker would find it (ROADMAP item 4)
+    PASSES_BY_DESIGN = {"nan_row"}
+
+    @pytest.mark.parametrize("at_s", [0.25, 1.5])
+    @pytest.mark.parametrize(
+        "fault, policy",
+        [
+            (fault, policy)
+            for fault, member in CONTRACT_BREAKS.items()
+            for policy in _POLICIES
+            if member != "count_source_words" or policy == "waitk"
+        ],
+    )
+    def test_a_member_breaking_its_contract_fails_the_session(self, toy_model, fault, policy, at_s):
+        # toy decodes of this source reach max_new=2 before end-of-sequence, as past_max_new needs
+        max_new = 2 if fault == "past_max_new" else 128
+        source = make_source(np.random.default_rng(3), 300)
+        honest = run_session(source, toy_model, _POLICIES[policy](), chunk_ms=250.0, max_new=max_new)
+        adapter = FaultyAdapter(toy_model, CONTRACT_BREAKS[fault], frames=round(at_s * 100), fault=fault)
+        try:
+            outcome = run_session(source, adapter, _POLICIES[policy](), chunk_ms=250.0, max_new=max_new)
+        except SessionError as exc:  # any other exception escapes the session, and fails this test
+            outcome = exc
+        assert adapter.failed_at is not None
+        if fault in self.PASSES_BY_DESIGN:
+            assert isinstance(outcome, EmissionLog)
+            return
+        assert isinstance(outcome, SessionError)
+        failure = "adapter failed counting words" if CONTRACT_BREAKS[fault] == "count_source_words" else "adapter failed"
+        assert str(outcome) == f"{failure} at {adapter.failed_at:.3f}s: {self.BROKEN[fault](adapter)}"
+        assert isinstance(outcome.__cause__, TypeError if fault in ("none_count", "float_token") else ValueError)
+        assert outcome.partial_log.events == tuple(e for e in honest.events if e.ideal_s < adapter.failed_at)
 
 
 class _Runaway:
