@@ -147,8 +147,8 @@ class Decode:
     It reads a raw decode (see ``ModelAdapter``) only through ``advance()``,
     which is the one place every generated token passes through, pulled by the
     simulator or read by a policy past the pause: it checks the token id, an
-    integer, the (layers, heads, n) row over this decode's own ``n`` and that
-    no more than ``max_new`` tokens are generated, raises any fault as
+    integer, the finite (layers, heads, n) row over this decode's own ``n`` and
+    that no more than ``max_new`` tokens are generated, raises any fault as
     ``_AdapterFault``, and appends the token and row to the record, which
     starts from the committed tokens. It returns the token and row, or None
     once the decode has ended. When the decode first returns None, it reads
@@ -199,6 +199,8 @@ class Decode:
                     f"decode returned token id {token} with a row of shape {np.shape(row)}; "
                     f"expected (layers, heads, encoder states) = {self._row_shape}"
                 )
+            if not np.isfinite(row).all():
+                raise ValueError(f"decode returned token id {token} with a row that is not finite")
         except Exception as exc:
             raise _AdapterFault from exc
         self._tokens.append(token)

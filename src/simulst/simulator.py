@@ -38,7 +38,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, get_type_hints
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class RealClock:
 
 @dataclass(frozen=True)
 class Emission:
-    """One committed token with its surface piece and both delays."""
+    """One committed token with its surface piece and both delays; its fields are a log event's keys, in order."""
 
     token: int
     text: str
@@ -368,10 +368,8 @@ def write_emission_log(path, outcome: EmissionLog | SessionError) -> None:
     log = outcome.partial_log if failed else outcome
     records, summary = [], {}
     if log is not None:
-        records = [
-            {"token": e.token, "text": e.text, "ideal_s": e.ideal_s, "wall_s": e.wall_s}
-            for e in log.events
-        ]
+        # a new dict per event: vars(event) would keep one on every event for the rest of its life
+        records = [{key: getattr(event, key) for key in _EVENT_TYPES} for event in log.events]
         summary = {"source_duration_s": log.source_duration_s, "final_text": log.final_text}
     if failed:
         summary["error"] = str(outcome)
@@ -381,6 +379,7 @@ def write_emission_log(path, outcome: EmissionLog | SessionError) -> None:
 
 
 _JSON_KINDS = {int: (int,), float: (int, float), str: (str,)}
+_EVENT_TYPES = get_type_hints(Emission)
 
 
 def has_json_type(value, kind: type) -> bool:
@@ -427,13 +426,7 @@ def read_emission_log(path) -> EmissionLog:
     if not duration > 0:
         raise ValueError(f"{path}: source duration must be positive, got {duration}")
     events = tuple(
-        Emission(
-            token=field(event, "token", int),
-            text=field(event, "text", str),
-            ideal_s=field(event, "ideal_s", float),
-            wall_s=field(event, "wall_s", float),
-        )
-        for event in events
+        Emission(**{key: field(event, key, kind) for key, kind in _EVENT_TYPES.items()}) for event in events
     )
     final_text = field(summary, "final_text", str)
     try:

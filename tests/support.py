@@ -157,6 +157,8 @@ ADAPTER_MEMBERS = ("encode", "count_source_words", "start_decode", "decode_greed
 # The clauses that a FaultyAdapter breaks other than by raising, each with the member that breaks it.
 CONTRACT_BREAKS = {
     "no_states": "encode",  # returns zero states
+    "inf_state": "encode",  # returns states with inf for their first value
+    "raw_frames": "encode",  # returns the raw frames it was given, not EncoderStates
     "negative_count": "count_source_words",  # returns -1
     "none_count": "count_source_words",  # returns None
     "float_token": "advance",  # returns the token 5.0
@@ -165,6 +167,9 @@ CONTRACT_BREAKS = {
     "row_shape": "advance",  # returns the row without its last encoder state
     "nan_row": "advance",  # returns a row of NaN
     "past_max_new": "advance",  # ended at max_new, returns its last token and row once more
+    "short_result": "decode_greedy",  # returns the forced prefix without its last token
+    "short_attention": "decode_greedy",  # returns attention without the last encoder state
+    "no_advance": "start_decode",  # returns an object without advance()
 }
 
 _TOKEN_BREAKS = {
@@ -185,9 +190,12 @@ class FaultyAdapter:
     that ``start_decode`` returns. The fault ``"raise"`` makes any member raise ``RuntimeError``; the
     others, ``CONTRACT_BREAKS``, make their member return a value that breaks the clause, an
     ``advance`` break at the first token the decode returns (``past_max_new`` at the first decode that
-    ends at ``max_new``). The adapter offers ``start_decode`` unless ``member`` is ``decode_greedy``.
-    ``failed_at`` holds the seconds of source delivered when the member broke, ``error`` what it
-    raised and ``returned`` what it returned instead.
+    ends at ``max_new``), ``short_result`` at the first decode with a forced prefix and
+    ``short_attention`` at the first that generates a token. The adapter offers ``start_decode``
+    unless ``member`` is ``decode_greedy``. ``failed_at`` holds the seconds of source delivered when
+    the member broke, ``error`` what it raised and ``returned`` what it returned instead; ``prefix``
+    is the forced prefix of the last decode started and ``pulled`` what a decode's ``advance()``
+    returned last.
     """
 
     def __init__(self, inner, member: str, frames: int, fault: str = "raise", frame_shift_ms: float = 10.0):
@@ -205,6 +213,8 @@ class FaultyAdapter:
         self.failed_at: float | None = None
         self.error: RuntimeError | None = None
         self.returned = None
+        self.prefix: tuple[int, ...] = ()
+        self.pulled = None
         if member != "decode_greedy":
             self.start_decode = self._start_decode
 
@@ -229,6 +239,12 @@ class FaultyAdapter:
         states = self._inner.encode(raw_features)
         if self.breaks("encode", "no_states"):
             return self.instead(EncoderStates(states.states[:0], states.version))
+        if self.breaks("encode", "inf_state"):
+            values = states.states.copy()
+            values[0, 0] = np.inf
+            return self.instead(EncoderStates(values, states.version))
+        if self.breaks("encode", "raw_frames"):
+            return self.instead(raw_features)
         return states
 
     def count_source_words(self, raw_features):
@@ -241,12 +257,22 @@ class FaultyAdapter:
         return words
 
     def decode_greedy(self, enc, forced_prefix, max_new=DEFAULT_MAX_NEW):
+        self.prefix = prefix = tuple(forced_prefix)
         self.breaks("decode_greedy")
-        return self._inner.decode_greedy(enc, forced_prefix, max_new)
+        result = self._inner.decode_greedy(enc, forced_prefix, max_new)
+        if prefix and self.breaks("decode_greedy", "short_result"):
+            return self.instead(DecodeResult(prefix[:-1], result.attention[:, :, : len(prefix) - 1], False))
+        if len(result.tokens) > len(prefix) and self.breaks("decode_greedy", "short_attention"):
+            return self.instead(DecodeResult(result.tokens, result.attention[..., :-1], result.eos_reached))
+        return result
 
     def _start_decode(self, enc, forced_prefix, max_new=DEFAULT_MAX_NEW):
+        self.prefix = tuple(forced_prefix)
         self.breaks("start_decode")
-        return _FaultyDecode(self, self._inner.start_decode(enc, forced_prefix, max_new))
+        decode = self._inner.start_decode(enc, forced_prefix, max_new)
+        if self.breaks("start_decode", "no_advance"):
+            return self.instead(object())
+        return _FaultyDecode(self, decode)
 
 
 class _FaultyDecode:
@@ -261,11 +287,12 @@ class _FaultyDecode:
         pulled = self._decode.advance()
         if pulled is None:
             if self._last is not None and not self._decode.eos_reached and adapter.breaks("advance", "past_max_new"):
-                return adapter.instead(self._last)
-            return None
-        self._last = pulled
-        if adapter.fault in _TOKEN_BREAKS and adapter.breaks("advance", adapter.fault):
-            return adapter.instead(_TOKEN_BREAKS[adapter.fault](adapter.vocab, *pulled))
+                pulled = adapter.instead(self._last)
+        else:
+            self._last = pulled
+            if adapter.fault in _TOKEN_BREAKS and adapter.breaks("advance", adapter.fault):
+                pulled = adapter.instead(_TOKEN_BREAKS[adapter.fault](adapter.vocab, *pulled))
+        adapter.pulled = pulled
         return pulled
 
     @property

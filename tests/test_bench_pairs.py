@@ -1,7 +1,9 @@
-"""The summary that tools/bench_pairs.py writes of benchmark runs, from canned run output."""
+"""The summary that tools/bench_pairs.py writes of benchmark runs, from canned run output, and the
+trees it runs them from."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,39 @@ class TestSummarize:
         assert audio["parent"] == audio["change"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
         assert audio["ratio"] == {"median": 1.0, "min": 1.0, "max": 1.0}
         assert audio["wins"] == {"change": 0, "parent": 0}
+
+
+class TestExtractTrees:
+    def test_parent_is_the_commit_and_change_the_working_tree(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "sub").mkdir(parents=True)
+        (repo / ".gitignore").write_text("ignored.txt\n")
+        (repo / "edited.txt").write_text("committed\n")
+        (repo / "sub" / "deleted.txt").write_text("committed\n")
+
+        def git(*args):
+            return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True, text=True).stdout
+
+        git("init", "-q")
+        git("add", "-A")
+        git("-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "parent")
+        (repo / "edited.txt").write_text("uncommitted\n")
+        (repo / "sub" / "deleted.txt").unlink()
+        (repo / "sub" / "untracked.txt").write_text("untracked\n")
+        (repo / "ignored.txt").write_text("ignored\n")
+        git_files = {path: path.read_bytes() for path in (repo / ".git").rglob("*") if path.is_file()}
+
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        trees = bench_pairs.extract_trees(repo, git("rev-parse", "HEAD").strip(), scratch)
+
+        def files(tree):
+            return {str(path.relative_to(tree)): path.read_text() for path in tree.rglob("*") if path.is_file()}
+
+        assert files(trees["parent"]) == {
+            ".gitignore": "ignored.txt\n", "edited.txt": "committed\n", "sub/deleted.txt": "committed\n"
+        }
+        assert files(trees["change"]) == {
+            ".gitignore": "ignored.txt\n", "edited.txt": "uncommitted\n", "sub/untracked.txt": "untracked\n"
+        }
+        assert {path: path.read_bytes() for path in (repo / ".git").rglob("*") if path.is_file()} == git_files

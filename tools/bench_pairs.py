@@ -4,11 +4,14 @@ Run from anywhere inside a checkout:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 15 --out BENCH.json
 
-The parent is checked out into a temporary ``git worktree``, removed on exit,
-also when a run fails or this script is interrupted. For each pair and each
-workload of ``BENCHMARK.json``, ``simbench/run.py --workload W --seed S
---seconds T --trace 0`` runs once from the parent's root and once from the
-working tree's, and the side that runs first alternates from pair to pair.
+Both sides run from trees extracted alike into one temporary directory,
+removed on exit, also when a run fails or this script is interrupted: the
+parent's is ``git archive`` of its commit, and the change's is a copy of the
+working tree's files that git tracks or would track (``git ls-files --cached
+--others --exclude-standard``). Nothing is written under ``.git``. For each
+pair and each workload of ``BENCHMARK.json``, ``simbench/run.py --workload W
+--seed S --seconds T --trace 0`` runs once from each tree, and the side that
+runs first alternates from pair to pair.
 Pair i runs seed i on both sides. All pairs then run again under
 ``taskset -c 0``, so the worker pool's scaling and its one-CPU cost are both
 on file.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -112,8 +116,27 @@ def summarize(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> dict:
     return {**sides, "metrics": metrics}
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def _git(*args: str, root: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def extract_trees(root: Path, parent_sha: str, scratch: Path) -> dict[str, Path]:
+    """Each side's tree of the checkout at ``root``, in its own new directory under ``scratch``.
+
+    The parent's holds the files of commit ``parent_sha``; the change's, the working tree's files
+    that git tracks or would track and that exist on disk, so uncommitted edits but no ignored file.
+    """
+    trees = {side: scratch / side for side in SIDES}
+    for tree in trees.values():
+        tree.mkdir()
+    archive = subprocess.run(["git", "archive", parent_sha], cwd=root, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard", root=root)
+    for name in filter(None, listed.split("\0")):
+        if (root / name).is_file():
+            (trees["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, trees["change"] / name)
+    return trees
 
 
 def _run(prefix: list[str], root: Path, workload: str, seed: int, seconds: float) -> str:
@@ -137,22 +160,17 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    # SIGTERM unwinds like Ctrl-C, so the worktree is removed and the running benchmark killed
+    # SIGTERM unwinds like Ctrl-C, so the trees are removed and the running benchmark killed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     outputs = {setting: {workload: [] for workload in workloads} for setting in SETTINGS}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
-        parent_root = Path(scratch) / "parent"
-        _git("worktree", "add", "--detach", str(parent_root), parent_sha)
-        try:
-            roots = {"parent": parent_root, "change": ROOT}
-            for setting, prefix in SETTINGS.items():
-                for seed in range(args.pairs):
-                    order = SIDES if seed % 2 == 0 else SIDES[::-1]
-                    for workload in workloads:
-                        stdout = {side: _run(prefix, roots[side], workload, seed, args.seconds) for side in order}
-                        outputs[setting][workload].append((stdout["parent"], stdout["change"]))
-        finally:
-            _git("worktree", "remove", "--force", str(parent_root))
+        roots = extract_trees(ROOT, parent_sha, Path(scratch))
+        for setting, prefix in SETTINGS.items():
+            for seed in range(args.pairs):
+                order = SIDES if seed % 2 == 0 else SIDES[::-1]
+                for workload in workloads:
+                    stdout = {side: _run(prefix, roots[side], workload, seed, args.seconds) for side in order}
+                    outputs[setting][workload].append((stdout["parent"], stdout["change"]))
 
     def run_environment(setting: str) -> dict:
         """The environment that the first change-side run under ``setting`` printed."""
@@ -163,7 +181,7 @@ def main(argv=None) -> int:
     environment = {
         "parent_sha": parent_sha,
         "change_head_sha": _git("rev-parse", "HEAD"),
-        "change_uncommitted": bool(_git("status", "--porcelain")),
+        "change_uncommitted": bool(_git("--no-optional-locks", "status", "--porcelain")),
         **{key: first.get(key) for key in ("python", "numpy", "blas", "blas_threads")},
         "affinity_cpus": {setting: run_environment(setting).get("nproc") for setting in SETTINGS},
         "seeds": list(range(args.pairs)),
