@@ -163,6 +163,9 @@ def main(argv=None) -> int:
     # SIGTERM unwinds like Ctrl-C, so the trees are removed and the running benchmark killed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     outputs = {setting: {workload: [] for workload in workloads} for setting in SETTINGS}
+    # the change as its tree is copied: the checkout may be edited while the runs go on
+    change_head_sha = _git("rev-parse", "HEAD")
+    change_uncommitted = bool(_git("--no-optional-locks", "status", "--porcelain"))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         roots = extract_trees(ROOT, parent_sha, Path(scratch))
         for setting, prefix in SETTINGS.items():
@@ -180,8 +183,8 @@ def main(argv=None) -> int:
     first = run_environment("all_cpus")
     environment = {
         "parent_sha": parent_sha,
-        "change_head_sha": _git("rev-parse", "HEAD"),
-        "change_uncommitted": bool(_git("--no-optional-locks", "status", "--porcelain")),
+        "change_head_sha": change_head_sha,
+        "change_uncommitted": change_uncommitted,
         **{key: first.get(key) for key in ("python", "numpy", "blas", "blas_threads")},
         "affinity_cpus": {setting: run_environment(setting).get("nproc") for setting in SETTINGS},
         "seeds": list(range(args.pairs)),
